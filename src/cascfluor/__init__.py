@@ -25,6 +25,7 @@ from .cascade import (
     AbsorptionProfile,
     UnnormalizedSpectrumError,
     cascaded_count,
+    cascaded_counts,
     lorentzian_profile,
     ratio_curve,
     transmission,

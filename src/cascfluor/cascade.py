@@ -9,7 +9,8 @@ by `delta` the filter center lands at `shift - delta` on the spectrum grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class AbsorptionProfile:
     path_efficiency: float = DEFAULT_PATH_EFFICIENCY
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.width, self.shift))):
+            raise ValueError(f"filter parameters must be finite, got {self}")
         if self.alpha < 0:
             raise ValueError(f"optical depth must be >= 0, got {self.alpha}")
         if self.width <= 0:
@@ -58,17 +61,20 @@ class AbsorptionProfile:
             )
 
 
-def lorentzian_profile(omega, prof: AbsorptionProfile):
-    """Unit-peak Lorentzian L(omega) = 1 / (1 + 4 ((omega - shift)/width)^2).
+def lorentzian_profile(omega, prof: AbsorptionProfile, drive_detuning: float = 0.0):
+    """Unit-peak Lorentzian L(omega) = 1 / (1 + 4 ((omega - center)/width)^2).
 
-    Equals 1 at the filter center and 1/2 one half-width away.
+    center = shift - drive_detuning: the lab-frame filter on the axis of a
+    detuned drive. Equals 1 at the center and 1/2 one half-width away.
     """
-    return 1.0 / (1.0 + 4.0 * ((np.asarray(omega, dtype=float) - prof.shift) / prof.width) ** 2)
+    center = prof.shift - drive_detuning
+    return 1.0 / (1.0 + 4.0 * ((np.asarray(omega, dtype=float) - center) / prof.width) ** 2)
 
 
-def transmission(omega, prof: AbsorptionProfile):
+def transmission(omega, prof: AbsorptionProfile, drive_detuning: float = 0.0):
     """Beer-Lambert transmission path_efficiency * exp(-alpha * L(omega))."""
-    return prof.path_efficiency * np.exp(-prof.alpha * lorentzian_profile(omega, prof))
+    lor = lorentzian_profile(omega, prof, drive_detuning)
+    return prof.path_efficiency * np.exp(-prof.alpha * lor)
 
 
 def cascaded_count(
@@ -88,11 +94,29 @@ def cascaded_count(
         raise UnnormalizedSpectrumError(
             "spectrum was not normalized to a photon count (use normalize_to_counts)"
         )
-    eff_prof = replace(prof, shift=prof.shift - drive_detuning)
-    trans = transmission(spec.offsets, eff_prof)
+    trans = transmission(spec.offsets, prof, drive_detuning)
     inelastic = np.trapezoid(spec.density * trans, spec.offsets)
-    elastic = spec.elastic_weight * transmission(0.0, eff_prof)
+    elastic = spec.elastic_weight * transmission(0.0, prof, drive_detuning)
     return float(inelastic + elastic)
+
+
+def cascaded_counts(
+    drives,
+    original_counts,
+    prof: AbsorptionProfile,
+    grid_span: float = 10.0,
+    grid_step: float | None = None,
+) -> np.ndarray:
+    """Cascaded count at each drive point, as an array.
+
+    Each point's spectrum is normalized to its original count and filtered
+    straight away, so one spectrum is held at a time.
+    """
+    return np.array([
+        cascaded_count(normalize_to_counts(sample_spectrum(d, grid_span, grid_step), n),
+                       prof, d.delta)
+        for d, n in zip(drives, original_counts, strict=True)
+    ])
 
 
 def ratio_curve(
@@ -103,7 +127,7 @@ def ratio_curve(
     gamma: float = DEFAULT_GAMMA_MHZ,
     grid_span: float = 10.0,
     grid_step: float | None = None,
-) -> list[float]:
+) -> np.ndarray:
     """Cascaded/original count ratio for each drive detuning.
 
     The emission spectrum is recomputed per detuning, normalized to the
@@ -111,19 +135,6 @@ def ratio_curve(
     dips where the drive sits on the filter center and the dip gets
     shallower with increasing s0 as the sidebands escape the filter.
     """
-    detunings = list(detunings)
-    original_counts = list(original_counts)
-    if len(detunings) != len(original_counts):
-        raise ValueError(
-            f"{len(detunings)} detunings vs {len(original_counts)} counts"
-        )
-    if any(n <= 0 for n in original_counts):
-        raise ValueError("original counts must be > 0")
-    out = []
-    for delta, n_orig in zip(detunings, original_counts):
-        spec = normalize_to_counts(
-            sample_spectrum(DriveParams(s0, delta, gamma), grid_span, grid_step),
-            n_orig,
-        )
-        out.append(cascaded_count(spec, prof, drive_detuning=delta) / n_orig)
-    return out
+    counts = np.asarray(original_counts, dtype=float)
+    drives = [DriveParams(s0, delta, gamma) for delta in detunings]
+    return cascaded_counts(drives, counts, prof, grid_span, grid_step) / counts

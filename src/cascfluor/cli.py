@@ -162,18 +162,15 @@ def cmd_ratio(args) -> int:
     prof = _profile_from_args(args)
     grid = np.linspace(args.start, args.stop, args.points)
     if args.scan == "detuning":
-        ratios = cascade.ratio_curve(grid, args.s0, prof, np.ones_like(grid),
-                                     gamma=args.gamma)
+        drives = [spectrum.DriveParams(args.s0, d, args.gamma) for d in grid]
         key = "delta_mhz"
     else:
-        ratios = [
-            cascade.ratio_curve([0.0], s0, prof, [1.0], gamma=args.gamma)[0]
-            for s0 in grid
-        ]
+        drives = [spectrum.DriveParams(s0, 0.0, args.gamma) for s0 in grid]
         key = "s0"
+    ratios = cascade.cascaded_counts(drives, np.ones_like(grid), prof)
     out = _out_dir(args)
     write_table(out / "ratio.csv", {key: grid, "ratio": ratios})
-    print(f"wrote {len(grid)} points; min ratio {min(ratios):.4f} "
+    print(f"wrote {len(grid)} points; min ratio {ratios.min():.4f} "
           f"at {key}={grid[int(np.argmin(ratios))]:.4g}")
     return 0
 
@@ -219,14 +216,11 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 4
 
 
-def _reference_ratio(s0: float, delta: float = 0.0) -> float:
-    return cascade.ratio_curve([delta], s0, REFERENCE_FILTER, [1.0])[0]
-
-
 def _reproduce_fig3(out: Path, rng) -> None:
     s0_grid = np.linspace(0.05, 10.0, 200)
     original = s0_grid / (1.0 + s0_grid)
-    ratios = np.array([_reference_ratio(s) for s in s0_grid])
+    resonant = [spectrum.DriveParams(s) for s in s0_grid]
+    ratios = cascade.cascaded_counts(resonant, np.ones_like(s0_grid), REFERENCE_FILTER)
     write_table(
         out / "fig3_model.csv",
         {"s0": s0_grid, "original_rate": original,
@@ -234,9 +228,8 @@ def _reproduce_fig3(out: Path, rng) -> None:
     )
     s0_pts = np.geomspace(0.25, 4.0, 8)
     n_orig = 1200.0 * s0_pts / (1.0 + s0_pts)
-    model = np.array(
-        [_reference_ratio(s) * n for s, n in zip(s0_pts, n_orig)]
-    )
+    resonant = [spectrum.DriveParams(s) for s in s0_pts]
+    model = cascade.cascaded_counts(resonant, np.ones_like(s0_pts), REFERENCE_FILTER) * n_orig
     noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
     orig_series = fit.DataSeries(s0_pts, n_orig)
     casc_series = fit.DataSeries(s0_pts, noisy, 0.03 * model)
@@ -264,9 +257,7 @@ def _reproduce_fig4(out: Path, rng, which: str) -> None:
     cols = {"delta_mhz": grid}
     for s0, tag in ((0.4, "s0p4"), (2.5, "s2p5")):
         original = _lorentz_rate(grid, s0)
-        ratios = np.array(
-            cascade.ratio_curve(grid, s0, REFERENCE_FILTER, np.ones_like(grid))
-        )
+        ratios = cascade.ratio_curve(grid, s0, REFERENCE_FILTER, np.ones_like(grid))
         if which == "fig4a":
             cols[f"original_rate_{tag}"] = original
             cols[f"cascaded_rate_{tag}"] = original * ratios
@@ -277,7 +268,7 @@ def _reproduce_fig4(out: Path, rng, which: str) -> None:
     pts = np.linspace(-25.0, 25.0, 21)
     s0 = 0.4
     n_orig = 1000.0 * _lorentz_rate(pts, s0) + 50.0
-    model = np.array(cascade.ratio_curve(pts, s0, REFERENCE_FILTER, n_orig)) * n_orig
+    model = cascade.ratio_curve(pts, s0, REFERENCE_FILTER, n_orig) * n_orig
     noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
     orig_series = fit.DataSeries(pts, n_orig)
     casc_series = fit.DataSeries(pts, noisy, 0.03 * model)
@@ -352,8 +343,6 @@ def cmd_reproduce(args) -> int:
 def _add_common(parser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are thread-count independent)")
 
 
 def _add_profile_args(parser) -> None:

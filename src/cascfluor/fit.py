@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import AbsorptionProfile, DEFAULT_PATH_EFFICIENCY
+from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_count,
+                      cascaded_counts)
 from .spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -352,30 +353,8 @@ def cascade_model_counts(
     Builds the emission spectrum per point, rescales it to the measured
     original count there, and integrates it through the lab-frame filter.
     """
-    dens, elastic, offsets, deltas = _prepare_cascade_points(
-        drives, original_counts, grid_span, grid_step
-    )
-    return _filtered_counts(dens, elastic, offsets, deltas, width, alpha, shift, path_efficiency)
-
-
-def _prepare_cascade_points(drives, original_counts, grid_span, grid_step):
-    specs = [
-        normalize_to_counts(sample_spectrum(d, grid_span, grid_step), n)
-        for d, n in zip(drives, original_counts)
-    ]
-    offsets = specs[0].offsets
-    dens = np.vstack([s.density for s in specs])
-    elastic = np.array([s.elastic_weight for s in specs])
-    deltas = np.array([d.delta for d in drives])
-    return dens, elastic, offsets, deltas
-
-
-def _filtered_counts(dens, elastic, offsets, deltas, width, alpha, shift, eff):
-    centers = shift - deltas
-    lor = 1.0 / (1.0 + 4.0 * ((offsets[None, :] - centers[:, None]) / width) ** 2)
-    trans = eff * np.exp(-alpha * lor)
-    lor0 = 1.0 / (1.0 + 4.0 * (centers / width) ** 2)
-    return np.trapezoid(dens * trans, offsets, axis=1) + elastic * eff * np.exp(-alpha * lor0)
+    prof = AbsorptionProfile(alpha, width, shift, path_efficiency)
+    return cascaded_counts(drives, original_counts, prof, grid_span, grid_step)
 
 
 def fit_cascade(
@@ -421,9 +400,10 @@ def fit_cascade(
     else:
         drives = [DriveParams(float(v), 0.0, gamma) for v in original.x]
 
-    dens, elastic, offsets, deltas = _prepare_cascade_points(
-        drives, original.y, grid_span, grid_step
-    )
+    specs = [
+        normalize_to_counts(sample_spectrum(d, grid_span, grid_step), n)
+        for d, n in zip(drives, original.y)
+    ]
 
     fixed = {"width": fix_width, "shift": fix_shift, "path_efficiency": fix_efficiency}
     fixed = {k: float(v) for k, v in fixed.items() if v is not None}
@@ -451,17 +431,15 @@ def fit_cascade(
     bounds_full = {
         "width": (0.05, 100.0 * gamma),
         "alpha": (0.0, 50.0),
-        "shift": (float(offsets[0]), float(offsets[-1])),
+        "shift": (float(specs[0].offsets[0]), float(specs[0].offsets[-1])),
         "path_efficiency": (1e-6, 1.0),
     }
 
     def model(_x, th):
         full = dict(zip(free, th))
         full.update(fixed)
-        return _filtered_counts(
-            dens, elastic, offsets, deltas,
-            full["width"], full["alpha"], full["shift"], full["path_efficiency"],
-        )
+        prof = AbsorptionProfile(**full)
+        return np.array([cascaded_count(s, prof, d.delta) for s, d in zip(specs, drives)])
 
     rng = np.random.default_rng(seed)
     starts = [np.array([init_full[n] for n in free])]

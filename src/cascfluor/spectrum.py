@@ -35,6 +35,8 @@ class DriveParams:
     gamma: float = DEFAULT_GAMMA_MHZ
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.s0, self.delta, self.gamma))):
+            raise ValueError(f"drive parameters must be finite, got {self}")
         if self.s0 < 0:
             raise ValueError(f"saturation parameter must be >= 0, got {self.s0}")
         if self.gamma <= 0:
@@ -175,8 +177,8 @@ def normalize_to_counts(spec: SpectrumGrid, n_original: float) -> SpectrumGrid:
     """Rescale density and elastic weight by one common factor so that the
     trapezoidal integral of the density plus the elastic weight equals the
     measured original photon number."""
-    if n_original <= 0:
-        raise ValueError(f"photon count must be > 0, got {n_original}")
+    if not (math.isfinite(n_original) and n_original > 0):
+        raise ValueError(f"photon count must be finite and > 0, got {n_original}")
     total = spec.total_weight()
     if total <= 0.0:
         raise NormalizationError("spectrum has zero total weight")

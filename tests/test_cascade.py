@@ -9,6 +9,7 @@ from cascfluor.cascade import (
     AbsorptionProfile,
     UnnormalizedSpectrumError,
     cascaded_count,
+    cascaded_counts,
     lorentzian_profile,
     ratio_curve,
     transmission,
@@ -38,6 +39,15 @@ class TestAbsorptionProfile:
             AbsorptionProfile(alpha=0.5, width=6.7, path_efficiency=0.0)
         with pytest.raises(ValueError):
             AbsorptionProfile(alpha=0.5, width=6.7, path_efficiency=1.2)
+
+    @pytest.mark.parametrize("fields", [
+        dict(alpha=math.nan, width=6.7), dict(alpha=0.85, width=math.inf),
+        dict(alpha=math.nan, width=math.inf), dict(alpha=math.inf, width=6.7),
+        dict(alpha=0.85, width=6.7, shift=math.nan),
+    ])
+    def test_non_finite_rejected(self, fields):
+        with pytest.raises(ValueError):
+            AbsorptionProfile(**fields)
 
     def test_default_efficiency(self):
         assert AbsorptionProfile(alpha=0.85, width=6.7).path_efficiency == 0.9
@@ -129,10 +139,24 @@ class TestCascadedCount:
         assert got == pytest.approx(expected, abs=slack)
 
 
+class TestCascadedCounts:
+    def test_each_point_is_its_normalized_spectrum_filtered(self):
+        drives = [DriveParams(0.4, -5.0), DriveParams(2.5), DriveParams(8.0, 12.0)]
+        counts = [700.0, 1000.0, 1300.0]
+        got = cascaded_counts(drives, counts, FITTED)
+        expected = [
+            cascaded_count(normalized_spectrum(d.s0, d.delta, n), FITTED, d.delta)
+            for d, n in zip(drives, counts)
+        ]
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestRatioCurve:
     def test_flat_at_path_efficiency_without_absorber(self):
         prof = AbsorptionProfile(alpha=0.0, width=6.7, path_efficiency=0.9)
         ratios = ratio_curve([-10.0, 0.0, 10.0], 0.4, prof, [500.0, 800.0, 500.0])
+        assert isinstance(ratios, np.ndarray)
         np.testing.assert_allclose(ratios, 0.9, rtol=1e-9)
 
     def test_length_mismatch_rejected(self):
@@ -142,6 +166,11 @@ class TestRatioCurve:
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ValueError):
             ratio_curve([0.0], 0.4, FITTED, [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ratio_curve([-1.0, 0.0, 1.0], 0.4, FITTED, [1.0, bad, 1.0])
 
     def test_dip_sits_at_filter_shift(self):
         prof = AbsorptionProfile(alpha=0.85, width=6.7, shift=1.0, path_efficiency=0.9)

@@ -39,6 +39,11 @@ class TestUsage:
             main(["reproduce", "fig9"])
         assert err.value.code == 2
 
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--threads", "2", "--out", str(tmp_path)])
+        assert err.value.code == 2
+
     def test_missing_data_is_usage_error(self, tmp_path):
         assert run(["fit", "slope", "--out", tmp_path]) == 2
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cascfluor.cascade import AbsorptionProfile
+from cascfluor.cascade import AbsorptionProfile, ratio_curve
 from cascfluor.fit import (
     DataParseError,
     DataSeries,
@@ -287,6 +287,22 @@ class TestFitCascade:
             y = model * (1.0 + noise * rng.standard_normal(len(model)))
         err = noise * model if noise else None
         return DataSeries(self.LADDER, n_orig), DataSeries(self.LADDER, y, err)
+
+    def test_model_rejects_non_finite_filter(self):
+        with pytest.raises(ValueError):
+            cascade_model_counts([DriveParams(0.4)], [1.0], width=6.7, alpha=np.nan)
+
+    @pytest.mark.parametrize("s0", [0.4, 2.5, 8.0])
+    def test_model_is_the_ratio_curve(self, s0):
+        # the fit model and the ratio scan are one forward model: at unit
+        # counts they agree to the last bit
+        deltas = np.linspace(-30.0, 30.0, 121)
+        ones = np.ones_like(deltas)
+        prof = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.5, path_efficiency=0.9)
+        drives = [DriveParams(s0, d) for d in deltas]
+        model = cascade_model_counts(drives, ones, width=prof.width, alpha=prof.alpha,
+                                     shift=prof.shift, path_efficiency=prof.path_efficiency)
+        assert np.array_equal(model, ratio_curve(deltas, s0, prof, ones))
 
     def test_noiseless_power_scan_roundtrip(self):
         original, cascaded = self.synth_power_scan()

@@ -1,5 +1,7 @@
 """Spectral physics: saturation relations, Mollow density, grid handling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,14 @@ class TestDriveParams:
             DriveParams(-0.5)
         with pytest.raises(ValueError):
             DriveParams(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("fields", [
+        (math.nan, 0.0), (1.0, math.inf), (math.nan, math.inf),
+        (math.inf, 0.0), (1.0, 0.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, fields):
+        with pytest.raises(ValueError):
+            DriveParams(*fields)
 
 
 class TestMollowDensity:
@@ -249,3 +259,8 @@ class TestNormalizeToCounts:
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):
             normalize_to_counts(sample_spectrum(DriveParams(1.0)), 0.0)
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, count):
+        with pytest.raises(ValueError):
+            normalize_to_counts(sample_spectrum(DriveParams(1.0)), count)
