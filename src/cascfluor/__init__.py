@@ -35,7 +35,7 @@ from .timetag import (
     Histogram,
     ParseError,
     RunConfig,
-    TimeTagRecord,
+    TIMETAG_DTYPE,
     count_rate,
     histogram,
     peak_separation,

@@ -97,11 +97,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out = _out_dir(args)
-    tags: list[timetag.TimeTagRecord] = []
-    for run_id in range(cfg.runs):
-        tags.extend(timetag.simulate_run(cfg, run_id))
+    tags = np.concatenate([timetag.simulate_run(cfg, run_id) for run_id in range(cfg.runs)])
     timetag.write_timetags(out / "timetags.csv", tags)
-    bin_ns = args.bin if args.bin else cfg.tick
+    bin_ns = args.bin if args.bin is not None else cfg.tick
     hist = timetag.histogram(tags, bin_ns, cfg)
     write_table(
         out / "histogram.csv",

@@ -52,14 +52,16 @@ class DataSeries:
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError("x and y must be 1-d arrays of equal length")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.y_err is not None:
             err = np.asarray(self.y_err, dtype=float)
             if err.shape != x.shape:
                 raise ValueError("y_err must match x in length")
-            if np.any(err <= 0):
-                raise ValueError("y_err values must be > 0")
+            if not np.all(np.isfinite(err) & (err > 0)):
+                raise ValueError("y_err values must be finite and > 0")
             object.__setattr__(self, "y_err", err)
 
     def __len__(self) -> int:
@@ -561,7 +563,7 @@ def read_series(path) -> DataSeries:
                 f"{path}:1: expected header 'x,y' or 'x,y,yerr', got '{header}'"
             )
         n_cols = 3 if header == "x,y,yerr" else 2
-        xs, ys, errs = [], [], []
+        rows = []
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
@@ -572,18 +574,15 @@ def read_series(path) -> DataSeries:
                     f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}"
                 )
             try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-                if n_cols == 3:
-                    errs.append(float(parts[2]))
+                rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise DataParseError(f"{path}:{lineno}: {exc}") from exc
-    if not xs:
+            if not all(map(math.isfinite, rows[-1])):
+                raise DataParseError(f"{path}:{lineno}: non-finite value in '{line}'")
+    if not rows:
         raise DataParseError(f"{path}: no data rows")
     try:
-        return DataSeries(
-            np.array(xs), np.array(ys), np.array(errs) if errs else None
-        )
+        return DataSeries(*np.array(rows).T)
     except ValueError as exc:
         raise DataParseError(f"{path}: {exc}") from exc
 

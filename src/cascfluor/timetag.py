@@ -5,12 +5,14 @@ into the fiber either toward the detector (original fluorescence) or toward
 the mirror (detected later as cascaded fluorescence, thinned by the cascade
 transmission), time-tagged on a coarse clock and truncated at a photon cap.
 Includes folded histogramming, windowed peak counting, count-rate
-estimation, and plain-text I/O for records and run configuration.
+estimation, and plain-text I/O for time tags and run configuration.
 """
 
 from __future__ import annotations
 
+import math
 import typing
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +22,8 @@ import numpy as np
 CS_LIFETIME_NS = 30.4
 
 TIMETAG_HEADER = "run_id,arrival_ns"
+# One row per detected photon; arrival is in ns since run start.
+TIMETAG_DTYPE = np.dtype([("run_id", np.int64), ("arrival", np.int64)])
 
 
 class ParseError(ValueError):
@@ -69,21 +73,12 @@ class RunConfig:
             raise ValueError("pulses_per_run, runs and cap must be positive")
         if self.delay < 0 or self.window <= 0:
             raise ValueError("delay must be >= 0 and window > 0")
-        if self.mean_photons_per_pulse < 0:
-            raise ValueError("mean photons per pulse must be >= 0")
+        for name in ("mean_photons_per_pulse", "background_rate", "heating_tau_pulses"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.ratio_model <= 1.0:
             raise ValueError(f"ratio_model must be in [0, 1], got {self.ratio_model}")
-        if self.background_rate < 0 or self.heating_tau_pulses < 0:
-            raise ValueError("background_rate and heating_tau_pulses must be >= 0")
-
-
-@dataclass(frozen=True)
-class TimeTagRecord:
-    """One detected photon: run index and arrival in ns since run start,
-    quantized to the acquisition tick."""
-
-    run_id: int
-    arrival: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ class Histogram:
     period_ns: int
 
 
-def simulate_run(cfg: RunConfig, run_id: int = 0) -> list[TimeTagRecord]:
+def simulate_run(cfg: RunConfig, run_id: int = 0) -> np.ndarray:
     """Simulate the detected photons of one atom cloud.
 
     Per pulse, a Poisson number of photon pairs is emitted with the
@@ -105,8 +100,8 @@ def simulate_run(cfg: RunConfig, run_id: int = 0) -> list[TimeTagRecord]:
     pulse plus an exponential lag of one lifetime, so the histogram peak
     rises across the pulse and decays after it. Mirror-path photons survive
     with probability ratio_model and arrive one round-trip delay later.
-    Arrivals are floored to the tick; the record list is time-ordered and
-    truncated at the cap. Deterministic for a fixed (cfg.seed, run_id).
+    Arrivals are floored to the tick; the TIMETAG_DTYPE array is time-ordered
+    and truncated at the cap. Deterministic for a fixed (cfg.seed, run_id).
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(run_id,))
@@ -134,12 +129,13 @@ def simulate_run(cfg: RunConfig, run_id: int = 0) -> list[TimeTagRecord]:
     ticks = (detected // cfg.tick).astype(np.int64) * cfg.tick
     ticks.sort()
     ticks = ticks[: cfg.cap]
-    return [TimeTagRecord(run_id, int(t)) for t in ticks]
+    tags = np.empty(len(ticks), TIMETAG_DTYPE)
+    tags["run_id"] = run_id
+    tags["arrival"] = ticks
+    return tags
 
 
-def histogram(
-    tags: list[TimeTagRecord], bin_ns: int, cfg: RunConfig
-) -> Histogram:
+def histogram(tags: np.ndarray, bin_ns: int, cfg: RunConfig) -> Histogram:
     """Fold arrivals modulo the pulse period and bin them.
 
     The bin width must be a multiple of the tick. With enough photons the
@@ -150,11 +146,8 @@ def histogram(
             f"bin ({bin_ns} ns) must be a positive multiple of the tick ({cfg.tick} ns)"
         )
     n_bins = -(-cfg.pulse_period // bin_ns)  # ceil
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if tags:
-        arrivals = np.fromiter((t.arrival for t in tags), dtype=np.int64, count=len(tags))
-        folded = (arrivals % cfg.pulse_period) // bin_ns
-        counts += np.bincount(folded, minlength=n_bins)
+    folded = (tags["arrival"] % cfg.pulse_period) // bin_ns
+    counts = np.bincount(folded, minlength=n_bins)
     starts = np.arange(n_bins, dtype=np.int64) * bin_ns
     return Histogram(starts, counts, bin_ns, cfg.pulse_period)
 
@@ -234,46 +227,55 @@ def window_counts(hist: Histogram, cfg: RunConfig) -> tuple[int, int]:
     return original, cascaded
 
 
-def count_rate(tags: list[TimeTagRecord], cfg: RunConfig) -> float:
+def count_rate(tags: np.ndarray, cfg: RunConfig) -> float:
     """Detected photons (capped) divided by the arrival time of the last
     counted photon, in counts per microsecond."""
-    if not tags:
-        raise ValueError("count rate is undefined for an empty record list")
-    arrivals = np.sort(np.fromiter((t.arrival for t in tags), dtype=np.int64))
-    counted = arrivals[: cfg.cap]
+    if len(tags) == 0:
+        raise ValueError("count rate is undefined for an empty set of time tags")
+    counted = np.sort(tags["arrival"])[: cfg.cap]
     last_us = counted[-1] / 1000.0
     if last_us <= 0:
         raise ValueError("count rate is undefined when the last photon is at t = 0")
     return len(counted) / last_us
 
 
-def write_timetags(path, tags: list[TimeTagRecord]) -> None:
-    """Write records as CSV with header run_id,arrival_ns."""
+def write_timetags(path, tags: np.ndarray) -> None:
+    """Write time tags as CSV with header run_id,arrival_ns."""
+    pairs = np.column_stack((tags["run_id"], tags["arrival"])).ravel().tolist()
     with open(path, "w", encoding="utf-8") as f:
         f.write(TIMETAG_HEADER + "\n")
-        for t in tags:
-            f.write(f"{t.run_id},{t.arrival}\n")
+        f.write(("%d,%d\n" * len(tags)) % tuple(pairs))
 
 
-def read_timetags(path) -> list[TimeTagRecord]:
-    """Read records written by write_timetags."""
-    tags = []
+def read_timetags(path) -> np.ndarray:
+    """Read time tags written by write_timetags into a TIMETAG_DTYPE array."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != TIMETAG_HEADER:
             raise ParseError(f"{path}:1: expected header '{TIMETAG_HEADER}', got '{header}'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                tags.append(TimeTagRecord(int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return tags
+        start = f.tell()
+        # loadtxt warns on input without rows; a header-only file is valid
+        if all(line == "\n" for line in f):
+            return np.empty(0, TIMETAG_DTYPE)
+        f.seek(start)
+        try:
+            # older numpy reads "5.5" as int64 5 with only a DeprecationWarning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(f, delimiter=",", dtype=TIMETAG_DTYPE, comments=None, ndmin=1)
+        except ValueError as exc:
+            f.seek(start)  # find the first row loadtxt rejects, to name its line
+            for lineno, line in enumerate(f, start=2):
+                parts = line.rstrip("\n").split(",")
+                if parts == [""]:
+                    continue
+                try:
+                    if len(parts) != 2:
+                        raise ValueError(f"expected 2 fields, got {len(parts)}")
+                    list(map(np.int64, parts))
+                except (ValueError, OverflowError) as err:
+                    raise ParseError(f"{path}:{lineno}: {err}") from exc
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def _field_types() -> dict[str, type]:

@@ -144,9 +144,7 @@ def test_criterion_5_histogram_protocol():
     start = time.perf_counter()
     # default acquisition: 120 runs, capped records
     cfg = RunConfig(mean_photons_per_pulse=0.75, seed=123)
-    tags = []
-    for run_id in range(cfg.runs):
-        tags.extend(simulate_run(cfg, run_id))
+    tags = np.concatenate([simulate_run(cfg, run_id) for run_id in range(cfg.runs)])
     sep = peak_separation(histogram(tags, cfg.tick, cfg))
     # windowed ratio at one million detected photons
     big = RunConfig(mean_photons_per_pulse=1.0, pulses_per_run=550_000,

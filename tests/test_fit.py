@@ -435,6 +435,26 @@ class TestDataSeries:
         with pytest.raises(ValueError):
             DataSeries(np.arange(3.0), np.arange(3.0), np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", ["x", "y", "y_err"])
+    def test_non_finite_rejected(self, column, bad):
+        cols = {"x": np.arange(3.0), "y": np.arange(3.0), "y_err": np.ones(3)}
+        cols[column][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DataSeries(**cols)
+
+    def test_nan_datum_fails_before_the_fit(self):
+        # a NaN residual once made least_squares report converged=True at
+        # the start parameters with residual_norm=nan
+        x = np.linspace(-10, 10, 21)
+        y = lorentzian(x, 0.5, 4.0, 9.0, 1.0)
+        y[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            least_squares(lambda x, th: lorentzian(x, *th), DataSeries(x, y),
+                          [0.5, 4, 9, 1])
+        with pytest.raises(ValueError, match="finite"):
+            fit_lorentzian(DataSeries(x, y))
+
 
 class TestFileFormats:
     def test_series_roundtrip_with_errors(self, tmp_path):
@@ -467,6 +487,17 @@ class TestFileFormats:
         path = tmp_path / "series.csv"
         path.write_text("x,y\n1,2\n3,oops\n")
         with pytest.raises(DataParseError, match=":3:"):
+            read_series(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        pytest.param("x,y\n1,nan\n", 2, id="y_nan"),
+        pytest.param("x,y\n1,2\ninf,3\n", 3, id="x_inf"),
+        pytest.param("x,y,yerr\n1,2,0.1\n2,3,nan\n", 3, id="yerr_nan"),
+    ])
+    def test_series_non_finite_reports_line(self, tmp_path, text, lineno):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(DataParseError, match=f":{lineno}:"):
             read_series(path)
 
     def test_report_roundtrip(self, tmp_path):

@@ -1,13 +1,15 @@
 """Time-tag Monte Carlo, histogramming, windows, rates and file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.timetag import (
     ParseError,
+    TIMETAG_DTYPE,
     RunConfig,
-    TimeTagRecord,
     count_rate,
     histogram,
     peak_separation,
@@ -19,6 +21,11 @@ from cascfluor.timetag import (
     write_timetags,
 )
 from cascfluor.cascade import ratio_curve
+
+
+def run0(arrivals):
+    """Time tags of run 0 at the given arrivals."""
+    return np.array([(0, a) for a in arrivals], dtype=TIMETAG_DTYPE)
 
 
 class TestRunConfig:
@@ -40,6 +47,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(pulse_length=600)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["mean_photons_per_pulse", "background_rate", "heating_tau_pulses"]
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
     def test_delay_consistency_with_fiber_length(self):
         # 2 x 32 m of fiber at group index 1.47 is a 313.8 ns round trip,
         # within two ticks of the configured delay
@@ -50,15 +65,15 @@ class TestRunConfig:
 
 class TestSimulateRun:
     def test_zero_mean_gives_no_records(self):
-        assert simulate_run(RunConfig(mean_photons_per_pulse=0.0)) == []
+        assert len(simulate_run(RunConfig(mean_photons_per_pulse=0.0))) == 0
 
     def test_deterministic_for_fixed_seed(self):
         cfg = RunConfig(mean_photons_per_pulse=0.6, seed=77)
-        assert simulate_run(cfg, 3) == simulate_run(cfg, 3)
+        assert np.array_equal(simulate_run(cfg, 3), simulate_run(cfg, 3))
 
     def test_distinct_runs_differ(self):
         cfg = RunConfig(mean_photons_per_pulse=0.6, seed=77)
-        assert simulate_run(cfg, 0) != simulate_run(cfg, 1)
+        assert not np.array_equal(simulate_run(cfg, 0), simulate_run(cfg, 1))
 
     def test_cap_enforced_exactly(self):
         # ~2850 detected photons expected, well past the 1500 cap
@@ -69,11 +84,12 @@ class TestSimulateRun:
     def test_records_quantized_and_ordered(self):
         cfg = RunConfig(mean_photons_per_pulse=0.3, seed=11)
         tags = simulate_run(cfg, 2)
-        arrivals = [t.arrival for t in tags]
-        assert all(a % cfg.tick == 0 for a in arrivals)
-        assert all(a >= 0 for a in arrivals)
-        assert arrivals == sorted(arrivals)
-        assert all(t.run_id == 2 for t in tags)
+        arrivals = tags["arrival"]
+        assert tags.dtype == TIMETAG_DTYPE
+        assert np.all(arrivals % cfg.tick == 0)
+        assert np.all(arrivals >= 0)
+        assert np.array_equal(arrivals, np.sort(arrivals))
+        assert np.all(tags["run_id"] == 2)
 
     def test_detected_mean_tracks_configuration(self):
         cfg = RunConfig(
@@ -97,24 +113,24 @@ class TestSimulateRun:
         )
         tags = simulate_run(cfg)
         half_ns = cfg.pulses_per_run * cfg.pulse_period / 2
-        early = sum(t.arrival < half_ns for t in tags)
+        early = np.count_nonzero(tags["arrival"] < half_ns)
         assert early > 0.9 * len(tags)
 
 
 class TestHistogram:
     def test_empty_tags(self):
         cfg = RunConfig()
-        hist = histogram([], 5, cfg)
+        hist = histogram(run0([]), 5, cfg)
         assert np.all(hist.counts == 0)
         assert len(hist.counts) == cfg.pulse_period // 5
 
     def test_bin_must_be_tick_multiple(self):
         with pytest.raises(ValueError):
-            histogram([], 7, RunConfig())
+            histogram(run0([]), 7, RunConfig())
 
     def test_folding(self):
         cfg = RunConfig()
-        tags = [TimeTagRecord(0, 5), TimeTagRecord(0, 605), TimeTagRecord(0, 1210)]
+        tags = run0([5, 605, 1210])
         hist = histogram(tags, 5, cfg)
         assert hist.counts[1] == 2  # 5 and 605 fold together
         assert hist.counts[2] == 1  # 1210 folds to 10
@@ -132,17 +148,17 @@ class TestHistogram:
 
     def test_peak_separation_needs_two_peaks(self):
         cfg = RunConfig()
-        lone = [TimeTagRecord(0, 50)] * 10
+        lone = run0([50] * 10)
         with pytest.raises(ValueError):
             peak_separation(histogram(lone, 5, cfg))
         with pytest.raises(ValueError):
-            peak_separation(histogram([], 5, cfg))
+            peak_separation(histogram(run0([]), 5, cfg))
 
 
 class TestWindowCounts:
     def test_all_in_first_window(self):
         cfg = RunConfig()
-        tags = [TimeTagRecord(0, a) for a in range(0, 180, 5)]
+        tags = run0(range(0, 180, 5))
         original, cascaded = window_counts(histogram(tags, 5, cfg), cfg)
         assert original == len(tags)
         assert cascaded == 0
@@ -150,7 +166,7 @@ class TestWindowCounts:
     def test_wrapping_window_rejected(self):
         cfg = RunConfig(delay=500, window=150)
         with pytest.raises(ValueError):
-            window_counts(histogram([], 5, cfg), cfg)
+            window_counts(histogram(run0([]), 5, cfg), cfg)
 
     def test_ratio_converges_to_ratio_model(self):
         cfg = RunConfig(
@@ -183,17 +199,17 @@ class TestWindowCounts:
 class TestCountRate:
     def test_simple_division(self):
         cfg = RunConfig()
-        tags = [TimeTagRecord(0, 5)] * 1499 + [TimeTagRecord(0, 750000)]
+        tags = run0([5] * 1499 + [750000])
         assert count_rate(tags, cfg) == pytest.approx(2.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            count_rate([], RunConfig())
+            count_rate(run0([]), RunConfig())
 
     def test_invariant_beyond_cap(self):
         cfg = RunConfig()
-        base = [TimeTagRecord(0, 5 * (i + 1)) for i in range(cfg.cap)]
-        extra = base + [TimeTagRecord(0, 10**6), TimeTagRecord(0, 2 * 10**6)]
+        base = run0([5 * (i + 1) for i in range(cfg.cap)])
+        extra = np.concatenate([base, run0([10**6, 2 * 10**6])])
         assert count_rate(base, cfg) == count_rate(extra, cfg)
 
     def test_rate_scales_with_mean(self):
@@ -210,8 +226,18 @@ class TestFileFormats:
         tags = simulate_run(cfg, 7)
         path = tmp_path / "tags.csv"
         write_timetags(path, tags)
-        assert read_timetags(path) == tags
+        assert np.array_equal(read_timetags(path), tags)
         assert path.read_text().splitlines()[0] == "run_id,arrival_ns"
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_timetag_header_only_reads_empty(self, tmp_path, body):
+        path = tmp_path / "tags.csv"
+        path.write_text("run_id,arrival_ns\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tags = read_timetags(path)
+        assert tags.dtype == TIMETAG_DTYPE
+        assert len(tags) == 0
 
     def test_timetag_bad_header(self, tmp_path):
         path = tmp_path / "tags.csv"
@@ -219,10 +245,37 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             read_timetags(path)
 
-    def test_timetag_bad_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("body, lineno", [
+        pytest.param("0,5\n0,abc\n", 3, id="non_integer"),
+        pytest.param("0,5\n0,5.5\n", 3, id="float"),
+        pytest.param("0,5,7\n", 2, id="three_fields"),
+        pytest.param("0,5\n1,6\n0,5 # c\n", 4, id="comment"),
+        pytest.param("0,5\n\n0,abc\n", 4, id="after_blank_line"),
+        pytest.param("0,5\n   \n1,6\n", 3, id="whitespace_only"),
+        pytest.param("0,5\n0,99999999999999999999\n", 3, id="beyond_int64"),
+    ])
+    def test_timetag_bad_row_reports_line(self, tmp_path, body, lineno):
         path = tmp_path / "tags.csv"
-        path.write_text("run_id,arrival_ns\n0,5\n0,abc\n")
-        with pytest.raises(ParseError, match=":3:"):
+        path.write_text("run_id,arrival_ns\n" + body)
+        with pytest.raises(ParseError, match=f":{lineno}:"):
+            read_timetags(path)
+
+    def test_timetag_float_row_rejected_with_warnings_ignored(self, tmp_path):
+        # numpy versions that still parse "5.5" as an int64 through a float
+        # only warn; the reader must reject the row whatever the filters say
+        path = tmp_path / "tags.csv"
+        path.write_text("run_id,arrival_ns\n0,5\n0,5.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match=":3:"):
+                read_timetags(path)
+
+    def test_timetag_underscore_digits_rejected(self, tmp_path):
+        # int() accepts "1_000" but the array parser does not; the file is
+        # still rejected as a whole
+        path = tmp_path / "tags.csv"
+        path.write_text("run_id,arrival_ns\n0,1_000\n")
+        with pytest.raises(ParseError, match="1_000"):
             read_timetags(path)
 
     def test_config_roundtrip(self, tmp_path):
@@ -249,4 +302,10 @@ class TestFileFormats:
         path = tmp_path / "run.cfg"
         path.write_text("window = 400\n")
         with pytest.raises(ParseError):
+            read_config(path)
+
+    def test_config_non_finite_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("background_rate = nan\n")
+        with pytest.raises(ParseError, match="background_rate"):
             read_config(path)
