@@ -26,6 +26,7 @@ from .cascade import (
     UnnormalizedSpectrumError,
     cascaded_count,
     cascaded_counts,
+    filtered_counts,
     lorentzian_profile,
     ratio_curve,
     transmission,

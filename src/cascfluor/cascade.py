@@ -77,6 +77,55 @@ def transmission(omega, prof: AbsorptionProfile, drive_detuning: float = 0.0):
     return prof.path_efficiency * np.exp(-prof.alpha * lor)
 
 
+def filtered_counts(specs, detunings, prof: AbsorptionProfile, gradient: bool = False):
+    """Cascaded count of each normalized spectrum, all on one shared grid.
+
+    specs[i] is filtered as seen by a drive detuned by detunings[i], with
+    the arithmetic of cascaded_count. The grid spacing is taken once per
+    call and the Lorentzian L is evaluated once per spectrum, with the
+    elastic line as one more point at omega = 0. With gradient=True, also
+    returns the (len(specs), 4) closed-form derivatives of the counts with
+    respect to (width, alpha, shift, path_efficiency), from the same
+    arrays: with u = (omega - shift + detuning) / width and
+    T = path_efficiency * exp(-alpha L), dT/dalpha = -L T,
+    dT/dwidth = -alpha T 8 u^2 L^2 / width,
+    dT/dshift = -alpha T 8 u L^2 / width and
+    dT/dpath_efficiency = T / path_efficiency.
+    """
+    offsets = specs[0].offsets
+    omega = np.concatenate((offsets, (0.0,)))
+    step = offsets[1:] - offsets[:-1]
+    counts = np.empty(len(specs))
+    if gradient:
+        jac = np.empty((len(specs), 4))
+        # trapezoid weight of each grid point, then 1 for the elastic line
+        half = step / 2.0
+        weights = np.concatenate((half, [0.0, 1.0]))
+        weights[1:-1] += half
+    for i, (spec, delta) in enumerate(zip(specs, detunings, strict=True)):
+        if spec.counts is None:
+            raise UnnormalizedSpectrumError(
+                "spectrum was not normalized to a photon count (use normalize_to_counts)"
+            )
+        # uniform grids of one length and the same ends are the same grid
+        grid = spec.offsets
+        if len(grid) != len(offsets) or grid[0] != offsets[0] or grid[-1] != offsets[-1]:
+            raise ValueError("spectra must share one frequency grid")
+        u = (omega - (prof.shift - delta)) / prof.width
+        lor = 1.0 / (1.0 + 4.0 * u ** 2)
+        trans = prof.path_efficiency * np.exp(-prof.alpha * lor)
+        y = spec.density * trans[:-1]
+        counts[i] = (step * (y[1:] + y[:-1]) / 2.0).sum() + spec.elastic_weight * trans[-1]
+        if gradient:
+            # minus the integrand of d/dalpha, times the quadrature weights
+            g = np.concatenate((spec.density, (spec.elastic_weight,))) * weights * trans * lor
+            ul = u * lor
+            k = -8.0 * prof.alpha / prof.width
+            jac[i] = (k * ((g * ul) @ u), -g.sum(), k * (g @ ul),
+                      counts[i] / prof.path_efficiency)
+    return (counts, jac) if gradient else counts
+
+
 def cascaded_count(
     spec: SpectrumGrid,
     prof: AbsorptionProfile,
@@ -90,14 +139,7 @@ def cascaded_count(
     on the laser-relative grid its center sits at shift - drive_detuning.
     The spectrum must have been normalized to a measured count first.
     """
-    if spec.counts is None:
-        raise UnnormalizedSpectrumError(
-            "spectrum was not normalized to a photon count (use normalize_to_counts)"
-        )
-    trans = transmission(spec.offsets, prof, drive_detuning)
-    inelastic = np.trapezoid(spec.density * trans, spec.offsets)
-    elastic = spec.elastic_weight * transmission(0.0, prof, drive_detuning)
-    return float(inelastic + elastic)
+    return float(filtered_counts([spec], [drive_detuning], prof)[0])
 
 
 def cascaded_counts(

@@ -1,10 +1,12 @@
 """Nonlinear least squares and the toolkit's fitting pipelines.
 
-The engine is a damped Gauss-Newton solver with step-halving and central
-finite-difference Jacobians. On top of it sit the four analyses used
-throughout: Lorentzian line fits, the saturation-curve fit, the cascaded
-absorption fit (forward model built from the spectrum and cascade modules),
-and the power-broadening / shift-slope fits.
+The engine is a damped Gauss-Newton solver with step-halving. It takes the
+model Jacobian from the caller when given one, and from central finite
+differences otherwise. On top of it sit the four analyses used throughout:
+Lorentzian line fits, the saturation-curve fit, the cascaded absorption fit
+(forward model and its closed-form derivatives from the cascade module),
+and the power-broadening / shift-slope fits. Only the cascade fit passes
+closed-form derivatives; the others use finite differences.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_count,
-                      cascaded_counts)
+from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_counts,
+                      filtered_counts)
 from .spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -110,6 +112,7 @@ def least_squares(
     max_iterations: int = MAX_ITERATIONS,
     bootstrap: int = 0,
     bootstrap_seed: int = 0,
+    jac=None,
 ) -> FitResult:
     """Minimize the weighted sum of squares of y - model(x, params).
 
@@ -121,7 +124,10 @@ def least_squares(
     diagonal of the inverse weighted normal matrix scaled by the reduced
     chi-square; pass bootstrap=B > 0 to replace them with the parameter
     spread over B seeded residual-resampling refits. A singular normal
-    matrix raises DegenerateFitError.
+    matrix raises DegenerateFitError. jac is an optional callable mapping
+    (x array, parameter vector) to the model Jacobian, shape (len(x),
+    n_params); without it the Jacobian comes from central differences of
+    step fd_step.
     """
     theta = np.asarray(init, dtype=float).copy()
     n_par = theta.size
@@ -141,6 +147,16 @@ def least_squares(
         raise ValueError("initial guess lies outside the bounds")
     bnd = (lo, hi)
     sigma = data.y_err if data.y_err is not None else np.ones_like(data.y)
+    if jac is None:
+        def jacobian(th):
+            return _jacobian(model, data.x, th, bnd, sigma, fd_step)
+    else:
+        pinned = np.flatnonzero(lo == hi)
+        if pinned.size:
+            raise DegenerateFitError(f"parameter {pinned[0]} is pinned by its bounds")
+
+        def jacobian(th):
+            return jac(data.x, th) / sigma[:, None]
 
     def residuals(th):
         f = model(data.x, th)
@@ -153,13 +169,13 @@ def least_squares(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        jac = _jacobian(model, data.x, theta, bnd, sigma, fd_step)
-        grad = jac.T @ res
+        jmat = jacobian(theta)
+        grad = jmat.T @ res
         if np.max(np.abs(grad)) < GRADIENT_ATOL:
             converged = True
             iterations -= 1
             break
-        normal = jac.T @ jac
+        normal = jmat.T @ jmat
         if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > 1e14:
             raise DegenerateFitError("singular normal matrix")
         step = np.linalg.solve(normal, grad)
@@ -187,8 +203,8 @@ def least_squares(
         if converged:
             break
 
-    jac = _jacobian(model, data.x, theta, bnd, sigma, fd_step)
-    normal = jac.T @ jac
+    jmat = jacobian(theta)
+    normal = jmat.T @ jmat
     dof = max(len(data) - n_par, 1)
     chi2_red = ssr / dof
     try:
@@ -199,7 +215,7 @@ def least_squares(
     if bootstrap > 0:
         sig = _bootstrap_sigmas(
             model, data, theta, bounds, fd_step, max_iterations,
-            bootstrap, bootstrap_seed,
+            bootstrap, bootstrap_seed, jac,
         )
     return FitResult(
         params=dict(zip(names, (float(v) for v in theta))),
@@ -211,7 +227,7 @@ def least_squares(
 
 
 def _bootstrap_sigmas(model, data, theta, bounds, fd_step, max_iterations,
-                      n_resamples, seed):
+                      n_resamples, seed, jac):
     """Parameter spread over refits of residual-resampled data."""
     rng = np.random.default_rng(seed)
     fitted = model(data.x, theta)
@@ -223,6 +239,7 @@ def _bootstrap_sigmas(model, data, theta, bounds, fd_step, max_iterations,
             refit = least_squares(
                 model, DataSeries(data.x, resampled, data.y_err), theta,
                 bounds=bounds, fd_step=fd_step, max_iterations=max_iterations,
+                jac=jac,
             )
         except DegenerateFitError:
             draws[b] = np.nan
@@ -337,6 +354,7 @@ def fit_saturation(data: DataSeries, bootstrap: int = 0) -> FitResult:
 # ---------------------------------------------------------------------------
 # Cascaded-absorption fit
 
+# also the column order of the derivatives from cascade.filtered_counts
 _CASCADE_PARAMS = ("width", "alpha", "shift", "path_efficiency")
 
 
@@ -437,11 +455,19 @@ def fit_cascade(
         "path_efficiency": (1e-6, 1.0),
     }
 
-    def model(_x, th):
+    deltas = [d.delta for d in drives]
+    columns = [_CASCADE_PARAMS.index(n) for n in free]
+
+    def profile(th):
         full = dict(zip(free, th))
         full.update(fixed)
-        prof = AbsorptionProfile(**full)
-        return np.array([cascaded_count(s, prof, d.delta) for s, d in zip(specs, drives)])
+        return AbsorptionProfile(**full)
+
+    def model(_x, th):
+        return filtered_counts(specs, deltas, profile(th))
+
+    def jac(_x, th):
+        return filtered_counts(specs, deltas, profile(th), gradient=True)[1][:, columns]
 
     rng = np.random.default_rng(seed)
     starts = [np.array([init_full[n] for n in free])]
@@ -463,7 +489,7 @@ def fit_cascade(
     for start in starts:
         try:
             result = least_squares(
-                model, cascaded, np.clip(start, lo, hi), bounds, list(free)
+                model, cascaded, np.clip(start, lo, hi), bounds, list(free), jac=jac
             )
         except DegenerateFitError as exc:
             failures.append(str(exc))

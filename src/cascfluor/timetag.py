@@ -11,6 +11,7 @@ estimation, and plain-text I/O for time tags and run configuration.
 from __future__ import annotations
 
 import math
+import re
 import typing
 import warnings
 from dataclasses import dataclass, fields
@@ -24,6 +25,10 @@ CS_LIFETIME_NS = 30.4
 TIMETAG_HEADER = "run_id,arrival_ns"
 # One row per detected photon; arrival is in ns since run start.
 TIMETAG_DTYPE = np.dtype([("run_id", np.int64), ("arrival", np.int64)])
+# Rows formatted per write, so the text held at once stays under 1 MB.
+_WRITE_BLOCK_ROWS = 8192
+# An integer field as np.loadtxt parses it: a sign and ASCII digits only.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -241,10 +246,12 @@ def count_rate(tags: np.ndarray, cfg: RunConfig) -> float:
 
 def write_timetags(path, tags: np.ndarray) -> None:
     """Write time tags as CSV with header run_id,arrival_ns."""
-    pairs = np.column_stack((tags["run_id"], tags["arrival"])).ravel().tolist()
     with open(path, "w", encoding="utf-8") as f:
         f.write(TIMETAG_HEADER + "\n")
-        f.write(("%d,%d\n" * len(tags)) % tuple(pairs))
+        for start in range(0, len(tags), _WRITE_BLOCK_ROWS):
+            block = tags[start:start + _WRITE_BLOCK_ROWS]
+            pairs = np.column_stack((block["run_id"], block["arrival"])).ravel().tolist()
+            f.write(("%d,%d\n" * len(block)) % tuple(pairs))
 
 
 def read_timetags(path) -> np.ndarray:
@@ -272,7 +279,10 @@ def read_timetags(path) -> np.ndarray:
                 try:
                     if len(parts) != 2:
                         raise ValueError(f"expected 2 fields, got {len(parts)}")
-                    list(map(np.int64, parts))
+                    for part in map(str.strip, parts):
+                        if not _INTEGER.fullmatch(part):
+                            raise ValueError(f"not an integer: '{part}'")
+                        np.int64(part)  # OverflowError beyond int64
                 except (ValueError, OverflowError) as err:
                     raise ParseError(f"{path}:{lineno}: {err}") from exc
             raise ParseError(f"{path}: {exc}") from exc

@@ -10,10 +10,12 @@ from cascfluor.cascade import (
     UnnormalizedSpectrumError,
     cascaded_count,
     cascaded_counts,
+    filtered_counts,
     lorentzian_profile,
     ratio_curve,
     transmission,
 )
+from cascfluor.fit import DEFAULT_FD_STEP, _jacobian
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -150,6 +152,93 @@ class TestCascadedCounts:
         ]
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, expected)
+
+
+class TestFilteredCounts:
+    S0 = [0.05, 0.4, 2.5, 8.0]
+    DELTAS = [-30.0, -7.0, 0.0, 3.0, 25.0]
+    # (width, alpha, shift, path_efficiency); the fit bounds the shift to
+    # the +-52 MHz grid
+    FILTERS = {
+        "reference": (6.7, 0.85, 0.0, 0.9),
+        "deep_detuned": (12.0, 3.0, -4.5, 0.6),
+        "no_absorption": (6.7, 0.0, 1.0, 0.9),
+        "shift_at_upper_bound": (6.7, 0.85, 52.0, 0.9),
+        "shift_at_lower_bound": (6.7, 0.85, -52.0, 0.9),
+    }
+
+    def spectra(self, s0):
+        return [normalized_spectrum(s0, d) for d in self.DELTAS]
+
+    @staticmethod
+    def plain_counts(specs, deltas, theta):
+        """The filter integral in plain numpy, which also takes alpha < 0."""
+        width, alpha, shift, eff = theta
+        out = []
+        for spec, delta in zip(specs, deltas):
+            def trans(omega):
+                u = (omega - (shift - delta)) / width
+                return eff * np.exp(-alpha / (1.0 + 4.0 * u ** 2))
+            out.append(np.trapezoid(spec.density * trans(spec.offsets), spec.offsets)
+                       + spec.elastic_weight * trans(0.0))
+        return np.array(out)
+
+    @pytest.mark.parametrize("s0", S0)
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_value_is_the_old_expression_exactly(self, s0, name):
+        width, alpha, shift, eff = self.FILTERS[name]
+        prof = AbsorptionProfile(alpha, width, shift, eff)
+        for spec, delta in zip(self.spectra(s0), self.DELTAS):
+            old = float(np.trapezoid(spec.density * transmission(spec.offsets, prof, delta),
+                                     spec.offsets)
+                        + spec.elastic_weight * transmission(0.0, prof, delta))
+            assert cascaded_count(spec, prof, delta) == old
+
+    @pytest.mark.parametrize("s0", S0)
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_gradient_matches_central_differences(self, s0, name):
+        theta = np.array(self.FILTERS[name])
+        specs = self.spectra(s0)
+        prof = AbsorptionProfile(theta[1], theta[0], theta[2], theta[3])
+        counts, jac = filtered_counts(specs, self.DELTAS, prof, gradient=True)
+        np.testing.assert_array_equal(counts, filtered_counts(specs, self.DELTAS, prof))
+        unbounded = (np.full(4, -np.inf), np.full(4, np.inf))
+        oracle = _jacobian(lambda _x, th: self.plain_counts(specs, self.DELTAS, th),
+                           np.zeros(len(specs)), theta, unbounded, np.ones(len(specs)),
+                           DEFAULT_FD_STEP)
+        # relative to each column's largest entry, since d/dshift vanishes
+        # on a symmetric point; without absorption two columns are all zero
+        scale = np.abs(oracle).max(axis=0)
+        assert np.all(np.abs(jac - oracle) <= 1e-7 * scale)
+
+    def test_no_absorption_leaves_width_and_shift_unidentified(self):
+        width, alpha, shift, eff = self.FILTERS["no_absorption"]
+        _, jac = filtered_counts(self.spectra(0.4), self.DELTAS,
+                                 AbsorptionProfile(alpha, width, shift, eff), gradient=True)
+        assert np.all(jac[:, [0, 2]] == 0.0)
+        assert np.all(jac[:, 1] < 0.0)
+
+    def test_each_count_is_cascaded_count(self):
+        specs = self.spectra(2.5)
+        expected = [cascaded_count(s, FITTED, d) for s, d in zip(specs, self.DELTAS)]
+        np.testing.assert_array_equal(filtered_counts(specs, self.DELTAS, FITTED), expected)
+
+    def test_unnormalized_rejected(self):
+        specs = [normalized_spectrum(0.4), sample_spectrum(DriveParams(0.4, 3.0))]
+        with pytest.raises(UnnormalizedSpectrumError):
+            filtered_counts(specs, [0.0, 3.0], FITTED)
+
+    def test_grids_must_match(self):
+        fine = normalized_spectrum(0.4)
+        coarse = normalize_to_counts(sample_spectrum(DriveParams(0.4), grid_step=0.104), 1e3)
+        wide = normalize_to_counts(sample_spectrum(DriveParams(0.4, 0.0, 6.0)), 1e3)
+        for other in (coarse, wide):
+            with pytest.raises(ValueError, match="grid"):
+                filtered_counts([fine, other], [0.0, 0.0], FITTED)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            filtered_counts(self.spectra(0.4), self.DELTAS[:-1], FITTED)
 
 
 class TestRatioCurve:

@@ -1,9 +1,12 @@
 """Fit engine oracles and the analysis pipelines."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cascfluor.cascade import AbsorptionProfile, ratio_curve
+import cascfluor.fit
+from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve
 from cascfluor.fit import (
     DataParseError,
     DataSeries,
@@ -27,7 +30,8 @@ from cascfluor.fit import (
     write_series,
     _jacobian,
 )
-from cascfluor.spectrum import DriveParams
+from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
+                                normalize_to_counts, sample_spectrum)
 
 
 def closed_form_linear(x, y, sigma=None):
@@ -114,6 +118,54 @@ class TestLeastSquares:
         with pytest.raises(DegenerateFitError):
             # two parameters multiplying the same column
             least_squares(lambda x, th: (th[0] + th[1]) * x, data, [1.0, 1.0])
+
+    def test_analytic_jacobian_matches_closed_form_linear(self):
+        rng = np.random.default_rng(16)
+        x = np.linspace(0.0, 10.0, 25)
+        err = rng.uniform(0.1, 0.5, len(x))
+        y = 1.5 * x + 3.0 + err * rng.standard_normal(len(x))
+        data = DataSeries(x, y, err)
+        model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
+        design = lambda xx, th: np.column_stack([xx, np.ones_like(xx)])  # noqa: E731
+        exact = least_squares(model, data, [1.0, 1.0], jac=design)
+        fd = least_squares(model, data, [1.0, 1.0])
+        slope, intercept = closed_form_linear(x, y, err)
+        assert exact.params["p0"] == pytest.approx(slope, rel=1e-10)
+        assert exact.params["p1"] == pytest.approx(intercept, rel=1e-10)
+        for name in ("p0", "p1"):
+            assert exact.sigmas[name] == pytest.approx(fd.sigmas[name], rel=1e-8)
+
+    def test_analytic_jacobian_pinned_parameter_rejected(self):
+        data = DataSeries(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
+        with pytest.raises(DegenerateFitError, match="pinned"):
+            least_squares(lambda x, th: th[0] * x + th[1], data, [1.0, 0.5],
+                          bounds=[(-np.inf, np.inf), (0.5, 0.5)],
+                          jac=lambda x, th: np.column_stack([x, np.ones_like(x)]))
+
+    def test_analytic_jacobian_singular_rejected(self):
+        data = DataSeries(np.linspace(0, 1, 10), np.linspace(0, 1, 10))
+        with pytest.raises(DegenerateFitError, match="singular"):
+            least_squares(lambda x, th: (th[0] + th[1]) * x, data, [1.0, 1.0],
+                          jac=lambda x, th: np.column_stack([x, x]))
+
+    def test_bootstrap_refits_use_the_analytic_jacobian(self):
+        rng = np.random.default_rng(17)
+        x = np.linspace(0.0, 10.0, 40)
+        data = DataSeries(x, 1.5 * x + 3.0 + rng.normal(0, 0.4, len(x)))
+        calls = []
+
+        def design(xx, th):
+            calls.append(1)
+            return np.column_stack([xx, np.ones_like(xx)])
+
+        model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
+        least_squares(model, data, [1.0, 1.0], jac=design)
+        plain_calls = len(calls)
+        boot = least_squares(model, data, [1.0, 1.0], jac=design, bootstrap=20)
+        fd_boot = least_squares(model, data, [1.0, 1.0], bootstrap=20)
+        assert len(calls) - plain_calls >= 20 * plain_calls
+        for name in ("p0", "p1"):
+            assert boot.sigmas[name] == pytest.approx(fd_boot.sigmas[name], rel=1e-6)
 
     def test_init_outside_bounds_rejected(self):
         data = DataSeries(np.linspace(0, 1, 5), np.zeros(5))
@@ -332,6 +384,76 @@ class TestFitCascade:
         res = fit_cascade(original, cascaded, scan="power",
                           fix_shift=0.0, fix_efficiency=0.9)
         assert res.params["alpha"] <= 2.0 * res.sigmas["alpha"] + 1e-9
+
+    def test_zero_absorption_reports_width_unidentified(self):
+        # every start hits a singular normal matrix, so the fit is redone
+        # with the width pinned and reported with an infinite sigma
+        original, cascaded = self.synth_power_scan(alpha=0.0)
+        res = fit_cascade(original, cascaded, scan="power",
+                          fix_shift=0.0, fix_efficiency=0.9)
+        assert res.converged
+        assert res.sigmas["width"] == math.inf
+        assert res.params["alpha"] == pytest.approx(0.0, abs=1e-9)
+
+    @staticmethod
+    def fig4a_points(seed):
+        """21 noisy detuning-scan points at s0 = 0.4, as `reproduce fig4a`."""
+        deltas = np.linspace(-25.0, 25.0, 21)
+        fwhm = power_broadened_width(0.4, 6.45, 8.44)
+        n_orig = 1000.0 * lorentzian(deltas, 0.0, fwhm, 2 * excited_state_population(0.4),
+                                     0.0) + 50.0
+        drives = [DriveParams(0.4, float(d)) for d in deltas]
+        model = cascade_model_counts(drives, n_orig, 6.7, 0.85, 0.0, 0.9)
+        noisy = model * (1.0 + 0.03 * np.random.default_rng(seed).standard_normal(21))
+        return DataSeries(deltas, n_orig), DataSeries(deltas, noisy, 0.03 * model)
+
+    def test_detuning_fit_evaluates_model_only_for_residuals(self, monkeypatch):
+        # with closed-form derivatives no evaluation goes to Jacobian probes:
+        # 5 starts of about 7 iterations each stay under 60 evaluations
+        # (central differences took 268)
+        original, cascaded = self.fig4a_points(seed=1)
+        evals = []
+
+        def counting(model, *args, **kwargs):
+            def counted(x, th):
+                evals.append(1)
+                return model(x, th)
+            return least_squares(counted, *args, **kwargs)
+
+        monkeypatch.setattr(cascfluor.fit, "least_squares", counting)
+        res = fit_cascade(original, cascaded, scan="detuning", s0=0.4, fix_efficiency=0.9)
+        assert res.converged
+        assert len(evals) <= 60
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_matches_scipy_least_squares(self, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        original, cascaded = self.fig4a_points(seed)
+        drives = [DriveParams(0.4, float(d)) for d in original.x]
+        start = np.array([DEFAULT_GAMMA_MHZ, 1.0, 0.0])
+        lo, hi = [0.05, 0.0, -52.0], [100.0 * DEFAULT_GAMMA_MHZ, 50.0, 52.0]
+
+        def residuals(th):
+            model = cascade_model_counts(drives, original.y, *th, 0.9)
+            return (cascaded.y - model) / cascaded.y_err
+
+        ref = optimize.least_squares(residuals, start, jac="3-point", bounds=(lo, hi),
+                                     xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+        specs = [normalize_to_counts(sample_spectrum(d), n) for d, n in zip(drives, original.y)]
+
+        def profile(th):
+            return AbsorptionProfile(th[1], th[0], th[2], 0.9)
+
+        engine = least_squares(
+            lambda _x, th: filtered_counts(specs, original.x, profile(th)), cascaded, start,
+            bounds=list(zip(lo, hi)), names=["width", "alpha", "shift"],
+            jac=lambda _x, th: filtered_counts(specs, original.x, profile(th), True)[1][:, :3],
+        )
+        res = fit_cascade(original, cascaded, scan="detuning", s0=0.4, fix_efficiency=0.9)
+        for fitted in (engine, res):
+            assert fitted.converged
+            got = [fitted.params[n] for n in ("width", "alpha", "shift")]
+            assert got == pytest.approx(ref, rel=1e-6, abs=1e-6)
 
     def test_noisy_shift_recovery(self):
         deltas = np.linspace(-20.0, 20.0, 21)

@@ -7,6 +7,7 @@ import pytest
 
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.timetag import (
+    _WRITE_BLOCK_ROWS,
     ParseError,
     TIMETAG_DTYPE,
     RunConfig,
@@ -271,12 +272,42 @@ class TestFileFormats:
                 read_timetags(path)
 
     def test_timetag_underscore_digits_rejected(self, tmp_path):
-        # int() accepts "1_000" but the array parser does not; the file is
-        # still rejected as a whole
+        # int() accepts "1_000" but the array parser does not; the re-scan
+        # must reject it too, to name the line
         path = tmp_path / "tags.csv"
-        path.write_text("run_id,arrival_ns\n0,1_000\n")
-        with pytest.raises(ParseError, match="1_000"):
+        path.write_text("run_id,arrival_ns\n0,5\n0,1_000\n")
+        with pytest.raises(ParseError, match=":3: .*1_000"):
             read_timetags(path)
+
+    @pytest.mark.parametrize("digits", ["\u0663", "\uff15", "1\u0660"],
+                             ids=["arabic_indic", "fullwidth", "mixed"])
+    def test_timetag_non_ascii_digits_rejected(self, tmp_path, digits):
+        path = tmp_path / "tags.csv"
+        path.write_text(f"run_id,arrival_ns\n0,5\n0,{digits}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3:"):
+            read_timetags(path)
+
+    @pytest.mark.parametrize("field", [" 5", "5\t", "+5", "-5", "05", "\xa05", "5\x1c"])
+    def test_timetag_padded_and_signed_integers_read(self, tmp_path, field):
+        # what the array parser accepts must not trip the re-scan when a
+        # later row is bad
+        path = tmp_path / "tags.csv"
+        path.write_text(f"run_id,arrival_ns\n0,{field}\n0,abc\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3:"):
+            read_timetags(path)
+
+    @pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
+                                      _WRITE_BLOCK_ROWS + 1])
+    def test_timetag_blockwise_write_matches_one_shot(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        tags = np.empty(rows, TIMETAG_DTYPE)
+        tags["run_id"] = rng.integers(0, 120, rows)
+        tags["arrival"] = rng.integers(-2**40, 2**40, rows)
+        path = tmp_path / "tags.csv"
+        write_timetags(path, tags)
+        one_shot = "run_id,arrival_ns\n" + ("%d,%d\n" * rows) % tuple(
+            np.column_stack((tags["run_id"], tags["arrival"])).ravel().tolist())
+        assert path.read_bytes() == one_shot.encode("utf-8")
 
     def test_config_roundtrip(self, tmp_path):
         cfg = RunConfig(mean_photons_per_pulse=0.35, ratio_model=0.42, seed=99)
