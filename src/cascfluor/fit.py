@@ -1,12 +1,12 @@
 """Nonlinear least squares and the toolkit's fitting pipelines.
 
-The engine is a damped Gauss-Newton solver with step-halving. It takes the
-model Jacobian from the caller when given one, and from central finite
-differences otherwise. On top of it sit the four analyses used throughout:
-Lorentzian line fits, the saturation-curve fit, the cascaded absorption fit
-(forward model and its closed-form derivatives from the cascade module),
-and the power-broadening / shift-slope fits. Only the cascade fit passes
-closed-form derivatives; the others use finite differences.
+The engine is a damped Gauss-Newton solver with step-halving that takes
+the model Jacobian from the caller. On top of it sit the four analyses used
+throughout: Lorentzian line fits, the saturation-curve fit, the cascaded
+absorption fit (forward model and its closed-form derivatives from the
+cascade module), and the power-broadening / shift-slope fits. Every fit
+passes closed-form derivatives; the two linear models pass their design
+matrix.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .spectrum import (
 MAX_ITERATIONS = 500
 RESIDUAL_RTOL = 1e-10
 GRADIENT_ATOL = 1e-8
-# central differences: cbrt(eps) balances truncation against roundoff
-DEFAULT_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# a later fit_cascade start wins only if it lowers the residual norm by more
+START_TIE_RTOL = 1e-12
 
 
 class DegenerateFitError(RuntimeError):
@@ -82,37 +82,17 @@ class FitResult:
     iterations: int
 
 
-def _jacobian(model, x, theta, bounds, sigma, fd_step):
-    """Weighted model Jacobian by central differences, probes clipped to
-    the bounds (one-sided at an active bound)."""
-    n_par = len(theta)
-    jac = np.empty((len(x), n_par))
-    for k in range(n_par):
-        h = fd_step * max(abs(theta[k]), 1.0)
-        lo, hi = bounds[0][k], bounds[1][k]
-        up = min(theta[k] + h, hi)
-        dn = max(theta[k] - h, lo)
-        if up == dn:
-            raise DegenerateFitError(f"parameter {k} is pinned by its bounds")
-        tp = theta.copy()
-        tp[k] = up
-        tm = theta.copy()
-        tm[k] = dn
-        jac[:, k] = (model(x, tp) - model(x, tm)) / ((up - dn) * sigma)
-    return jac
-
-
 def least_squares(
     model,
     data: DataSeries,
     init,
     bounds=None,
     names=None,
-    fd_step: float = DEFAULT_FD_STEP,
     max_iterations: int = MAX_ITERATIONS,
     bootstrap: int = 0,
     bootstrap_seed: int = 0,
-    jac=None,
+    *,
+    jac,
 ) -> FitResult:
     """Minimize the weighted sum of squares of y - model(x, params).
 
@@ -124,10 +104,10 @@ def least_squares(
     diagonal of the inverse weighted normal matrix scaled by the reduced
     chi-square; pass bootstrap=B > 0 to replace them with the parameter
     spread over B seeded residual-resampling refits. A singular normal
-    matrix raises DegenerateFitError. jac is an optional callable mapping
-    (x array, parameter vector) to the model Jacobian, shape (len(x),
-    n_params); without it the Jacobian comes from central differences of
-    step fd_step.
+    matrix raises DegenerateFitError. jac maps (x array, parameter vector)
+    to the model Jacobian, shape (len(x), n_params). A stall in which every
+    step-halving candidate made the model non-finite yields
+    converged=False.
     """
     theta = np.asarray(init, dtype=float).copy()
     n_par = theta.size
@@ -138,25 +118,14 @@ def least_squares(
             f"{len(data)} points cannot constrain {n_par} parameters"
         )
     if bounds is None:
-        lo = np.full(n_par, -np.inf)
-        hi = np.full(n_par, np.inf)
-    else:
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
+        bounds = [(-np.inf, np.inf)] * n_par
+    lo, hi = np.array(bounds, dtype=float).T
     if np.any(theta < lo) or np.any(theta > hi):
         raise ValueError("initial guess lies outside the bounds")
-    bnd = (lo, hi)
+    pinned = np.flatnonzero(lo == hi)
+    if pinned.size:
+        raise DegenerateFitError(f"parameter {pinned[0]} is pinned by its bounds")
     sigma = data.y_err if data.y_err is not None else np.ones_like(data.y)
-    if jac is None:
-        def jacobian(th):
-            return _jacobian(model, data.x, th, bnd, sigma, fd_step)
-    else:
-        pinned = np.flatnonzero(lo == hi)
-        if pinned.size:
-            raise DegenerateFitError(f"parameter {pinned[0]} is pinned by its bounds")
-
-        def jacobian(th):
-            return jac(data.x, th) / sigma[:, None]
 
     def residuals(th):
         f = model(data.x, th)
@@ -169,7 +138,7 @@ def least_squares(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        jmat = jacobian(theta)
+        jmat = jac(data.x, theta) / sigma[:, None]
         grad = jmat.T @ res
         if np.max(np.abs(grad)) < GRADIENT_ATOL:
             converged = True
@@ -180,6 +149,7 @@ def least_squares(
             raise DegenerateFitError("singular normal matrix")
         step = np.linalg.solve(normal, grad)
         accepted = False
+        finite_seen = False
         for _ in range(30):
             cand = np.clip(theta + step, lo, hi)
             try:
@@ -187,6 +157,7 @@ def least_squares(
             except ValueError:
                 step = step / 2.0
                 continue
+            finite_seen = True
             cand_ssr = float(cand_res @ cand_res)
             if cand_ssr < ssr:
                 rel_drop = (ssr - cand_ssr) / max(ssr, np.finfo(float).tiny)
@@ -197,13 +168,14 @@ def least_squares(
                 break
             step = step / 2.0
         if not accepted:
-            # no direction of decrease left at float resolution
-            converged = True
+            # no direction of decrease left at float resolution; a stall
+            # among non-finite model values is no optimum
+            converged = finite_seen
             break
         if converged:
             break
 
-    jmat = jacobian(theta)
+    jmat = jac(data.x, theta) / sigma[:, None]
     normal = jmat.T @ jmat
     dof = max(len(data) - n_par, 1)
     chi2_red = ssr / dof
@@ -214,8 +186,7 @@ def least_squares(
         raise DegenerateFitError("singular normal matrix at the optimum") from exc
     if bootstrap > 0:
         sig = _bootstrap_sigmas(
-            model, data, theta, bounds, fd_step, max_iterations,
-            bootstrap, bootstrap_seed, jac,
+            model, data, theta, bounds, max_iterations, bootstrap, bootstrap_seed, jac,
         )
     return FitResult(
         params=dict(zip(names, (float(v) for v in theta))),
@@ -226,8 +197,8 @@ def least_squares(
     )
 
 
-def _bootstrap_sigmas(model, data, theta, bounds, fd_step, max_iterations,
-                      n_resamples, seed, jac):
+def _bootstrap_sigmas(model, data, theta, bounds, max_iterations, n_resamples, seed,
+                      jac):
     """Parameter spread over refits of residual-resampled data."""
     rng = np.random.default_rng(seed)
     fitted = model(data.x, theta)
@@ -238,8 +209,7 @@ def _bootstrap_sigmas(model, data, theta, bounds, fd_step, max_iterations,
         try:
             refit = least_squares(
                 model, DataSeries(data.x, resampled, data.y_err), theta,
-                bounds=bounds, fd_step=fd_step, max_iterations=max_iterations,
-                jac=jac,
+                bounds=bounds, max_iterations=max_iterations, jac=jac,
             )
         except DegenerateFitError:
             draws[b] = np.nan
@@ -257,17 +227,10 @@ def lorentzian(x, center, fwhm, amplitude, offset):
     return offset + amplitude / (1.0 + 4.0 * ((np.asarray(x, float) - center) / fwhm) ** 2)
 
 
-def _half_max_width(x, y, center, amplitude, offset):
-    level = offset + amplitude / 2.0
-    above = y >= level
-    if not above.any():
-        return (x[-1] - x[0]) / 4.0
-    idx = np.where(above)[0]
-    left, right = x[idx[0]], x[idx[-1]]
-    width = right - left
-    if width <= 0:
-        width = (x[-1] - x[0]) / 4.0
-    return width
+def _half_max_width(x, y, amplitude, offset):
+    above = np.flatnonzero(y >= offset + amplitude / 2.0)
+    width = x[above[-1]] - x[above[0]] if above.size else 0.0
+    return width if width > 0 else (x[-1] - x[0]) / 4.0
 
 
 def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
@@ -283,13 +246,13 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
     offset0 = float(y.min())
     amp0 = float(y.max() - offset0)
     center0 = float(x[int(np.argmax(y))])
-    fwhm0 = float(_half_max_width(x, y, center0, amp0, offset0))
+    fwhm0 = float(_half_max_width(x, y, amp0, offset0))
     init = [center0, fwhm0, amp0 if amp0 > 0 else 1e-6, offset0]
     bounds = [(-np.inf, np.inf), (1e-9, np.inf), (0.0, np.inf), (-np.inf, np.inf)]
     names = ["center", "fwhm", "amplitude", "offset"]
     try:
         return least_squares(_lorentzian_model, data, init, bounds, names,
-                             bootstrap=bootstrap)
+                             bootstrap=bootstrap, jac=_lorentzian_jac)
     except DegenerateFitError:
         return FitResult(
             params=dict(zip(names, (float(v) for v in init))),
@@ -304,6 +267,14 @@ def _lorentzian_model(x, th):
     return lorentzian(x, th[0], th[1], th[2], th[3])
 
 
+def _lorentzian_jac(x, th):
+    """Derivatives of lorentzian in (center, fwhm, amplitude, offset)."""
+    u = (np.asarray(x, float) - th[0]) / th[1]
+    shape = 1.0 / (1.0 + 4.0 * u**2)
+    d_center = 8.0 * th[2] * u * shape**2 / th[1]
+    return np.column_stack([d_center, d_center * u, shape, np.ones_like(u)])
+
+
 # ---------------------------------------------------------------------------
 # Saturation curve
 
@@ -312,6 +283,12 @@ def saturation_rate(power, i0, rate_max):
     """Count rate rate_max * s0 / (1 + s0) with s0 = power / i0."""
     power = np.asarray(power, dtype=float)
     return rate_max * power / (i0 + power)
+
+
+def _saturation_jac(power, th):
+    """Derivatives of saturation_rate in (i0, rate_max)."""
+    knee = power / (th[0] + power)
+    return np.column_stack([-th[1] * knee / (th[0] + power), knee])
 
 
 def fit_saturation(data: DataSeries, bootstrap: int = 0) -> FitResult:
@@ -343,6 +320,7 @@ def fit_saturation(data: DataSeries, bootstrap: int = 0) -> FitResult:
         bounds=[(1e-12, np.inf), (1e-12, np.inf)],
         names=["i0", "rate_max"],
         bootstrap=bootstrap,
+        jac=_saturation_jac,
     )
     if result.params["i0"] < float(x.min()) / 100.0:
         raise DegenerateFitError(
@@ -438,9 +416,8 @@ def fit_cascade(
     alpha0 = max(0.05, min(8.0, -math.log(max(float(ratio.min()), 1e-9) / eff0)))
     if scan == "detuning":
         shift0 = fixed.get("shift", float(original.x[int(np.argmin(ratio))]))
-        dip_span = _half_max_width(
-            original.x, -ratio, shift0, float(ratio.max() - ratio.min()), -float(ratio.max())
-        )
+        dip_span = _half_max_width(original.x, -ratio, float(ratio.max() - ratio.min()),
+                                   -float(ratio.max()))
         width0 = fixed.get("width", min(max(dip_span / 2.0, 0.5 * gamma), 4.0 * gamma))
     else:
         shift0 = fixed.get("shift", 0.0)
@@ -494,7 +471,8 @@ def fit_cascade(
         except DegenerateFitError as exc:
             failures.append(str(exc))
             continue
-        if best is None or result.residual_norm < best.residual_norm:
+        if best is None or (result.residual_norm
+                            < best.residual_norm * (1.0 - START_TIE_RTOL)):
             best = result
     if best is None and "width" in free and len(free) > 1:
         # with no measurable absorption the width multiplies nothing and the
@@ -541,6 +519,16 @@ def power_broadened_width(s0, gamma, gamma0):
     return gamma * np.sqrt(np.asarray(s0, dtype=float) + 1.0) + gamma0
 
 
+def _broadening_jac(s0, _th):
+    """Design matrix of power_broadened_width in (gamma, gamma0)."""
+    return np.column_stack([np.sqrt(s0 + 1.0), np.ones_like(s0)])
+
+
+def _line_jac(x, _th):
+    """Design matrix of the line slope * x + intercept."""
+    return np.column_stack([x, np.ones_like(x)])
+
+
 def fit_power_broadening(data: DataSeries, bootstrap: int = 0) -> FitResult:
     """Fit widths against saturation; parameters (gamma, gamma0)."""
     if len(data) < 3:
@@ -557,6 +545,7 @@ def fit_power_broadening(data: DataSeries, bootstrap: int = 0) -> FitResult:
         bounds=[(0.0, np.inf), (-np.inf, np.inf)],
         names=["gamma", "gamma0"],
         bootstrap=bootstrap,
+        jac=_broadening_jac,
     )
 
 
@@ -573,6 +562,7 @@ def fit_shift_slope(data: DataSeries, bootstrap: int = 0) -> FitResult:
         [float(coef[0]), float(coef[1])],
         names=["slope", "intercept"],
         bootstrap=bootstrap,
+        jac=_line_jac,
     )
 
 
@@ -665,14 +655,17 @@ def read_report_csv(path) -> FitResult:
             if len(parts) != 3:
                 raise DataParseError(f"{path}:{lineno}: expected 3 fields")
             name, value, sigma = parts
+            is_meta = name in ("residual_norm", "converged", "iterations")
             try:
-                if name in ("residual_norm", "converged", "iterations"):
-                    meta[name] = float(value)
-                else:
-                    params[name] = float(value)
+                number = float(value)
+                if not is_meta:
+                    # a sigma may be inf: the zero-absorption fallback writes one
                     sigmas[name] = float(sigma)
             except ValueError as exc:
                 raise DataParseError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(number):
+                raise DataParseError(f"{path}:{lineno}: non-finite value in '{line}'")
+            (meta if is_meta else params)[name] = number
     for key in ("residual_norm", "converged", "iterations"):
         if key not in meta:
             raise DataParseError(f"{path}: missing '{key}' row")

@@ -15,13 +15,13 @@ from cascfluor.cascade import (
     ratio_curve,
     transmission,
 )
-from cascfluor.fit import DEFAULT_FD_STEP, _jacobian
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
     normalize_to_counts,
     sample_spectrum,
 )
+from fd_oracle import DEFAULT_FD_STEP, _jacobian
 
 GAMMA = DEFAULT_GAMMA_MHZ
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)

@@ -28,10 +28,14 @@ from cascfluor.fit import (
     write_report,
     write_report_csv,
     write_series,
-    _jacobian,
+    _broadening_jac,
+    _line_jac,
+    _lorentzian_jac,
+    _saturation_jac,
 )
 from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
                                 normalize_to_counts, sample_spectrum)
+from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
 
 
 def closed_form_linear(x, y, sigma=None):
@@ -41,6 +45,11 @@ def closed_form_linear(x, y, sigma=None):
     design = np.column_stack([x, np.ones_like(x)])
     normal = design.T @ (w[:, None] * design)
     return np.linalg.solve(normal, design.T @ (w * y))
+
+
+def line_design(x, _th):
+    """Design matrix of th[0] * x + th[1]."""
+    return np.column_stack([x, np.ones_like(x)])
 
 
 class TestLeastSquares:
@@ -53,6 +62,7 @@ class TestLeastSquares:
             data,
             [1.0, 9.0, 2.5, 0.0],
             bounds=[(-np.inf, np.inf), (1e-9, np.inf), (0, np.inf), (-np.inf, np.inf)],
+            jac=_lorentzian_jac,
         )
         assert res.converged
         for got, want in zip(res.params.values(), truth):
@@ -66,7 +76,8 @@ class TestLeastSquares:
         err = rng.uniform(0.2, 0.5, len(x))
         data = DataSeries(x, y, err)
         res = least_squares(
-            lambda xx, th: th[0] * xx + th[1], data, [0.0, 0.0], names=["a", "b"]
+            lambda xx, th: th[0] * xx + th[1], data, [0.0, 0.0], names=["a", "b"],
+            jac=line_design,
         )
         expected = closed_form_linear(x, y, err)
         assert res.params["a"] == pytest.approx(expected[0], rel=1e-10)
@@ -78,7 +89,8 @@ class TestLeastSquares:
         y = 0.7 * x + 2.0 + rng.normal(0, 0.2, len(x))
         data = DataSeries(x, y)
         res = least_squares(
-            lambda xx, th: th[0] * xx + th[1], data, [0.0, 0.0], names=["a", "b"]
+            lambda xx, th: th[0] * xx + th[1], data, [0.0, 0.0], names=["a", "b"],
+            jac=line_design,
         )
         design = np.column_stack([x, np.ones_like(x)])
         coef = closed_form_linear(x, y)
@@ -111,13 +123,16 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         data = DataSeries(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(DegenerateFitError):
-            least_squares(lambda x, th: th[0] * x + th[1] + th[2], data, [1, 1, 1])
+            least_squares(lambda x, th: th[0] * x + th[1] + th[2], data, [1, 1, 1],
+                          jac=lambda x, th: np.column_stack([x, np.ones_like(x),
+                                                             np.ones_like(x)]))
 
     def test_collinear_rejected(self):
         data = DataSeries(np.linspace(0, 1, 10), np.linspace(0, 1, 10))
         with pytest.raises(DegenerateFitError):
             # two parameters multiplying the same column
-            least_squares(lambda x, th: (th[0] + th[1]) * x, data, [1.0, 1.0])
+            least_squares(lambda x, th: (th[0] + th[1]) * x, data, [1.0, 1.0],
+                          jac=lambda x, th: np.column_stack([x, x]))
 
     def test_analytic_jacobian_matches_closed_form_linear(self):
         rng = np.random.default_rng(16)
@@ -128,7 +143,7 @@ class TestLeastSquares:
         model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
         design = lambda xx, th: np.column_stack([xx, np.ones_like(xx)])  # noqa: E731
         exact = least_squares(model, data, [1.0, 1.0], jac=design)
-        fd = least_squares(model, data, [1.0, 1.0])
+        fd = least_squares(model, data, [1.0, 1.0], jac=fd_jac(model))
         slope, intercept = closed_form_linear(x, y, err)
         assert exact.params["p0"] == pytest.approx(slope, rel=1e-10)
         assert exact.params["p1"] == pytest.approx(intercept, rel=1e-10)
@@ -162,15 +177,38 @@ class TestLeastSquares:
         least_squares(model, data, [1.0, 1.0], jac=design)
         plain_calls = len(calls)
         boot = least_squares(model, data, [1.0, 1.0], jac=design, bootstrap=20)
-        fd_boot = least_squares(model, data, [1.0, 1.0], bootstrap=20)
+        fd_boot = least_squares(model, data, [1.0, 1.0], bootstrap=20,
+                                jac=fd_jac(model))
         assert len(calls) - plain_calls >= 20 * plain_calls
         for name in ("p0", "p1"):
             assert boot.sigmas[name] == pytest.approx(fd_boot.sigmas[name], rel=1e-6)
 
+    def test_stall_on_non_finite_candidates_is_not_convergence(self):
+        # every step-halving candidate makes the model NaN: the start is no optimum
+        x = np.linspace(1.0, 5.0, 9)
+        res = least_squares(
+            lambda xx, th: th[0] * xx if th[0] == 1.0 else np.full_like(xx, np.nan),
+            DataSeries(x, 2.0 * x), [1.0], jac=lambda xx, th: xx[:, None],
+        )
+        assert not res.converged
+        assert res.iterations == 1
+        assert res.params["p0"] == 1.0
+
+    def test_stall_without_decrease_keeps_convergence(self):
+        # a Jacobian of the wrong sign points every candidate uphill; the
+        # model stays finite, so this is the ordinary no-decrease stop
+        x = np.linspace(1.0, 5.0, 9)
+        res = least_squares(lambda xx, th: th[0] * xx, DataSeries(x, 2.0 * x), [1.0],
+                            jac=lambda xx, th: -xx[:, None])
+        assert res.converged
+        assert res.iterations == 1
+        assert res.params["p0"] == 1.0
+
     def test_init_outside_bounds_rejected(self):
         data = DataSeries(np.linspace(0, 1, 5), np.zeros(5))
         with pytest.raises(ValueError):
-            least_squares(lambda x, th: th[0] * x, data, [2.0], bounds=[(0.0, 1.0)])
+            least_squares(lambda x, th: th[0] * x, data, [2.0], bounds=[(0.0, 1.0)],
+                          jac=lambda x, th: x[:, None])
 
     def test_iteration_limit_flags_nonconvergence(self):
         rng = np.random.default_rng(4)
@@ -182,6 +220,7 @@ class TestLeastSquares:
             [-5.0, 30.0, 1.0, 0.0],
             bounds=[(-np.inf, np.inf), (1e-9, np.inf), (0, np.inf), (-np.inf, np.inf)],
             max_iterations=1,
+            jac=_lorentzian_jac,
         )
         assert not res.converged
         assert res.iterations == 1
@@ -203,9 +242,9 @@ class TestLeastSquares:
         y = 1.5 * x + 3.0 + rng.normal(0, 0.4, len(x))
         data = DataSeries(x, y)
         model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
-        plain = least_squares(model, data, [1.0, 1.0], names=["a", "b"])
+        plain = least_squares(model, data, [1.0, 1.0], names=["a", "b"], jac=line_design)
         boot = least_squares(model, data, [1.0, 1.0], names=["a", "b"],
-                             bootstrap=300, bootstrap_seed=1)
+                             bootstrap=300, bootstrap_seed=1, jac=line_design)
         assert boot.params == plain.params
         for name in ("a", "b"):
             assert boot.sigmas[name] == pytest.approx(plain.sigmas[name], rel=0.35)
@@ -221,7 +260,7 @@ class TestLeastSquares:
         assert hi.params["fwhm"] == pytest.approx(lo.params["fwhm"], rel=1e-8)
 
     @pytest.mark.parametrize("point", range(10))
-    @pytest.mark.parametrize("family", ["lorentzian", "saturation", "broadening"])
+    @pytest.mark.parametrize("family", ["lorentzian", "saturation", "broadening", "slope"])
     def test_jacobian_richardson_consistency(self, family, point):
         # halving the step shrinks the difference to the next halving by
         # the second-order factor of four
@@ -231,14 +270,22 @@ class TestLeastSquares:
                               rng.uniform(0.5, 4), rng.uniform(-1, 1)])
             x = np.linspace(-25, 25, 21)
             model = lambda xx, th: lorentzian(xx, *th)  # noqa: E731
+            analytic = _lorentzian_jac
         elif family == "saturation":
             theta = np.array([rng.uniform(50, 300), rng.uniform(0.5, 5)])
             x = np.linspace(5, 600, 21)
             model = lambda xx, th: saturation_rate(xx, *th)  # noqa: E731
-        else:
+            analytic = _saturation_jac
+        elif family == "broadening":
             theta = np.array([rng.uniform(2, 10), rng.uniform(-5, 10)])
             x = np.linspace(0.1, 4.0, 21)
             model = lambda xx, th: power_broadened_width(xx, *th)  # noqa: E731
+            analytic = _broadening_jac
+        else:
+            theta = np.array([rng.uniform(-2, 2), rng.uniform(-5, 10)])
+            x = np.linspace(0.0, 3.0, 21)
+            model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
+            analytic = _line_jac
         n_par = len(theta)
         bounds = (np.full(n_par, -np.inf), np.full(n_par, np.inf))
         sigma = np.ones_like(x)
@@ -253,6 +300,11 @@ class TestLeastSquares:
             assert fine < 1e-9 * np.linalg.norm(j1)
         else:
             assert coarse / fine == pytest.approx(4.0, rel=0.35)
+        # the closed-form Jacobian the fit passes, against the oracle at its
+        # default step, relative to each column's largest entry
+        oracle = _jacobian(model, x, theta, bounds, sigma, DEFAULT_FD_STEP)
+        scale = np.abs(oracle).max(axis=0)
+        assert np.all(np.abs(analytic(x, theta) - oracle) <= 1e-7 * scale)
 
 
 class TestFitLorentzian:
@@ -286,6 +338,25 @@ class TestFitLorentzian:
             )
             diffs.append(fit_w.params["fwhm"] - fit_n.params["fwhm"])
         assert np.mean(diffs) == pytest.approx(5.0, abs=1.0)
+
+    def test_bootstrap_evaluates_model_only_for_residuals(self, monkeypatch):
+        # closed-form derivatives: 51 fits of a few iterations each stay
+        # under 300 evaluations (central differences took 2233)
+        rng = np.random.default_rng(7)
+        x = np.linspace(-40, 40, 81)
+        data = DataSeries(x, lorentzian(x, 0.3, 16.0, 1.0, 0.05)
+                          + rng.normal(0, 0.02, len(x)))
+        evals = []
+        model = cascfluor.fit._lorentzian_model
+
+        def counted(xx, th):
+            evals.append(1)
+            return model(xx, th)
+
+        monkeypatch.setattr(cascfluor.fit, "_lorentzian_model", counted)
+        res = fit_lorentzian(data, bootstrap=50)
+        assert res.converged
+        assert len(evals) < 300
 
     def test_flat_data_flagged(self):
         data = DataSeries(np.linspace(0, 10, 11), np.full(11, 3.0))
@@ -424,6 +495,27 @@ class TestFitCascade:
         res = fit_cascade(original, cascaded, scan="detuning", s0=0.4, fix_efficiency=0.9)
         assert res.converged
         assert len(evals) <= 60
+
+    @pytest.mark.parametrize("norms, winner", [
+        pytest.param([1.0, np.nextafter(1.0, 0.0), 2.0, 2.0, 2.0], 0, id="last_bit_tie"),
+        pytest.param([1.0, 0.5, 2.0, 2.0, 2.0], 1, id="clearly_lower"),
+    ])
+    def test_multi_start_keeps_the_earliest_on_a_tie(self, monkeypatch, norms, winner):
+        original, cascaded = self.synth_power_scan()
+        calls = []
+
+        def fake(model, data, init, bounds, names, jac):
+            calls.append(1)
+            k = len(calls) - 1
+            return FitResult(dict(zip(names, init)), dict.fromkeys(names, 0.1),
+                             norms[k], True, k)
+
+        monkeypatch.setattr(cascfluor.fit, "least_squares", fake)
+        res = fit_cascade(original, cascaded, scan="power",
+                          fix_shift=0.0, fix_efficiency=0.9)
+        assert len(calls) == 5
+        assert res.iterations == winner
+        assert res.residual_norm == norms[winner]
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_matches_scipy_least_squares(self, seed):
@@ -573,7 +665,7 @@ class TestDataSeries:
         y[7] = np.nan
         with pytest.raises(ValueError, match="finite"):
             least_squares(lambda x, th: lorentzian(x, *th), DataSeries(x, y),
-                          [0.5, 4, 9, 1])
+                          [0.5, 4, 9, 1], jac=_lorentzian_jac)
         with pytest.raises(ValueError, match="finite"):
             fit_lorentzian(DataSeries(x, y))
 
@@ -633,6 +725,27 @@ class TestFileFormats:
         path = tmp_path / "report.csv"
         write_report_csv(path, result)
         assert read_report_csv(path) == result
+
+    def test_report_roundtrip_keeps_an_infinite_sigma(self, tmp_path):
+        # the zero-absorption fallback reports an unidentified width this way
+        result = FitResult({"width": 5.2, "alpha": 0.0}, {"width": math.inf, "alpha": 0.01},
+                           0.5, True, 4)
+        path = tmp_path / "report.csv"
+        write_report_csv(path, result)
+        assert read_report_csv(path) == result
+
+    @pytest.mark.parametrize("row, lineno", [
+        pytest.param("width,nan,0.1", 2, id="value_nan"),
+        pytest.param("width,inf,0.1", 2, id="value_inf"),
+        pytest.param("residual_norm,nan,", 3, id="residual_norm_nan"),
+    ])
+    def test_report_non_finite_value_reports_line(self, tmp_path, row, lineno):
+        rows = ["width,6.7,0.1", "residual_norm,0.5,", "converged,1,", "iterations,3,"]
+        rows[lineno - 2] = row
+        path = tmp_path / "report.csv"
+        path.write_text("name,value,sigma\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataParseError, match=f":{lineno}: non-finite"):
+            read_report_csv(path)
 
     def test_text_report_lines(self, tmp_path):
         result = FitResult({"slope": 0.25}, {"slope": 0.06}, 0.5, True, 3)
