@@ -65,7 +65,6 @@ from .fit import (
     read_report_csv,
     read_series,
     saturation_rate,
-    write_report,
     write_report_csv,
     write_series,
 )

@@ -4,8 +4,8 @@ Subcommands tie the simulator, the spectral model and the fitting
 pipelines together and emit plot-ready CSV tables. All output is
 deterministic for a fixed seed and bit-identical across repeated runs.
 
-Exit codes: 0 success, 2 usage, 3 parse error, 4 non-convergence,
-5 degenerate fit.
+Exit codes: 0 success, 2 usage or numeric overflow, 3 parse error,
+4 non-convergence, 5 degenerate fit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cascade, fit, spectrum, timetag
+from .table import ParseError, read_table, write_table
 
 # Reference model parameters used by the `reproduce` command: the fitted
 # absorption filter, the saturation power, the broadening law and the
@@ -34,56 +35,6 @@ SHIFT_INTERCEPT_MHZ = 0.5
 LOW_POWER_LINEWIDTH_MHZ = 16.0
 
 FIGURES = ("fig3", "fig4a", "fig4b", "fig5a", "fig5b")
-
-
-def write_table(path, columns: dict, meta: dict | None = None) -> None:
-    """Write named float columns as CSV, optional '# key=value' metadata
-    lines first. Lossless for read_table."""
-    keys = list(columns)
-    arrays = [np.asarray(columns[k], dtype=float) for k in keys]
-    with open(path, "w", encoding="utf-8") as f:
-        for k, v in (meta or {}).items():
-            f.write(f"# {k}={float(v):.17g}\n")
-        f.write(",".join(keys) + "\n")
-        for row in zip(*arrays):
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_table(path) -> tuple[dict, dict]:
-    """Read a CSV written by write_table; returns (meta, columns)."""
-    meta: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        line = f.readline()
-        lineno = 1
-        while line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
-            try:
-                meta[key.strip()] = float(value)
-            except ValueError as exc:
-                raise fit.DataParseError(f"{path}:{lineno}: bad metadata line") from exc
-            line = f.readline()
-            lineno += 1
-        header = line.strip()
-        if not header:
-            raise fit.DataParseError(f"{path}:{lineno}: missing header")
-        keys = header.split(",")
-        rows = []
-        for lineno, line in enumerate(f, start=lineno + 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(keys):
-                raise fit.DataParseError(
-                    f"{path}:{lineno}: expected {len(keys)} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise fit.DataParseError(f"{path}:{lineno}: {exc}") from exc
-    data = np.array(rows) if rows else np.empty((0, len(keys)))
-    return meta, {k: data[:, i] for i, k in enumerate(keys)}
 
 
 def _out_dir(args) -> Path:
@@ -205,7 +156,6 @@ def _run_fit(args):
 def cmd_fit(args) -> int:
     result = _run_fit(args)
     out = _out_dir(args)
-    fit.write_report(out / "fit_report.txt", result)
     fit.write_report_csv(out / "fit_report.csv", result)
     for name, value in result.params.items():
         print(f"{name} = {value:.6g} +- {result.sigmas[name]:.3g}")
@@ -430,14 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (timetag.ParseError, fit.DataParseError) as exc:
+        # data that overflow the fit arithmetic stop it as bad input
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except fit.DegenerateFitError as exc:
         print(f"error: degenerate fit: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ matrix.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .spectrum import (
     normalize_to_counts,
     sample_spectrum,
 )
+from .table import ParseError, parse_float, read_rows, read_table, write_rows, write_table
 
 MAX_ITERATIONS = 500
 RESIDUAL_RTOL = 1e-10
@@ -36,8 +38,8 @@ class DegenerateFitError(RuntimeError):
     """The least-squares problem is underdetermined or singular."""
 
 
-class DataParseError(ValueError):
-    """Malformed data-series or report file; message carries the line number."""
+# the table module's error, under the name this module has always raised
+DataParseError = ParseError
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,8 @@ def least_squares(
         raise DegenerateFitError(
             f"{len(data)} points cannot constrain {n_par} parameters"
         )
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap must be >= 0, got {bootstrap}")
     if bounds is None:
         bounds = [(-np.inf, np.inf)] * n_par
     lo, hi = np.array(bounds, dtype=float).T
@@ -567,112 +571,66 @@ def fit_shift_slope(data: DataSeries, bootstrap: int = 0) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# File formats: tables in the table module's format
 
 
 def read_series(path) -> DataSeries:
-    """Read a data series CSV with header x,y or x,y,yerr."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header not in ("x,y", "x,y,yerr"):
-            raise DataParseError(
-                f"{path}:1: expected header 'x,y' or 'x,y,yerr', got '{header}'"
-            )
-        n_cols = 3 if header == "x,y,yerr" else 2
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_cols:
-                raise DataParseError(
-                    f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DataParseError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise DataParseError(f"{path}:{lineno}: non-finite value in '{line}'")
-    if not rows:
+    """Read a data series table with header x,y or x,y,yerr."""
+    _, columns = read_table(path, ("x,y", "x,y,yerr"))
+    if not len(columns["x"]):
         raise DataParseError(f"{path}: no data rows")
     try:
-        return DataSeries(*np.array(rows).T)
+        return DataSeries(*columns.values())
     except ValueError as exc:
         raise DataParseError(f"{path}: {exc}") from exc
 
 
 def write_series(path, series: DataSeries) -> None:
-    """Write a data series CSV readable by read_series."""
-    with open(path, "w", encoding="utf-8") as f:
-        if series.y_err is None:
-            f.write("x,y\n")
-            for x, y in zip(series.x, series.y):
-                f.write(f"{x:.17g},{y:.17g}\n")
-        else:
-            f.write("x,y,yerr\n")
-            for x, y, e in zip(series.x, series.y, series.y_err):
-                f.write(f"{x:.17g},{y:.17g},{e:.17g}\n")
-
-
-def write_report(path, result: FitResult) -> None:
-    """Human-readable fit report: one 'name  value  sigma' line per
-    parameter plus the fit diagnostics."""
-    with open(path, "w", encoding="utf-8") as f:
-        for name, value in result.params.items():
-            f.write(f"{name}  {value:.10g}  {result.sigmas[name]:.4g}\n")
-        f.write(f"residual_norm  {result.residual_norm:.10g}\n")
-        f.write(f"converged  {result.converged}\n")
-        f.write(f"iterations  {result.iterations}\n")
+    """Write a data series table readable by read_series."""
+    columns = {"x": series.x, "y": series.y}
+    if series.y_err is not None:
+        columns["yerr"] = series.y_err
+    write_table(path, columns)
 
 
 def write_report_csv(path, result: FitResult) -> None:
-    """Machine-readable fit report, lossless for read_report_csv."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("name,value,sigma\n")
-        for name, value in result.params.items():
-            f.write(f"{name},{value:.17g},{result.sigmas[name]:.17g}\n")
-        f.write(f"residual_norm,{result.residual_norm:.17g},\n")
-        f.write(f"converged,{int(result.converged)},\n")
-        f.write(f"iterations,{result.iterations},\n")
+    """Fit report table name,value,sigma, lossless for read_report_csv."""
+    rows = [(name, value, result.sigmas[name]) for name, value in result.params.items()]
+    rows += [("residual_norm", result.residual_norm, ""),
+             ("converged", int(result.converged), ""),
+             ("iterations", result.iterations, "")]
+    write_rows(path, ("name", "value", "sigma"), rows)
 
 
 def read_report_csv(path) -> FitResult:
-    """Rebuild a FitResult written by write_report_csv."""
-    params: dict[str, float] = {}
+    """Rebuild a FitResult written by write_report_csv.
+
+    Each row must hold what its kind can: a parameter a finite value and a
+    sigma >= 0 (inf allowed: the zero-absorption fallback writes one),
+    residual_norm a finite value >= 0, converged 0 or 1, iterations an
+    integer >= 0, the last three with an empty sigma. Names may not repeat.
+    """
+    values: dict[str, float] = {}
     sigmas: dict[str, float] = {}
-    meta: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "name,value,sigma":
-            raise DataParseError(f"{path}:1: expected header 'name,value,sigma'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataParseError(f"{path}:{lineno}: expected 3 fields")
-            name, value, sigma = parts
-            is_meta = name in ("residual_norm", "converged", "iterations")
-            try:
-                number = float(value)
-                if not is_meta:
-                    # a sigma may be inf: the zero-absorption fallback writes one
-                    sigmas[name] = float(sigma)
-            except ValueError as exc:
-                raise DataParseError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(number):
-                raise DataParseError(f"{path}:{lineno}: non-finite value in '{line}'")
-            (meta if is_meta else params)[name] = number
+    for lineno, (name, value, sigma) in read_rows(path, ("name,value,sigma",))[2]:
+        if not name or name in values:
+            raise DataParseError(f"{path}:{lineno}: empty or repeated name '{name}'")
+        if name in ("converged", "iterations"):
+            pattern = "[01]" if name == "converged" else "[0-9]+"
+            ok = not sigma and re.fullmatch(pattern, value)
+            number = int(value) if ok else 0
+        elif name == "residual_norm":
+            number = parse_float(value, path, lineno)
+            ok = not sigma and number >= 0
+        else:
+            number = parse_float(value, path, lineno)
+            sigmas[name] = parse_float(sigma, path, lineno, allow_inf=True)
+            ok = sigmas[name] >= 0
+        if not ok:
+            raise DataParseError(f"{path}:{lineno}: out of range: '{name},{value},{sigma}'")
+        values[name] = number
     for key in ("residual_norm", "converged", "iterations"):
-        if key not in meta:
+        if key not in values:
             raise DataParseError(f"{path}: missing '{key}' row")
-    return FitResult(
-        params=params,
-        sigmas=sigmas,
-        residual_norm=meta["residual_norm"],
-        converged=bool(meta["converged"]),
-        iterations=int(meta["iterations"]),
-    )
+    return FitResult({n: values[n] for n in sigmas}, sigmas, values["residual_norm"],
+                     bool(values["converged"]), values["iterations"])

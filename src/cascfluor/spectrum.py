@@ -67,12 +67,14 @@ class SpectrumGrid:
             raise ValueError("offsets and density must be 1-d arrays of equal length")
         if offsets.size < 2:
             raise ValueError("spectrum grid needs at least two points")
-        if not np.all(np.diff(offsets) > 0):
-            raise ValueError("offsets must be strictly increasing")
-        if np.any(density < 0):
-            raise ValueError("density must be non-negative")
-        if self.elastic_weight < 0:
-            raise ValueError("elastic weight must be non-negative")
+        # increasing offsets are finite when both ends are; min and max see a NaN
+        if not (np.all(np.diff(offsets) > 0)
+                and math.isfinite(offsets[0]) and math.isfinite(offsets[-1])):
+            raise ValueError("offsets must be finite and strictly increasing")
+        if not 0 <= density.min() <= density.max() < math.inf:
+            raise ValueError("density must be finite and non-negative")
+        if not (math.isfinite(self.elastic_weight) and self.elastic_weight >= 0):
+            raise ValueError("elastic weight must be finite and non-negative")
         offsets.setflags(write=False)
         density.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .table import ParseError
+
 # Cs excited-state lifetime; sets the exponential emission lag after a
 # pulse and the decay tail of each histogram peak.
 CS_LIFETIME_NS = 30.4
@@ -29,10 +31,6 @@ TIMETAG_DTYPE = np.dtype([("run_id", np.int64), ("arrival", np.int64)])
 _WRITE_BLOCK_ROWS = 8192
 # An integer field as np.loadtxt parses it: a sign and ASCII digits only.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-class ParseError(ValueError):
-    """Malformed config or time-tag file; message carries the line number."""
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,27 @@ class TestFitCommand:
         assert run(["fit", "lorentzian", "--data", tmp_path / "flat.csv",
                     "--out", tmp_path]) == 4
 
+    def test_negative_bootstrap_is_usage_error(self, tmp_path):
+        x = np.linspace(-30, 30, 61)
+        write_series(tmp_path / "line.csv",
+                     DataSeries(x, lorentzian(x, 1.0, 16.0, 2.0, 0.1)))
+        assert run(["fit", "lorentzian", "--data", tmp_path / "line.csv",
+                    "--bootstrap", -3, "--out", tmp_path]) == 2
+        assert not (tmp_path / "fit_report.csv").exists()
+
+    def test_outputs_only_the_report_table(self, tmp_path):
+        x = np.linspace(0.0, 4.0, 6)
+        write_series(tmp_path / "line.csv", DataSeries(x, 0.25 * x + 0.5))
+        out = tmp_path / "out"
+        assert run(["fit", "slope", "--data", tmp_path / "line.csv", "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fit_report.csv"]
+
+    def test_overflowing_data_is_usage_error(self, tmp_path):
+        # the fit arithmetic overflows; once this wrote residual_norm=inf
+        (tmp_path / "huge.csv").write_text("x,y\n1,1e308\n2,-1e308\n3,1e308\n")
+        assert run(["fit", "slope", "--data", tmp_path / "huge.csv", "--out", tmp_path]) == 2
+        assert not (tmp_path / "fit_report.csv").exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,a\n")

@@ -25,7 +25,6 @@ from cascfluor.fit import (
     read_report_csv,
     read_series,
     saturation_rate,
-    write_report,
     write_report_csv,
     write_series,
     _broadening_jac,
@@ -235,6 +234,12 @@ class TestLeastSquares:
         assert hi.params["i0"] == pytest.approx(lo.params["i0"], rel=1e-8)
         assert hi.params["rate_max"] == pytest.approx(1000.0 * lo.params["rate_max"],
                                                       rel=1e-8)
+
+    def test_negative_bootstrap_is_an_error(self):
+        x = np.linspace(0.0, 5.0, 6)
+        with pytest.raises(ValueError, match="bootstrap"):
+            least_squares(lambda x, th: th[0] * x + th[1], DataSeries(x, 2.0 * x + 1.0),
+                          [1.0, 0.0], bootstrap=-3, jac=line_design)
 
     def test_bootstrap_sigmas_track_linearized(self):
         rng = np.random.default_rng(15)
@@ -747,10 +752,32 @@ class TestFileFormats:
         with pytest.raises(DataParseError, match=f":{lineno}: non-finite"):
             read_report_csv(path)
 
-    def test_text_report_lines(self, tmp_path):
-        result = FitResult({"slope": 0.25}, {"slope": 0.06}, 0.5, True, 3)
-        path = tmp_path / "report.txt"
-        write_report(path, result)
-        lines = path.read_text().splitlines()
-        assert lines[0].split() == ["slope", "0.25", "0.06"]
-        assert "converged  True" in lines
+    @pytest.mark.parametrize("rows, lineno", [
+        pytest.param(["width,6.7,nan"], 2, id="sigma_nan"),
+        pytest.param(["width,6.7,-0.1"], 2, id="sigma_negative"),
+        pytest.param(["width,6.7,-inf"], 2, id="sigma_minus_inf"),
+        pytest.param(["width,6.7,0.1", "width,6.8,0.1"], 3, id="param_repeated"),
+        pytest.param([",6.7,0.1"], 2, id="param_unnamed"),
+        pytest.param(["width,6.7,0.1", "residual_norm,-1.0,"], 3, id="residual_norm_negative"),
+        pytest.param(["width,6.7,0.1", "residual_norm,0.5,0.1"], 3, id="residual_norm_sigma"),
+        pytest.param(["width,6.7,0.1", "residual_norm,0.5,", "converged,7,"], 4,
+                     id="converged_not_a_flag"),
+        pytest.param(["width,6.7,0.1", "residual_norm,0.5,", "converged,1,",
+                      "iterations,3.9,"], 5, id="iterations_fraction"),
+        pytest.param(["width,6.7,0.1", "residual_norm,0.5,", "converged,1,",
+                      "iterations,-2,"], 5, id="iterations_negative"),
+        pytest.param(["width,6.7,0.1", "residual_norm,0.5,", "converged,1,",
+                      "iterations,3,", "converged,0,"], 6, id="bookkeeping_repeated"),
+    ])
+    def test_report_row_rules_report_line(self, tmp_path, rows, lineno):
+        base = ["width,6.7,0.1", "residual_norm,0.5,", "converged,1,", "iterations,3,"]
+        path = tmp_path / "report.csv"
+        path.write_text("name,value,sigma\n" + "\n".join(rows + base[len(rows):]) + "\n")
+        with pytest.raises(DataParseError, match=f":{lineno}: "):
+            read_report_csv(path)
+
+    def test_report_missing_bookkeeping_row(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("name,value,sigma\nwidth,6.7,0.1\nresidual_norm,0.5,\nconverged,1,\n")
+        with pytest.raises(DataParseError, match="missing 'iterations'"):
+            read_report_csv(path)

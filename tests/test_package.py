@@ -24,3 +24,29 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {module}")
     assert not foreign, foreign
+
+
+def _parsed_sources():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
+def test_one_parse_error_class():
+    classes = [f"{name}:{node.name}" for name, tree in _parsed_sources().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name.endswith("ParseError")]
+    assert classes == ["table.py:ParseError"]
+
+
+def test_only_the_table_codec_and_timetag_open_files():
+    openers = set()
+    for name, tree in _parsed_sources().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if ((isinstance(func, ast.Name) and func.id == "open")
+                    or (isinstance(func, ast.Attribute)
+                        and func.attr in ("open", "read_text", "write_text"))):
+                openers.add(name)
+    assert openers == {"table.py", "timetag.py"}

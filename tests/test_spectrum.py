@@ -224,6 +224,20 @@ class TestSpectrumGridValidation:
         with pytest.raises(ValueError):
             SpectrumGrid(np.array([0.0, 1.0]), np.zeros(2), -0.5)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("density", np.nan), ("density", np.inf), ("offsets", np.inf),
+        ("elastic_weight", np.nan), ("elastic_weight", np.inf),
+    ])
+    def test_rejects_non_finite(self, field, bad):
+        fields = {"offsets": np.linspace(-50.0, 50.0, 11), "density": np.ones(11),
+                  "elastic_weight": 0.1}
+        if field == "elastic_weight":
+            fields[field] = bad
+        else:
+            fields[field][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumGrid(**fields)
+
     def test_immutable_arrays(self):
         spec = sample_spectrum(DriveParams(1.0))
         with pytest.raises(ValueError):
