@@ -23,12 +23,14 @@ from .spectrum import (
 from .cascade import (
     DEFAULT_PATH_EFFICIENCY,
     AbsorptionProfile,
+    SpectrumStack,
     UnnormalizedSpectrumError,
     cascaded_count,
     cascaded_counts,
     filtered_counts,
     lorentzian_profile,
     ratio_curve,
+    stack_spectra,
     transmission,
 )
 from .timetag import (

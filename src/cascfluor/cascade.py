@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .spectrum import (
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
 DEFAULT_PATH_EFFICIENCY = 0.9
+# cascaded_counts filters at most this many grid values (points x grid) per
+# kernel call: four points of the default grid, which spreads the kernel's
+# fixed cost while its temporaries stay in cache (the cost per point doubles
+# at about twice this size)
+STACK_VALUES = 8192
 
 
 class UnnormalizedSpectrumError(ValueError):
@@ -77,53 +83,86 @@ def transmission(omega, prof: AbsorptionProfile, drive_detuning: float = 0.0):
     return prof.path_efficiency * np.exp(-prof.alpha * lor)
 
 
-def filtered_counts(specs, detunings, prof: AbsorptionProfile, gradient: bool = False):
-    """Cascaded count of each normalized spectrum, all on one shared grid.
+class SpectrumStack(NamedTuple):
+    """Normalized spectra on one shared grid, one row per scan point.
 
-    specs[i] is filtered as seen by a drive detuned by detunings[i], with
-    the arithmetic of cascaded_count. The grid spacing is taken once per
-    call and the Lorentzian L is evaluated once per spectrum, with the
-    elastic line as one more point at omega = 0. With gradient=True, also
-    returns the (len(specs), 4) closed-form derivatives of the counts with
-    respect to (width, alpha, shift, path_efficiency), from the same
-    arrays: with u = (omega - shift + detuning) / width and
-    T = path_efficiency * exp(-alpha L), dT/dalpha = -L T,
-    dT/dwidth = -alpha T 8 u^2 L^2 / width,
-    dT/dshift = -alpha T 8 u L^2 / width and
-    dT/dpath_efficiency = T / path_efficiency.
+    offsets is the shared grid, density the (n, grid) inelastic densities
+    and elastic the (n,) elastic weights.
     """
+
+    offsets: np.ndarray
+    density: np.ndarray
+    elastic: np.ndarray
+
+
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    # uniform grids of one length and the same ends are the same grid
+    return len(a) == len(b) and a[0] == b[0] and a[-1] == b[-1]
+
+
+def stack_spectra(specs) -> SpectrumStack:
+    """Stack spectra for filtered_counts, checking once that each was
+    normalized to a photon count and that all share one grid."""
     offsets = specs[0].offsets
-    omega = np.concatenate((offsets, (0.0,)))
-    step = offsets[1:] - offsets[:-1]
-    counts = np.empty(len(specs))
-    if gradient:
-        jac = np.empty((len(specs), 4))
-        # trapezoid weight of each grid point, then 1 for the elastic line
-        half = step / 2.0
-        weights = np.concatenate((half, [0.0, 1.0]))
-        weights[1:-1] += half
-    for i, (spec, delta) in enumerate(zip(specs, detunings, strict=True)):
+    for spec in specs:
         if spec.counts is None:
             raise UnnormalizedSpectrumError(
                 "spectrum was not normalized to a photon count (use normalize_to_counts)"
             )
-        # uniform grids of one length and the same ends are the same grid
-        grid = spec.offsets
-        if len(grid) != len(offsets) or grid[0] != offsets[0] or grid[-1] != offsets[-1]:
+        if not _same_grid(offsets, spec.offsets):
             raise ValueError("spectra must share one frequency grid")
-        u = (omega - (prof.shift - delta)) / prof.width
-        lor = 1.0 / (1.0 + 4.0 * u ** 2)
-        trans = prof.path_efficiency * np.exp(-prof.alpha * lor)
-        y = spec.density * trans[:-1]
-        counts[i] = (step * (y[1:] + y[:-1]) / 2.0).sum() + spec.elastic_weight * trans[-1]
-        if gradient:
-            # minus the integrand of d/dalpha, times the quadrature weights
-            g = np.concatenate((spec.density, (spec.elastic_weight,))) * weights * trans * lor
-            ul = u * lor
-            k = -8.0 * prof.alpha / prof.width
-            jac[i] = (k * ((g * ul) @ u), -g.sum(), k * (g @ ul),
-                      counts[i] / prof.path_efficiency)
-    return (counts, jac) if gradient else counts
+    return SpectrumStack(offsets, np.array([spec.density for spec in specs]),
+                         np.array([spec.elastic_weight for spec in specs]))
+
+
+def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
+                    gradient: bool = False):
+    """Cascaded count of each row of a spectrum stack, all rows at once.
+
+    stack (from stack_spectra) holds the shared offsets, the (n, grid)
+    densities and the (n,) elastic weights of n normalized spectra; row i
+    is filtered as seen by a drive detuned by detunings[i]. The Lorentzian
+    L and the transmission are evaluated as (n, grid + 1) arrays, the
+    elastic line being the last column at omega = 0. Each count is the
+    trapezoid of its row of density * transmission plus the attenuated
+    elastic weight, so a row comes out bit for bit as it would alone (and
+    as cascaded_count, the one-row case, gives it). With gradient=True, also
+    returns the (n, 4) closed-form derivatives of the counts with respect
+    to (width, alpha, shift, path_efficiency), from the same arrays: with
+    u = (omega - shift + detuning) / width and T = path_efficiency *
+    exp(-alpha L), dT/dalpha = -L T, dT/dwidth = -alpha T 8 u^2 L^2 / width,
+    dT/dshift = -alpha T 8 u L^2 / width and
+    dT/dpath_efficiency = T / path_efficiency.
+    """
+    offsets, density, elastic = stack
+    centers = np.subtract(prof.shift, detunings)
+    if centers.shape != elastic.shape:
+        raise ValueError(f"{len(elastic)} spectra need as many detunings, "
+                         f"got shape {centers.shape}")
+    omega = np.concatenate((offsets, (0.0,)))
+    step = offsets[1:] - offsets[:-1]
+    u = (omega - centers[:, None]) / prof.width
+    lor = 1.0 / (1.0 + 4.0 * u ** 2)
+    trans = prof.path_efficiency * np.exp(-prof.alpha * lor)
+    y = density * trans[:, :-1]
+    # np.trapezoid's arithmetic row by row; * 0.5 is / 2.0 to the last bit
+    trapezoid = np.add.reduce(step * (y[:, 1:] + y[:, :-1]) * 0.5, axis=1)
+    counts = trapezoid + elastic * trans[:, -1]
+    if not gradient:
+        return counts
+    # trapezoid weight of each grid point, then 1 for the elastic line
+    half = step / 2.0
+    weights = np.concatenate((half, [0.0, 1.0]))
+    weights[1:-1] += half
+    # minus the integrand of d/dalpha: density (elastic weight) times L T
+    g = trans * lor
+    g[:, :-1] *= density
+    g[:, -1] *= elastic
+    gu = g * u * lor
+    k = -8.0 * prof.alpha / prof.width
+    jac = np.column_stack((k * ((gu * u) @ weights), -(g @ weights), k * (gu @ weights),
+                           counts / prof.path_efficiency))
+    return counts, jac
 
 
 def cascaded_count(
@@ -139,7 +178,7 @@ def cascaded_count(
     on the laser-relative grid its center sits at shift - drive_detuning.
     The spectrum must have been normalized to a measured count first.
     """
-    return float(filtered_counts([spec], [drive_detuning], prof)[0])
+    return float(filtered_counts(stack_spectra([spec]), [drive_detuning], prof)[0])
 
 
 def cascaded_counts(
@@ -151,14 +190,24 @@ def cascaded_counts(
 ) -> np.ndarray:
     """Cascaded count at each drive point, as an array.
 
-    Each point's spectrum is normalized to its original count and filtered
-    straight away, so one spectrum is held at a time.
+    Each point's spectrum is normalized to its original count. Consecutive
+    points on one grid are filtered together, STACK_VALUES grid values at a
+    time, so only a few spectra are held at once.
     """
-    return np.array([
-        cascaded_count(normalize_to_counts(sample_spectrum(d, grid_span, grid_step), n),
-                       prof, d.delta)
-        for d, n in zip(drives, original_counts, strict=True)
-    ])
+    counts: list[float] = []
+    batch: list[SpectrumGrid] = []
+    deltas: list[float] = []
+    for drive, n in zip(drives, original_counts, strict=True):
+        spec = normalize_to_counts(sample_spectrum(drive, grid_span, grid_step), n)
+        if batch and (not _same_grid(batch[0].offsets, spec.offsets)
+                      or (len(batch) + 1) * spec.offsets.size > STACK_VALUES):
+            counts.extend(filtered_counts(stack_spectra(batch), deltas, prof))
+            batch, deltas = [], []
+        batch.append(spec)
+        deltas.append(drive.delta)
+    if batch:
+        counts.extend(filtered_counts(stack_spectra(batch), deltas, prof))
+    return np.array(counts)
 
 
 def ratio_curve(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_counts,
-                      filtered_counts)
+                      filtered_counts, stack_spectra)
 from .spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -30,8 +30,15 @@ from .table import ParseError, parse_float, read_rows, read_table, write_rows, w
 MAX_ITERATIONS = 500
 RESIDUAL_RTOL = 1e-10
 GRADIENT_ATOL = 1e-8
+# largest condition number of the normal matrix a Gauss-Newton step may solve
+MAX_CONDITION = 1e14
 # a later fit_cascade start wins only if it lowers the residual norm by more
 START_TIE_RTOL = 1e-12
+# fit_cascade samples its spectra at gamma / FIT_GRID_PER_GAMMA unless given
+# grid_step; model curves keep sample_spectrum's gamma/100. Against a scipy
+# quad oracle the largest ratio error is 3.4e-9 at gamma/20 (1.4e-10 at
+# gamma/100), far inside the fits' 1e-6 closure, at a fifth of the points.
+FIT_GRID_PER_GAMMA = 20
 
 
 class DegenerateFitError(RuntimeError):
@@ -106,10 +113,10 @@ def least_squares(
     diagonal of the inverse weighted normal matrix scaled by the reduced
     chi-square; pass bootstrap=B > 0 to replace them with the parameter
     spread over B seeded residual-resampling refits. A singular normal
-    matrix raises DegenerateFitError. jac maps (x array, parameter vector)
-    to the model Jacobian, shape (len(x), n_params). A stall in which every
-    step-halving candidate made the model non-finite yields
-    converged=False.
+    matrix raises DegenerateFitError; a non-finite initial sum of squares
+    raises ValueError. jac maps (x array, parameter vector) to the model
+    Jacobian, shape (len(x), n_params). A stall in which every step-halving
+    candidate made the model non-finite yields converged=False.
     """
     theta = np.asarray(init, dtype=float).copy()
     n_par = theta.size
@@ -137,8 +144,13 @@ def least_squares(
             raise ValueError("model returned non-finite values")
         return (data.y - f) / sigma
 
-    res = residuals(theta)
-    ssr = float(res @ res)
+    # finite data can still overflow the sum of squares; report that as bad
+    # input instead of a fit with an infinite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = residuals(theta)
+        ssr = float(res @ res)
+    if not math.isfinite(ssr):
+        raise ValueError("initial weighted residual sum is not finite")
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -149,7 +161,7 @@ def least_squares(
             iterations -= 1
             break
         normal = jmat.T @ jmat
-        if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > 1e14:
+        if _ill_conditioned(normal):
             raise DegenerateFitError("singular normal matrix")
         step = np.linalg.solve(normal, grad)
         accepted = False
@@ -199,6 +211,16 @@ def least_squares(
         converged=converged,
         iterations=iterations,
     )
+
+
+def _ill_conditioned(normal) -> bool:
+    """True if the symmetric normal matrix is non-finite, not positive
+    definite, or has condition number above 1e14, taken as the ratio of its
+    extreme eigenvalues (one eigvalsh instead of an SVD)."""
+    if not np.all(np.isfinite(normal)):
+        return True
+    eig = np.linalg.eigvalsh(normal)
+    return not (eig[0] > 0.0 and eig[-1] <= MAX_CONDITION * eig[0])
 
 
 def _bootstrap_sigmas(model, data, theta, bounds, max_iterations, n_resamples, seed,
@@ -382,6 +404,11 @@ def fit_cascade(
     with the fix_* arguments (fixed values are reported with sigma 0).
     Residuals are taken on the cascaded counts, weighted by cascaded.y_err
     when present. A seeded 5-way multi-start guards against local minima.
+    Each point's spectrum is sampled and normalized once per call, on a
+    grid of step grid_step MHz. grid_step=None means the fit grid
+    gamma / FIT_GRID_PER_GAMMA: coarser than the gamma/100 model grid of
+    cascade_model_counts and ratio_curve, with ratios within 1e-8 of
+    adaptive quadrature.
 
     Starting values are data-derived: the efficiency from the largest
     observed ratio, the optical depth from the deepest ratio against that
@@ -402,10 +429,11 @@ def fit_cascade(
     else:
         drives = [DriveParams(float(v), 0.0, gamma) for v in original.x]
 
-    specs = [
-        normalize_to_counts(sample_spectrum(d, grid_span, grid_step), n)
+    step = gamma / FIT_GRID_PER_GAMMA if grid_step is None else grid_step
+    stack = stack_spectra([
+        normalize_to_counts(sample_spectrum(d, grid_span, step), n)
         for d, n in zip(drives, original.y)
-    ]
+    ])
 
     fixed = {"width": fix_width, "shift": fix_shift, "path_efficiency": fix_efficiency}
     fixed = {k: float(v) for k, v in fixed.items() if v is not None}
@@ -432,11 +460,42 @@ def fit_cascade(
     bounds_full = {
         "width": (0.05, 100.0 * gamma),
         "alpha": (0.0, 50.0),
-        "shift": (float(specs[0].offsets[0]), float(specs[0].offsets[-1])),
+        "shift": (float(stack.offsets[0]), float(stack.offsets[-1])),
         "path_efficiency": (1e-6, 1.0),
     }
 
     deltas = [d.delta for d in drives]
+    best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed,
+                                 n_starts, seed)
+    unidentified = best is None and "width" in free and len(free) > 1
+    if unidentified:
+        # with no measurable absorption the width multiplies nothing and the
+        # normal matrix degenerates; refit with the width pinned and report
+        # it as unidentified
+        fixed["width"] = float(width0)
+        best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full,
+                                     fixed, n_starts, seed)
+    if best is None:
+        raise DegenerateFitError("; ".join(failures) or "all starts failed")
+
+    params = dict(best.params)
+    sigmas = dict(best.sigmas)
+    for name, value in fixed.items():
+        params[name] = value
+        sigmas[name] = 0.0
+    if unidentified:
+        sigmas["width"] = math.inf
+    ordered = {n: params[n] for n in _CASCADE_PARAMS}
+    ordered_sig = {n: sigmas[n] for n in _CASCADE_PARAMS}
+    return FitResult(ordered, ordered_sig, best.residual_norm, best.converged,
+                     best.iterations)
+
+
+def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, n_starts, seed):
+    """Seeded multi-start least squares of the filter with the `fixed`
+    parameters held; returns the best FitResult (None if every start was
+    degenerate) and the failure messages."""
+    free = [n for n in _CASCADE_PARAMS if n not in fixed]
     columns = [_CASCADE_PARAMS.index(n) for n in free]
 
     def profile(th):
@@ -445,10 +504,10 @@ def fit_cascade(
         return AbsorptionProfile(**full)
 
     def model(_x, th):
-        return filtered_counts(specs, deltas, profile(th))
+        return filtered_counts(stack, deltas, profile(th))
 
     def jac(_x, th):
-        return filtered_counts(specs, deltas, profile(th), gradient=True)[1][:, columns]
+        return filtered_counts(stack, deltas, profile(th), gradient=True)[1][:, columns]
 
     rng = np.random.default_rng(seed)
     starts = [np.array([init_full[n] for n in free])]
@@ -478,31 +537,7 @@ def fit_cascade(
         if best is None or (result.residual_norm
                             < best.residual_norm * (1.0 - START_TIE_RTOL)):
             best = result
-    if best is None and "width" in free and len(free) > 1:
-        # with no measurable absorption the width multiplies nothing and the
-        # normal matrix degenerates; refit with the width pinned and report
-        # it as unidentified
-        reduced = fit_cascade(
-            original, cascaded, scan=scan, s0=s0, gamma=gamma,
-            fix_width=width0, fix_shift=fix_shift, fix_efficiency=fix_efficiency,
-            n_starts=n_starts, seed=seed, grid_span=grid_span, grid_step=grid_step,
-        )
-        sigmas = dict(reduced.sigmas)
-        sigmas["width"] = math.inf
-        return FitResult(reduced.params, sigmas, reduced.residual_norm,
-                         reduced.converged, reduced.iterations)
-    if best is None:
-        raise DegenerateFitError("; ".join(failures) or "all starts failed")
-
-    params = dict(best.params)
-    sigmas = dict(best.sigmas)
-    for name, value in fixed.items():
-        params[name] = value
-        sigmas[name] = 0.0
-    ordered = {n: params[n] for n in _CASCADE_PARAMS}
-    ordered_sig = {n: sigmas[n] for n in _CASCADE_PARAMS}
-    return FitResult(ordered, ordered_sig, best.residual_norm, best.converged,
-                     best.iterations)
+    return best, failures
 
 
 def cascade_profile(result: FitResult) -> AbsorptionProfile:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cascfluor.cascade
 from cascfluor.cascade import (
     AbsorptionProfile,
     UnnormalizedSpectrumError,
@@ -13,8 +14,10 @@ from cascfluor.cascade import (
     filtered_counts,
     lorentzian_profile,
     ratio_curve,
+    stack_spectra,
     transmission,
 )
+from cascfluor.fit import FIT_GRID_PER_GAMMA
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -153,10 +156,31 @@ class TestCascadedCounts:
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, expected)
 
+    def test_stacks_split_at_grid_changes_and_size(self, monkeypatch):
+        # at most STACK_VALUES grid values per kernel call, and a new stack
+        # where the grid changes (here the linewidth); bit for bit the
+        # one-point counts either way
+        drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(6)]
+                  + [DriveParams(2.5, d, 6.0) for d in (-3.0, 0.0, 3.0)])
+        counts = np.linspace(500.0, 1300.0, len(drives))
+        expected = [cascaded_count(normalize_to_counts(sample_spectrum(d), n), FITTED, d.delta)
+                    for d, n in zip(drives, counts)]
+        rows = []
+        kernel = cascfluor.cascade.filtered_counts
+
+        def counted(stack, *args):
+            rows.append(len(stack.elastic))
+            return kernel(stack, *args)
+
+        monkeypatch.setattr(cascfluor.cascade, "filtered_counts", counted)
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
+        assert rows == [4, 2, 3]  # 4 x 2001 <= STACK_VALUES < 5 x 2001
+
 
 class TestFilteredCounts:
     S0 = [0.05, 0.4, 2.5, 8.0]
     DELTAS = [-30.0, -7.0, 0.0, 3.0, 25.0]
+    LADDER = list(np.geomspace(0.25, 4.0, 8))
     # (width, alpha, shift, path_efficiency); the fit bounds the shift to
     # the +-52 MHz grid
     FILTERS = {
@@ -166,9 +190,15 @@ class TestFilteredCounts:
         "shift_at_upper_bound": (6.7, 0.85, 52.0, 0.9),
         "shift_at_lower_bound": (6.7, 0.85, -52.0, 0.9),
     }
+    STEPS = {"model_grid": None, "fit_grid": GAMMA / FIT_GRID_PER_GAMMA}
 
-    def spectra(self, s0):
-        return [normalized_spectrum(s0, d) for d in self.DELTAS]
+    def spectra(self, s0, step=None):
+        return [normalize_to_counts(sample_spectrum(DriveParams(s0, d), 10.0, step), 1e3)
+                for d in self.DELTAS]
+
+    def power_spectra(self, step=None):
+        return [normalize_to_counts(sample_spectrum(DriveParams(s), 10.0, step), 1e3)
+                for s in self.LADDER]
 
     @staticmethod
     def plain_counts(specs, deltas, theta):
@@ -194,39 +224,92 @@ class TestFilteredCounts:
                         + spec.elastic_weight * transmission(0.0, prof, delta))
             assert cascaded_count(spec, prof, delta) == old
 
-    @pytest.mark.parametrize("s0", S0)
-    @pytest.mark.parametrize("name", FILTERS)
-    def test_gradient_matches_central_differences(self, s0, name):
-        theta = np.array(self.FILTERS[name])
-        specs = self.spectra(s0)
+    def assert_gradient_matches_central_differences(self, specs, deltas, theta,
+                                                    columns=slice(None)):
         prof = AbsorptionProfile(theta[1], theta[0], theta[2], theta[3])
-        counts, jac = filtered_counts(specs, self.DELTAS, prof, gradient=True)
-        np.testing.assert_array_equal(counts, filtered_counts(specs, self.DELTAS, prof))
+        stack = stack_spectra(specs)
+        counts, jac = filtered_counts(stack, deltas, prof, gradient=True)
+        np.testing.assert_array_equal(counts, filtered_counts(stack, deltas, prof))
         unbounded = (np.full(4, -np.inf), np.full(4, np.inf))
-        oracle = _jacobian(lambda _x, th: self.plain_counts(specs, self.DELTAS, th),
+        oracle = _jacobian(lambda _x, th: self.plain_counts(specs, deltas, th),
                            np.zeros(len(specs)), theta, unbounded, np.ones(len(specs)),
                            DEFAULT_FD_STEP)
         # relative to each column's largest entry, since d/dshift vanishes
         # on a symmetric point; without absorption two columns are all zero
+        jac, oracle = jac[:, columns], oracle[:, columns]
         scale = np.abs(oracle).max(axis=0)
         assert np.all(np.abs(jac - oracle) <= 1e-7 * scale)
+        return jac
+
+    @pytest.mark.parametrize("s0", S0)
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_gradient_matches_central_differences(self, s0, name):
+        self.assert_gradient_matches_central_differences(
+            self.spectra(s0), self.DELTAS, np.array(self.FILTERS[name]))
+
+    @pytest.mark.parametrize("s0", S0)
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_fit_grid_detuning_stack_gradient(self, s0, name):
+        self.assert_gradient_matches_central_differences(
+            self.spectra(s0, self.STEPS["fit_grid"]), self.DELTAS,
+            np.array(self.FILTERS[name]))
+
+    @pytest.mark.parametrize("name", [n for n in FILTERS if n != "reference"])
+    def test_fit_grid_power_stack_gradient(self, name):
+        self.assert_gradient_matches_central_differences(
+            self.power_spectra(self.STEPS["fit_grid"]), [0.0] * len(self.LADDER),
+            np.array(self.FILTERS[name]))
+
+    def test_fit_grid_power_stack_gradient_on_resonance(self):
+        # a filter centered on resonant drives sees even spectra, so d/dshift
+        # vanishes in every row and its central differences are roundoff
+        theta = np.array(self.FILTERS["reference"])
+        specs = self.power_spectra(self.STEPS["fit_grid"])
+        deltas = [0.0] * len(specs)
+        jac = self.assert_gradient_matches_central_differences(specs, deltas, theta,
+                                                               [0, 1, 3])
+        _, full = filtered_counts(stack_spectra(specs), deltas,
+                                  AbsorptionProfile(theta[1], theta[0], theta[2], theta[3]),
+                                  gradient=True)
+        assert np.all(np.abs(full[:, 2]) <= 1e-15 * np.abs(jac).max())
 
     def test_no_absorption_leaves_width_and_shift_unidentified(self):
         width, alpha, shift, eff = self.FILTERS["no_absorption"]
-        _, jac = filtered_counts(self.spectra(0.4), self.DELTAS,
+        _, jac = filtered_counts(stack_spectra(self.spectra(0.4)), self.DELTAS,
                                  AbsorptionProfile(alpha, width, shift, eff), gradient=True)
         assert np.all(jac[:, [0, 2]] == 0.0)
         assert np.all(jac[:, 1] < 0.0)
 
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("s0", S0)
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_stacked_counts_are_cascaded_count_bit_for_bit(self, step, s0, name):
+        # a row of the stack is computed exactly as it is alone
+        width, alpha, shift, eff = self.FILTERS[name]
+        prof = AbsorptionProfile(alpha, width, shift, eff)
+        specs = self.spectra(s0, self.STEPS[step])
+        expected = [cascaded_count(s, prof, d) for s, d in zip(specs, self.DELTAS)]
+        got = filtered_counts(stack_spectra(specs), self.DELTAS, prof)
+        np.testing.assert_array_equal(got, expected)
+
     def test_each_count_is_cascaded_count(self):
         specs = self.spectra(2.5)
         expected = [cascaded_count(s, FITTED, d) for s, d in zip(specs, self.DELTAS)]
-        np.testing.assert_array_equal(filtered_counts(specs, self.DELTAS, FITTED), expected)
+        np.testing.assert_array_equal(
+            filtered_counts(stack_spectra(specs), self.DELTAS, FITTED), expected)
+
+    def test_stack_holds_the_spectra_as_rows(self):
+        specs = self.spectra(2.5)
+        stack = stack_spectra(specs)
+        assert stack.offsets is specs[0].offsets
+        assert stack.density.shape == (len(specs), len(specs[0].offsets))
+        np.testing.assert_array_equal(stack.density[3], specs[3].density)
+        np.testing.assert_array_equal(stack.elastic, [s.elastic_weight for s in specs])
 
     def test_unnormalized_rejected(self):
         specs = [normalized_spectrum(0.4), sample_spectrum(DriveParams(0.4, 3.0))]
         with pytest.raises(UnnormalizedSpectrumError):
-            filtered_counts(specs, [0.0, 3.0], FITTED)
+            stack_spectra(specs)
 
     def test_grids_must_match(self):
         fine = normalized_spectrum(0.4)
@@ -234,11 +317,55 @@ class TestFilteredCounts:
         wide = normalize_to_counts(sample_spectrum(DriveParams(0.4, 0.0, 6.0)), 1e3)
         for other in (coarse, wide):
             with pytest.raises(ValueError, match="grid"):
-                filtered_counts([fine, other], [0.0, 0.0], FITTED)
+                stack_spectra([fine, other])
 
     def test_lengths_must_match(self):
-        with pytest.raises(ValueError):
-            filtered_counts(self.spectra(0.4), self.DELTAS[:-1], FITTED)
+        with pytest.raises(ValueError, match="detunings"):
+            filtered_counts(stack_spectra(self.spectra(0.4)), self.DELTAS[:-1], FITTED)
+
+
+def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):
+    """Cascaded/original ratio by adaptive quadrature over the +-span gamma
+    grid range, with the Mollow density written out from the README."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    s = s0 / (1.0 + 4.0 * (delta / gamma) ** 2)
+    d = delta / gamma
+    center = prof.shift - delta
+
+    def density(w):
+        x2 = (w / gamma) ** 2
+        b1 = 0.25 + s0 / 4.0 + d * d - 2.0 * x2
+        b2 = 1.25 + s0 / 2.0 + d * d - x2
+        return (1.0 + s0 / 4.0 + x2) / (b1 * b1 + x2 * b2 * b2)
+
+    def trans(w):
+        return prof.path_efficiency * math.exp(
+            -prof.alpha / (1.0 + 4.0 * ((w - center) / prof.width) ** 2))
+
+    half = span * gamma
+    opts = dict(points=[p for p in (0.0, center) if -half < p < half],
+                epsabs=0.0, epsrel=1e-13, limit=500)
+    scale = s0 / (8.0 * math.pi * gamma) * s / (1.0 + s)
+    inelastic = scale * quad(lambda w: density(w) * trans(w), -half, half, **opts)[0]
+    total = scale * quad(density, -half, half, **opts)[0]
+    elastic = s / (2.0 + s) ** 2
+    return (inelastic + elastic * trans(0.0)) / (total + elastic)
+
+
+class TestFitGridAccuracy:
+    """The fit's coarse grid against an adaptive-quadrature oracle."""
+
+    @pytest.mark.parametrize("s0", TestFilteredCounts.S0)
+    def test_fit_grid_ratio_within_1e_8_of_quadrature(self, s0):
+        deltas = TestFilteredCounts.DELTAS
+        step = GAMMA / FIT_GRID_PER_GAMMA
+        stack = stack_spectra([
+            normalize_to_counts(sample_spectrum(DriveParams(s0, d), grid_step=step), 1.0)
+            for d in deltas])
+        for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6)):
+            got = filtered_counts(stack, deltas, prof)
+            expected = [quad_ratio(s0, d, prof) for d in deltas]
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-8)
 
 
 class TestRatioCurve:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cascfluor.fit
-from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve
+from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve, stack_spectra
 from cascfluor.fit import (
     DataParseError,
     DataSeries,
@@ -28,6 +28,7 @@ from cascfluor.fit import (
     write_report_csv,
     write_series,
     _broadening_jac,
+    _ill_conditioned,
     _line_jac,
     _lorentzian_jac,
     _saturation_jac,
@@ -240,6 +241,35 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="bootstrap"):
             least_squares(lambda x, th: th[0] * x + th[1], DataSeries(x, 2.0 * x + 1.0),
                           [1.0, 0.0], bootstrap=-3, jac=line_design)
+
+    def test_overflowing_residual_sum_is_an_error(self):
+        # finite data whose sum of squares overflows give no fit, and no
+        # numpy warning on the way (pytest turns warnings into errors)
+        data = DataSeries(np.array([1.0, 2.0, 3.0]), np.array([1e308, -1e308, 1e308]))
+        with pytest.raises(ValueError, match="not finite"):
+            fit_shift_slope(data)
+        with pytest.raises(ValueError, match="not finite"):
+            least_squares(lambda x, th: th[0] * x + th[1], data, [0.0, 0.0],
+                          jac=line_design)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("condition", [0.9e14, 1.1e14])
+    def test_conditioning_agrees_with_cond(self, seed, condition):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        normal = (q * [1.0, 7.0, 3e5, condition]) @ q.T
+        normal = (normal + normal.T) / 2.0
+        expected = condition > 1e14
+        assert (np.linalg.cond(normal) > 1e14) == expected
+        assert _ill_conditioned(normal) == expected
+
+    @pytest.mark.parametrize("normal", [
+        pytest.param([[1.0, 1.0], [1.0, 1.0]], id="singular"),
+        pytest.param([[0.0, 0.0], [0.0, 0.0]], id="zero"),
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
+        pytest.param([[1.0, np.nan], [np.nan, 1.0]], id="nan"),
+    ])
+    def test_not_positive_definite_is_ill_conditioned(self, normal):
+        assert _ill_conditioned(np.array(normal))
 
     def test_bootstrap_sigmas_track_linearized(self):
         rng = np.random.default_rng(15)
@@ -483,6 +513,51 @@ class TestFitCascade:
         noisy = model * (1.0 + 0.03 * np.random.default_rng(seed).standard_normal(21))
         return DataSeries(deltas, n_orig), DataSeries(deltas, noisy, 0.03 * model)
 
+    @staticmethod
+    def fig3_points(seed):
+        """8 noisy power-scan points, as `reproduce fig3`."""
+        ladder = TestFitCascade.LADDER
+        n_orig = 1200.0 * ladder / (1.0 + ladder)
+        drives = [DriveParams(float(s)) for s in ladder]
+        model = cascade_model_counts(drives, n_orig, 6.7, 0.85, 0.0, 0.9)
+        noisy = model * (1.0 + 0.03 * np.random.default_rng(seed).standard_normal(8))
+        return DataSeries(ladder, n_orig), DataSeries(ladder, noisy, 0.03 * model)
+
+    FIGURE_FITS = {
+        "fig3": (fig3_points, dict(scan="power", fix_shift=0.0, fix_efficiency=0.9)),
+        "fig4a": (fig4a_points, dict(scan="detuning", s0=0.4, fix_efficiency=0.9)),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("figure", FIGURE_FITS)
+    def test_fit_grid_agrees_with_model_grid(self, figure, seed):
+        # the default fit grid moves a refit by far less than its sigma
+        points, kwargs = self.FIGURE_FITS[figure]
+        original, cascaded = points(seed)
+        coarse = fit_cascade(original, cascaded, **kwargs)
+        fine = fit_cascade(original, cascaded, grid_step=DEFAULT_GAMMA_MHZ / 100, **kwargs)
+        assert coarse.params == pytest.approx(fine.params, rel=1e-6)
+        assert (coarse.converged, coarse.iterations) == (fine.converged, fine.iterations)
+
+    @pytest.mark.parametrize("alpha, n_starts", [(0.85, 1), (0.85, 5), (0.0, 5)],
+                             ids=["1_start", "5_starts", "zero_absorption_fallback"])
+    def test_each_spectrum_is_sampled_and_normalized_once(self, monkeypatch, alpha,
+                                                          n_starts):
+        # however many starts, iterations and fallback refits a fit runs, it
+        # builds its spectrum stack once
+        original, cascaded = self.synth_power_scan(alpha=alpha)
+        calls = {"sample_spectrum": 0, "normalize_to_counts": 0, "stack_spectra": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(cascfluor.fit, name), **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(cascfluor.fit, name, counted)
+        res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
+                          fix_efficiency=0.9, n_starts=n_starts)
+        assert res.converged
+        assert calls == {"sample_spectrum": len(original),
+                         "normalize_to_counts": len(original), "stack_spectra": 1}
+
     def test_detuning_fit_evaluates_model_only_for_residuals(self, monkeypatch):
         # with closed-form derivatives no evaluation goes to Jacobian probes:
         # 5 starts of about 7 iterations each stay under 60 evaluations
@@ -536,15 +611,16 @@ class TestFitCascade:
 
         ref = optimize.least_squares(residuals, start, jac="3-point", bounds=(lo, hi),
                                      xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-        specs = [normalize_to_counts(sample_spectrum(d), n) for d, n in zip(drives, original.y)]
+        stack = stack_spectra([normalize_to_counts(sample_spectrum(d), n)
+                               for d, n in zip(drives, original.y)])
 
         def profile(th):
             return AbsorptionProfile(th[1], th[0], th[2], 0.9)
 
         engine = least_squares(
-            lambda _x, th: filtered_counts(specs, original.x, profile(th)), cascaded, start,
+            lambda _x, th: filtered_counts(stack, original.x, profile(th)), cascaded, start,
             bounds=list(zip(lo, hi)), names=["width", "alpha", "shift"],
-            jac=lambda _x, th: filtered_counts(specs, original.x, profile(th), True)[1][:, :3],
+            jac=lambda _x, th: filtered_counts(stack, original.x, profile(th), True)[1][:, :3],
         )
         res = fit_cascade(original, cascaded, scan="detuning", s0=0.4, fix_efficiency=0.9)
         for fitted in (engine, res):
