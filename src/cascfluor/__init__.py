@@ -12,6 +12,7 @@ from .spectrum import (
     DriveParams,
     NormalizationError,
     SpectrumGrid,
+    SpectrumStack,
     detuned_saturation,
     elastic_weight,
     excited_state_population,
@@ -19,11 +20,11 @@ from .spectrum import (
     normalize_to_counts,
     rabi_frequency,
     sample_spectrum,
+    sample_stack,
 )
 from .cascade import (
     DEFAULT_PATH_EFFICIENCY,
     AbsorptionProfile,
-    SpectrumStack,
     UnnormalizedSpectrumError,
     cascaded_count,
     cascaded_counts,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,14 +68,7 @@ class SpectrumGrid:
             raise ValueError("offsets and density must be 1-d arrays of equal length")
         if offsets.size < 2:
             raise ValueError("spectrum grid needs at least two points")
-        # increasing offsets are finite when both ends are; min and max see a NaN
-        if not (np.all(np.diff(offsets) > 0)
-                and math.isfinite(offsets[0]) and math.isfinite(offsets[-1])):
-            raise ValueError("offsets must be finite and strictly increasing")
-        if not 0 <= density.min() <= density.max() < math.inf:
-            raise ValueError("density must be finite and non-negative")
-        if not (math.isfinite(self.elastic_weight) and self.elastic_weight >= 0):
-            raise ValueError("elastic weight must be finite and non-negative")
+        _check_spectrum(offsets, density, self.elastic_weight)
         offsets.setflags(write=False)
         density.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
@@ -82,7 +76,59 @@ class SpectrumGrid:
 
     def total_weight(self) -> float:
         """Trapezoidal integral of the density plus the elastic weight."""
-        return float(np.trapezoid(self.density, self.offsets) + self.elastic_weight)
+        return float(_trapezoid(self.offsets, self.density) + self.elastic_weight)
+
+
+class SpectrumStack(NamedTuple):
+    """Normalized spectra on one shared grid, one row per scan point.
+
+    offsets is the shared grid, density the (n, grid) inelastic densities
+    and elastic the (n,) elastic weights.
+    """
+
+    offsets: np.ndarray
+    density: np.ndarray
+    elastic: np.ndarray
+
+
+def _check_spectrum(offsets, density, elastic) -> None:
+    """SpectrumGrid's value checks, for one spectrum or a stack of rows
+    (density (n, grid) and elastic (n,)) on one grid."""
+    # increasing offsets are finite when both ends are; min and max see a NaN
+    if not (np.all(offsets[1:] > offsets[:-1])
+            and math.isfinite(offsets[0]) and math.isfinite(offsets[-1])):
+        raise ValueError("offsets must be finite and strictly increasing")
+    if not 0 <= density.min() <= density.max() < math.inf:
+        raise ValueError("density must be finite and non-negative")
+    elastic = np.asarray(elastic)
+    if not 0 <= elastic.min() <= elastic.max() < math.inf:
+        raise ValueError("elastic weight must be finite and non-negative")
+
+
+def _trapezoid(offsets, y):
+    """np.trapezoid(y, offsets) along the last axis, for one row or many:
+    its arithmetic, so each row comes out bit for bit as it would alone
+    (* 0.5 is its / 2.0 to the last bit)."""
+    terms = y[..., 1:] + y[..., :-1]
+    terms *= offsets[1:] - offsets[:-1]
+    terms *= 0.5
+    return np.add.reduce(terms, axis=-1)
+
+
+def _normalize(offsets, density, elastic, counts):
+    """Density rows and elastic weights rescaled by one factor per row so
+    that each row's trapezoid plus its elastic weight equals its count.
+    Rescales density and elastic in place and returns them."""
+    bad = ~(np.isfinite(counts) & (counts > 0))
+    if bad.any():
+        raise ValueError(f"photon count must be finite and > 0, got {counts[bad][0]}")
+    total = _trapezoid(offsets, density) + elastic
+    if np.any(total <= 0.0):
+        raise NormalizationError("spectrum has zero total weight")
+    factor = counts / total
+    density *= factor[:, None]
+    elastic *= factor
+    return density, elastic
 
 
 def excited_state_population(s0: float) -> float:
@@ -118,6 +164,29 @@ def elastic_weight(s: float) -> float:
     return s / (2.0 + s) ** 2
 
 
+def _mollow_terms(p: DriveParams) -> tuple[float, float, float]:
+    """s0, (delta/gamma)^2 and the scattering weight of mollow_density."""
+    s = detuned_saturation(p)
+    d = p.delta / p.gamma
+    return p.s0, d * d, (p.s0 / (8.0 * math.pi * p.gamma)) * (s / (1.0 + s))
+
+
+def _mollow(x2, s0, d2, scale):
+    """The Mollow density at x2 = (omega/gamma)^2 from _mollow_terms; the
+    terms broadcast against x2, as scalars or as (n, 1) columns. Computes
+    scale * numer / (b1 * b1 + x2 * b2 * b2) in that order, in place."""
+    numer = 1.0 + s0 / 4.0 + x2
+    b1 = 0.25 + s0 / 4.0 + d2 - 2.0 * x2
+    b2 = 1.25 + s0 / 2.0 + d2 - x2
+    b1 *= b1
+    x2b2 = x2 * b2
+    x2b2 *= b2
+    b1 += x2b2
+    numer *= scale
+    numer /= b1
+    return numer
+
+
 def mollow_density(omega, p: DriveParams):
     """Inelastic spectral density per MHz at laser-relative offset omega.
 
@@ -134,18 +203,25 @@ def mollow_density(omega, p: DriveParams):
     s(delta); the bracket coefficients use the on-resonance s0.
     """
     omega = np.asarray(omega, dtype=float)
-    s = detuned_saturation(p)
     if p.s0 == 0.0:
         return np.zeros_like(omega)
     x = omega / p.gamma
-    d = p.delta / p.gamma
-    x2 = x * x
-    numer = 1.0 + p.s0 / 4.0 + x2
-    b1 = 0.25 + p.s0 / 4.0 + d * d - 2.0 * x2
-    b2 = 1.25 + p.s0 / 2.0 + d * d - x2
-    denom = b1 * b1 + x2 * b2 * b2
-    scale = (p.s0 / (8.0 * math.pi * p.gamma)) * (s / (1.0 + s))
-    return scale * numer / denom
+    return _mollow(x * x, *_mollow_terms(p))
+
+
+def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[float, int]:
+    """Step (MHz) and half-width (in steps) of the uniform sampling grid
+    step * arange(-half, half + 1); see sample_spectrum for the rule."""
+    if grid_span < 10.0:
+        raise ValueError(f"grid span must be >= 10 linewidths, got {grid_span}")
+    step = gamma / 100.0 if grid_step is None else float(grid_step)
+    if step <= 0:
+        raise ValueError(f"grid step must be > 0, got {step}")
+    if step > gamma / 10.0:
+        raise ValueError(
+            f"grid step {step} MHz undersamples the triplet (max {gamma / 10.0} MHz)"
+        )
+    return step, math.ceil(grid_span * gamma / step - 1e-9)
 
 
 def sample_spectrum(
@@ -160,16 +236,7 @@ def sample_spectrum(
     in MHz (default gamma/100) and is rejected above gamma/10, which would
     undersample the triplet. The grid always contains omega = 0 exactly.
     """
-    if grid_span < 10.0:
-        raise ValueError(f"grid span must be >= 10 linewidths, got {grid_span}")
-    step = p.gamma / 100.0 if grid_step is None else float(grid_step)
-    if step <= 0:
-        raise ValueError(f"grid step must be > 0, got {step}")
-    if step > p.gamma / 10.0:
-        raise ValueError(
-            f"grid step {step} MHz undersamples the triplet (max {p.gamma / 10.0} MHz)"
-        )
-    half = math.ceil(grid_span * p.gamma / step - 1e-9)
+    step, half = _grid(p.gamma, grid_span, grid_step)
     offsets = step * np.arange(-half, half + 1)
     density = mollow_density(offsets, p)
     return SpectrumGrid(offsets, density, elastic_weight(detuned_saturation(p)))
@@ -179,15 +246,45 @@ def normalize_to_counts(spec: SpectrumGrid, n_original: float) -> SpectrumGrid:
     """Rescale density and elastic weight by one common factor so that the
     trapezoidal integral of the density plus the elastic weight equals the
     measured original photon number."""
-    if not (math.isfinite(n_original) and n_original > 0):
-        raise ValueError(f"photon count must be finite and > 0, got {n_original}")
-    total = spec.total_weight()
-    if total <= 0.0:
-        raise NormalizationError("spectrum has zero total weight")
-    factor = n_original / total
-    return SpectrumGrid(
-        spec.offsets,
-        spec.density * factor,
-        spec.elastic_weight * factor,
-        counts=float(n_original),
-    )
+    density, elastic = _normalize(spec.offsets, spec.density[None, :].copy(),
+                                  np.array([spec.elastic_weight], dtype=float),
+                                  np.array([n_original], dtype=float))
+    return SpectrumGrid(spec.offsets, density[0], float(elastic[0]),
+                        counts=float(n_original))
+
+
+def sample_stack(
+    drives,
+    original_counts,
+    grid_span: float = 10.0,
+    grid_step: float | None = None,
+) -> SpectrumStack:
+    """Normalized spectra of drives that share one linewidth, as one stack.
+
+    Row i is normalize_to_counts(sample_spectrum(drives[i], grid_span,
+    grid_step), original_counts[i]) bit for bit, with SpectrumGrid's checks
+    run once for the whole stack. The density of every row comes from one
+    broadcast over the omega >= 0 half of the grid, mirrored: the grid is
+    symmetric to the last bit and the density depends on omega only through
+    (omega/gamma)^2.
+    """
+    counts = np.asarray(original_counts, dtype=float)
+    if counts.shape != (len(drives),):
+        raise ValueError(f"{len(drives)} drives need as many counts, "
+                         f"got shape {counts.shape}")
+    if not drives:
+        raise ValueError("a spectrum stack needs at least one drive")
+    gamma = drives[0].gamma
+    if any(p.gamma != gamma for p in drives):
+        raise ValueError("the drives of one spectrum stack must share one linewidth")
+    step, half = _grid(gamma, grid_span, grid_step)
+    offsets = step * np.arange(-half, half + 1)
+    x = offsets[half:] / gamma
+    terms = np.array([_mollow_terms(p) for p in drives])
+    right = _mollow(x * x, *terms.T[:, :, None])
+    density = np.concatenate((right[:, :0:-1], right), axis=1)
+    elastic = np.array([elastic_weight(detuned_saturation(p)) for p in drives])
+    density, elastic = _normalize(offsets, density, elastic, counts)
+    # a non-finite raw value stays non-finite through the rescaling
+    _check_spectrum(offsets, density, elastic)
+    return SpectrumStack(offsets, density, elastic)

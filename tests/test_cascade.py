@@ -21,6 +21,7 @@ from cascfluor.fit import FIT_GRID_PER_GAMMA
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
+    NormalizationError,
     normalize_to_counts,
     sample_spectrum,
 )
@@ -175,6 +176,44 @@ class TestCascadedCounts:
         monkeypatch.setattr(cascfluor.cascade, "filtered_counts", counted)
         np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
         assert rows == [4, 2, 3]  # 4 x 2001 <= STACK_VALUES < 5 x 2001
+
+
+class TestCascadedCountsBoundaries:
+    # the stacked sampler keeps the per-point path's errors and inputs
+    DRIVES = [DriveParams(0.4, -5.0), DriveParams(2.5), DriveParams(8.0, 12.0)]
+
+    def test_undriven_point_has_no_weight(self):
+        drives = self.DRIVES + [DriveParams(0.0, 3.0)]
+        with pytest.raises(NormalizationError):
+            cascaded_counts(drives, [1.0] * 4, FITTED)
+        with pytest.raises(NormalizationError):
+            ratio_curve([-3.0, 0.0], 0.0, FITTED, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_original_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="photon count"):
+            cascaded_counts(self.DRIVES, [1.0, bad, 1.0], FITTED)
+        with pytest.raises(ValueError, match="photon count"):
+            ratio_curve([-3.0, 0.0, 3.0], 0.4, FITTED, [1.0, 1.0, bad])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            cascaded_counts(self.DRIVES, [1.0, 1.0], FITTED)
+        with pytest.raises(ValueError):
+            cascaded_counts(self.DRIVES[:2], [1.0, 1.0, 1.0], FITTED)
+        with pytest.raises(ValueError):
+            ratio_curve([0.0, 1.0, 2.0], 0.4, FITTED, [1.0, 1.0])
+
+    def test_no_drives_give_an_empty_array(self):
+        for got in (cascaded_counts([], [], FITTED), ratio_curve([], 0.4, FITTED, [])):
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == float and got.shape == (0,)
+
+    def test_generators_accepted(self):
+        expected = cascaded_counts(self.DRIVES, [700.0, 1000.0, 1300.0], FITTED)
+        got = cascaded_counts((d for d in self.DRIVES),
+                              (n for n in (700.0, 1000.0, 1300.0)), FITTED)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestFilteredCounts:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from cascfluor.cli import main, read_table, write_table
-from cascfluor.fit import DataSeries, lorentzian, read_report_csv, write_series
+from cascfluor.cascade import AbsorptionProfile, cascaded_count
+from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
+from cascfluor.fit import DataSeries, lorentzian, read_report_csv, read_series, write_series
+from cascfluor.spectrum import DriveParams, normalize_to_counts, sample_spectrum
 from cascfluor.timetag import RunConfig, read_timetags, write_config
 
 
@@ -255,3 +257,56 @@ class TestReproduce:
         run(["reproduce", "fig5b", "--out", b, "--seed", 7])
         for name in ("fig5b_model.csv", "fig5b_points.csv", "fig5b_refit.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestModelColumnsArePointwise:
+    """The model columns the CLI writes, bit for bit against the per-point
+    path cascaded_count(normalize_to_counts(sample_spectrum(drive), n)).
+    Arrays, not digests: a digest would pin one CPU's last bit of exp."""
+
+    @staticmethod
+    def pointwise(drives, counts, prof=REFERENCE_FILTER):
+        return np.array([cascaded_count(normalize_to_counts(sample_spectrum(d), n), prof,
+                                        d.delta) for d, n in zip(drives, counts)])
+
+    @pytest.mark.parametrize("scan, s0", [("detuning", 2.5), ("power", None)])
+    def test_ratio_command(self, tmp_path, scan, s0):
+        args = ["ratio", "--scan", scan, "--alpha", 1.2, "--width", 7.5, "--out", tmp_path]
+        if scan == "power":
+            args += ["--start", 0.05, "--stop", 10]
+        else:
+            args += ["--s0", s0]
+        assert run(args) == 0
+        _, cols = read_table(tmp_path / "ratio.csv")
+        x = cols["delta_mhz" if scan == "detuning" else "s0"]
+        drives = [DriveParams(s0, v) if scan == "detuning" else DriveParams(v) for v in x]
+        prof = AbsorptionProfile(1.2, 7.5, REFERENCE_FILTER.shift,
+                                 REFERENCE_FILTER.path_efficiency)
+        np.testing.assert_array_equal(cols["ratio"], self.pointwise(drives, np.ones_like(x),
+                                                                    prof))
+
+    def test_reproduce_fig3(self, tmp_path):
+        assert run(["reproduce", "fig3", "--out", tmp_path, "--seed", 7]) == 0
+        _, cols = read_table(tmp_path / "fig3_model.csv")
+        ratios = self.pointwise([DriveParams(v) for v in cols["s0"]], np.ones(len(cols["s0"])))
+        np.testing.assert_array_equal(cols["ratio"], ratios)
+        np.testing.assert_array_equal(cols["cascaded_rate"], cols["original_rate"] * ratios)
+        # the refit points' errors are 3% of the model counts
+        original = read_series(tmp_path / "fig3_points_original.csv")
+        cascaded = read_series(tmp_path / "fig3_points_cascaded.csv")
+        ones = np.ones(len(original))
+        model = self.pointwise([DriveParams(v) for v in original.x], ones) * original.y
+        np.testing.assert_array_equal(cascaded.y_err, 0.03 * model)
+
+    def test_reproduce_fig4a(self, tmp_path):
+        assert run(["reproduce", "fig4a", "--out", tmp_path, "--seed", 7]) == 0
+        _, cols = read_table(tmp_path / "fig4a_model.csv")
+        deltas = cols["delta_mhz"]
+        for s0, tag in ((0.4, "s0p4"), (2.5, "s2p5")):
+            ratios = self.pointwise([DriveParams(s0, d) for d in deltas], np.ones_like(deltas))
+            np.testing.assert_array_equal(cols[f"cascaded_rate_{tag}"],
+                                          cols[f"original_rate_{tag}"] * ratios)
+        original = read_series(tmp_path / "fig4a_points_original.csv")
+        cascaded = read_series(tmp_path / "fig4a_points_cascaded.csv")
+        counts = self.pointwise([DriveParams(0.4, d) for d in original.x], original.y)
+        np.testing.assert_array_equal(cascaded.y_err, 0.03 * (counts / original.y * original.y))

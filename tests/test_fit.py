@@ -544,19 +544,24 @@ class TestFitCascade:
     def test_each_spectrum_is_sampled_and_normalized_once(self, monkeypatch, alpha,
                                                           n_starts):
         # however many starts, iterations and fallback refits a fit runs, it
-        # builds its spectrum stack once
+        # samples and normalizes its spectra once, in one stack build, and
+        # never point by point
         original, cascaded = self.synth_power_scan(alpha=alpha)
-        calls = {"sample_spectrum": 0, "normalize_to_counts": 0, "stack_spectra": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(cascfluor.fit, name), **kw):
-                calls[_name] += 1
+        calls = {"fit.sample_stack": 0, "fit.sample_spectrum": 0,
+                 "spectrum.sample_spectrum": 0, "spectrum.normalize_to_counts": 0}
+        for key in calls:
+            module, name = key.split(".")
+            module = getattr(cascfluor, module)
+
+            def counted(*args, _key=key, _real=getattr(module, name), **kw):
+                calls[_key] += 1
                 return _real(*args, **kw)
-            monkeypatch.setattr(cascfluor.fit, name, counted)
+            monkeypatch.setattr(module, name, counted)
         res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
                           fix_efficiency=0.9, n_starts=n_starts)
         assert res.converged
-        assert calls == {"sample_spectrum": len(original),
-                         "normalize_to_counts": len(original), "stack_spectra": 1}
+        assert calls == {"fit.sample_stack": 1, "fit.sample_spectrum": 0,
+                         "spectrum.sample_spectrum": 0, "spectrum.normalize_to_counts": 0}
 
     def test_detuning_fit_evaluates_model_only_for_residuals(self, monkeypatch):
         # with closed-form derivatives no evaluation goes to Jacobian probes:

@@ -17,7 +17,9 @@ from cascfluor.spectrum import (
     normalize_to_counts,
     rabi_frequency,
     sample_spectrum,
+    sample_stack,
 )
+from cascfluor.fit import FIT_GRID_PER_GAMMA
 
 GAMMA = DEFAULT_GAMMA_MHZ
 
@@ -266,6 +268,17 @@ class TestNormalizeToCounts:
         np.testing.assert_allclose(two.density, 2.0 * one.density, rtol=1e-12)
         assert two.elastic_weight == pytest.approx(2.0 * one.elastic_weight)
 
+    @pytest.mark.parametrize("s0, delta, step", [(0.05, -30.0, None), (2.5, 3.0, None),
+                                                 (8.0, 0.0, GAMMA / FIT_GRID_PER_GAMMA)])
+    def test_is_numpy_trapezoid_bit_for_bit(self, s0, delta, step):
+        # the one normalization arithmetic is np.trapezoid's, to the last bit
+        spec = sample_spectrum(DriveParams(s0, delta), grid_step=step)
+        total = float(np.trapezoid(spec.density, spec.offsets) + spec.elastic_weight)
+        assert spec.total_weight() == total
+        scaled = normalize_to_counts(spec, 1234.5)
+        np.testing.assert_array_equal(scaled.density, spec.density * (1234.5 / total))
+        assert scaled.elastic_weight == spec.elastic_weight * (1234.5 / total)
+
     def test_zero_weight_rejected(self):
         with pytest.raises(NormalizationError):
             normalize_to_counts(sample_spectrum(DriveParams(0.0)), 100.0)
@@ -278,3 +291,52 @@ class TestNormalizeToCounts:
     def test_non_finite_count_rejected(self, count):
         with pytest.raises(ValueError):
             normalize_to_counts(sample_spectrum(DriveParams(1.0)), count)
+
+
+class TestSampleStack:
+    # s0 x detuning, one stack; counts vary so each row gets its own factor
+    DRIVES = [(s0, delta) for s0 in (0.05, 0.4, 2.5, 8.0)
+              for delta in (-30.0, -7.0, 0.0, 3.0, 25.0)]
+    COUNTS = np.linspace(300.0, 2200.0, len(DRIVES))
+    GRIDS = {  # (gamma, grid_step)
+        "model_grid": (GAMMA, None),
+        "fit_grid": (GAMMA, GAMMA / FIT_GRID_PER_GAMMA),
+        "gamma_6_explicit_step": (6.0, 0.05),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_rows_are_the_per_point_path_bit_for_bit(self, grid):
+        gamma, step = self.GRIDS[grid]
+        drives = [DriveParams(s0, delta, gamma) for s0, delta in self.DRIVES]
+        stack = sample_stack(drives, self.COUNTS, 10.0, step)
+        assert stack.density.shape == (len(drives), stack.offsets.size)
+        for k, (drive, n) in enumerate(zip(drives, self.COUNTS)):
+            ref = normalize_to_counts(sample_spectrum(drive, 10.0, step), n)
+            np.testing.assert_array_equal(stack.offsets, ref.offsets)
+            np.testing.assert_array_equal(stack.density[k], ref.density)
+            assert stack.elastic[k] == ref.elastic_weight
+            # the mirrored half is exact: every row is its own reverse
+            np.testing.assert_array_equal(stack.density[k], stack.density[k, ::-1])
+
+    def test_one_row_is_a_stack(self):
+        drive = DriveParams(2.5, 3.0)
+        stack = sample_stack([drive], [700.0])
+        ref = normalize_to_counts(sample_spectrum(drive), 700.0)
+        np.testing.assert_array_equal(stack.density, [ref.density])
+        np.testing.assert_array_equal(stack.elastic, [ref.elastic_weight])
+
+    def test_shares_the_grid_rule(self):
+        # count and zero-weight errors are checked through cascaded_counts
+        drives = [DriveParams(0.4), DriveParams(2.5)]
+        with pytest.raises(ValueError, match="span"):
+            sample_stack(drives, [1.0, 1.0], grid_span=5.0)
+        with pytest.raises(ValueError, match="undersamples"):
+            sample_stack(drives, [1.0, 1.0], grid_step=GAMMA)
+
+    def test_one_grid_per_stack(self):
+        with pytest.raises(ValueError, match="linewidth"):
+            sample_stack([DriveParams(0.4), DriveParams(0.4, 0.0, 6.0)], [1.0, 1.0])
+        with pytest.raises(ValueError, match="counts"):
+            sample_stack([DriveParams(0.4), DriveParams(2.5)], [1.0])
+        with pytest.raises(ValueError, match="at least one"):
+            sample_stack([], [])
