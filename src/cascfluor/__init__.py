@@ -25,13 +25,10 @@ from .spectrum import (
 from .cascade import (
     DEFAULT_PATH_EFFICIENCY,
     AbsorptionProfile,
-    UnnormalizedSpectrumError,
-    cascaded_count,
     cascaded_counts,
     filtered_counts,
     lorentzian_profile,
     ratio_curve,
-    stack_spectra,
     transmission,
 )
 from .timetag import (

@@ -17,7 +17,6 @@ import numpy as np
 from .spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
-    SpectrumGrid,
     SpectrumStack,
     _grid,
     _trapezoid,
@@ -33,11 +32,6 @@ DEFAULT_PATH_EFFICIENCY = 0.9
 # cache. Sampling plus filtering costs about 84 us per point alone, 46 us at
 # four points, 39 us at eight and 54 us at sixteen (2-vCPU host).
 STACK_VALUES = 8192
-
-
-class UnnormalizedSpectrumError(ValueError):
-    """Raised when a cascade integral is asked for a spectrum that was never
-    rescaled to a measured photon number."""
 
 
 @dataclass(frozen=True)
@@ -85,44 +79,23 @@ def transmission(omega, prof: AbsorptionProfile, drive_detuning: float = 0.0):
     return prof.path_efficiency * np.exp(-prof.alpha * lor)
 
 
-def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    # uniform grids of one length and the same ends are the same grid
-    return len(a) == len(b) and a[0] == b[0] and a[-1] == b[-1]
-
-
-def stack_spectra(specs) -> SpectrumStack:
-    """Stack spectra for filtered_counts, checking once that each was
-    normalized to a photon count and that all share one grid."""
-    offsets = specs[0].offsets
-    for spec in specs:
-        if spec.counts is None:
-            raise UnnormalizedSpectrumError(
-                "spectrum was not normalized to a photon count (use normalize_to_counts)"
-            )
-        if not _same_grid(offsets, spec.offsets):
-            raise ValueError("spectra must share one frequency grid")
-    return SpectrumStack(offsets, np.array([spec.density for spec in specs]),
-                         np.array([spec.elastic_weight for spec in specs]))
-
-
 def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
                     gradient: bool = False):
     """Cascaded count of each row of a spectrum stack, all rows at once.
 
-    stack (from stack_spectra) holds the shared offsets, the (n, grid)
+    stack (from sample_stack) holds the shared offsets, the (n, grid)
     densities and the (n,) elastic weights of n normalized spectra; row i
     is filtered as seen by a drive detuned by detunings[i]. The Lorentzian
     L and the transmission are evaluated as (n, grid + 1) arrays, the
     elastic line being the last column at omega = 0. Each count is the
     trapezoid of its row of density * transmission plus the attenuated
-    elastic weight, so a row comes out bit for bit as it would alone (and
-    as cascaded_count, the one-row case, gives it). With gradient=True, also
-    returns the (n, 4) closed-form derivatives of the counts with respect
-    to (width, alpha, shift, path_efficiency), from the same arrays: with
-    u = (omega - shift + detuning) / width and T = path_efficiency *
-    exp(-alpha L), dT/dalpha = -L T, dT/dwidth = -alpha T 8 u^2 L^2 / width,
-    dT/dshift = -alpha T 8 u L^2 / width and
-    dT/dpath_efficiency = T / path_efficiency.
+    elastic weight, so a row comes out bit for bit as it would alone. With
+    gradient=True, also returns the (n, 4) closed-form derivatives of the
+    counts with respect to (width, alpha, shift, path_efficiency), from the
+    same arrays: with u = (omega - shift + detuning) / width and
+    T = path_efficiency * exp(-alpha L), dT/dalpha = -L T,
+    dT/dwidth = -alpha T 8 u^2 L^2 / width, dT/dshift = -alpha T 8 u L^2 /
+    width and dT/dpath_efficiency = T / path_efficiency.
     """
     offsets, density, elastic = stack
     centers = np.subtract(prof.shift, detunings)
@@ -151,36 +124,15 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     return counts, jac
 
 
-def cascaded_count(
-    spec: SpectrumGrid,
-    prof: AbsorptionProfile,
-    drive_detuning: float = 0.0,
-) -> float:
-    """Photon count surviving the round trip through the absorbing ensemble.
-
-    Integrates density(omega) * transmission(omega) over the grid and adds
-    the elastic weight attenuated at omega = 0, since elastic scattering
-    preserves the drive frequency. The filter is pinned to the lab frame:
-    on the laser-relative grid its center sits at shift - drive_detuning.
-    The spectrum must have been normalized to a measured count first.
-    """
-    return float(filtered_counts(stack_spectra([spec]), [drive_detuning], prof)[0])
-
-
-def cascaded_counts(
-    drives,
-    original_counts,
-    prof: AbsorptionProfile,
-    grid_span: float = 10.0,
-    grid_step: float | None = None,
-) -> np.ndarray:
+def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndarray:
     """Cascaded count at each drive point, as an array.
 
-    Each point's spectrum is normalized to its original count, bit for bit
-    as cascaded_count gives it from normalize_to_counts(sample_spectrum(...)).
-    Consecutive points of one linewidth (one grid) are sampled by
-    sample_stack and filtered together, at most STACK_VALUES grid values at
-    a time, so only a few spectra are held at once.
+    Each point's spectrum is sampled over +-10 linewidths at gamma/100 and
+    normalized to its original count, bit for bit as
+    normalize_to_counts(sample_spectrum(drive), count). Consecutive points
+    of one linewidth (one grid) are sampled by sample_stack and filtered
+    together, at most STACK_VALUES grid values at a time, so only a few
+    spectra are held at once.
     """
     drives = list(drives)
     counts = np.fromiter(original_counts, dtype=float)
@@ -190,12 +142,12 @@ def cascaded_counts(
     start = 0
     while start < len(drives):
         gamma = drives[start].gamma
-        _, half = _grid(gamma, grid_span, grid_step)
+        _, half = _grid(gamma, 10.0, None)
         limit = min(start + max(1, STACK_VALUES // (2 * half + 1)), len(drives))
         stop = start + 1
         while stop < limit and drives[stop].gamma == gamma:
             stop += 1
-        stack = sample_stack(drives[start:stop], counts[start:stop], grid_span, grid_step)
+        stack = sample_stack(drives[start:stop], counts[start:stop])
         out[start:stop] = filtered_counts(stack, [d.delta for d in drives[start:stop]], prof)
         start = stop
     return out
@@ -207,8 +159,6 @@ def ratio_curve(
     prof: AbsorptionProfile,
     original_counts,
     gamma: float = DEFAULT_GAMMA_MHZ,
-    grid_span: float = 10.0,
-    grid_step: float | None = None,
 ) -> np.ndarray:
     """Cascaded/original count ratio for each drive detuning.
 
@@ -219,6 +169,6 @@ def ratio_curve(
     dips where the drive sits on the filter center and the dip gets
     shallower with increasing s0 as the sidebands escape the filter.
     """
-    counts = np.asarray(original_counts, dtype=float)
+    counts = np.fromiter(original_counts, dtype=float)
     drives = [DriveParams(s0, delta, gamma) for delta in detunings]
-    return cascaded_counts(drives, counts, prof, grid_span, grid_step) / counts
+    return cascaded_counts(drives, counts, prof) / counts

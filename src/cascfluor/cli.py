@@ -92,10 +92,7 @@ def _profile_from_args(args) -> cascade.AbsorptionProfile:
 def cmd_cascade(args) -> int:
     prof = _profile_from_args(args)
     params = spectrum.DriveParams(args.s0, args.delta, args.gamma)
-    spec = spectrum.normalize_to_counts(
-        spectrum.sample_spectrum(params), args.counts
-    )
-    casc = cascade.cascaded_count(spec, prof, drive_detuning=args.delta)
+    casc = cascade.cascaded_counts([params], [args.counts], prof)[0]
     out = _out_dir(args)
     write_table(
         out / "cascade.csv",
@@ -128,6 +125,8 @@ def _run_fit(args):
     if args.model == "cascade":
         if not args.original or not args.cascaded:
             raise ValueError("cascade fit needs --original and --cascaded")
+        if args.bootstrap:
+            raise ValueError("--bootstrap applies to single-series fits only")
         original = fit.read_series(args.original)
         cascaded_series = fit.read_series(args.cascaded)
         return fit.fit_cascade(

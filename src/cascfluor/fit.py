@@ -29,12 +29,14 @@ RESIDUAL_RTOL = 1e-10
 GRADIENT_ATOL = 1e-8
 # largest condition number of the normal matrix a Gauss-Newton step may solve
 MAX_CONDITION = 1e14
+# starts of fit_cascade's seeded multi-start
+N_STARTS = 5
 # a later fit_cascade start wins only if it lowers the residual norm by more
 START_TIE_RTOL = 1e-12
-# fit_cascade samples its spectra at gamma / FIT_GRID_PER_GAMMA unless given
-# grid_step; model curves keep sample_spectrum's gamma/100. Against a scipy
-# quad oracle the largest ratio error is 3.4e-9 at gamma/20 (1.4e-10 at
-# gamma/100), far inside the fits' 1e-6 closure, at a fifth of the points.
+# fit_cascade samples its spectra at gamma / FIT_GRID_PER_GAMMA; model
+# curves keep sample_spectrum's gamma/100. Against a scipy quad oracle the
+# largest ratio error is 3.4e-9 at gamma/20 (1.4e-10 at gamma/100), far
+# inside the fits' 1e-6 closure, at a fifth of the points.
 FIT_GRID_PER_GAMMA = 20
 
 
@@ -123,8 +125,9 @@ def least_squares(
         raise DegenerateFitError(
             f"{len(data)} points cannot constrain {n_par} parameters"
         )
-    if bootstrap < 0:
-        raise ValueError(f"bootstrap must be >= 0, got {bootstrap}")
+    if bootstrap < 0 or bootstrap == 1:
+        # one refit has no spread
+        raise ValueError(f"bootstrap must be 0 or >= 2, got {bootstrap}")
     if bounds is None:
         bounds = [(-np.inf, np.inf)] * n_par
     lo, hi = np.array(bounds, dtype=float).T
@@ -366,8 +369,6 @@ def cascade_model_counts(
     alpha: float,
     shift: float = 0.0,
     path_efficiency: float = DEFAULT_PATH_EFFICIENCY,
-    grid_span: float = 10.0,
-    grid_step: float | None = None,
 ):
     """Predicted cascaded counts for a list of drive points.
 
@@ -376,7 +377,7 @@ def cascade_model_counts(
     (cascaded_counts: a few points per sample_stack and filter call).
     """
     prof = AbsorptionProfile(alpha, width, shift, path_efficiency)
-    return cascaded_counts(drives, original_counts, prof, grid_span, grid_step)
+    return cascaded_counts(drives, original_counts, prof)
 
 
 def fit_cascade(
@@ -388,10 +389,7 @@ def fit_cascade(
     fix_width: float | None = None,
     fix_shift: float | None = None,
     fix_efficiency: float | None = None,
-    n_starts: int = 5,
     seed: int = 0,
-    grid_span: float = 10.0,
-    grid_step: float | None = None,
 ) -> FitResult:
     """Fit the absorption filter to a power or detuning scan.
 
@@ -401,12 +399,11 @@ def fit_cascade(
     path_efficiency); each of width, shift and efficiency can be pinned
     with the fix_* arguments (fixed values are reported with sigma 0).
     Residuals are taken on the cascaded counts, weighted by cascaded.y_err
-    when present. A seeded 5-way multi-start guards against local minima.
-    All points' spectra are sampled and normalized once per call, as one
-    sample_stack (one broadcast, no per-point SpectrumGrid), on a grid of
-    step grid_step MHz; every start and iteration filters that stack.
-    grid_step=None means the fit grid
-    gamma / FIT_GRID_PER_GAMMA: coarser than the gamma/100 model grid of
+    when present. A seeded N_STARTS-way multi-start guards against local
+    minima. All points' spectra are sampled and normalized once per call,
+    as one sample_stack (one broadcast, no per-point SpectrumGrid), on the
+    fit grid gamma / FIT_GRID_PER_GAMMA; every start and iteration filters
+    that stack. The fit grid is coarser than the gamma/100 model grid of
     cascade_model_counts and ratio_curve, with ratios within 1e-8 of
     adaptive quadrature.
 
@@ -429,8 +426,7 @@ def fit_cascade(
     else:
         drives = [DriveParams(float(v), 0.0, gamma) for v in original.x]
 
-    step = gamma / FIT_GRID_PER_GAMMA if grid_step is None else grid_step
-    stack = sample_stack(drives, original.y, grid_span, step)
+    stack = sample_stack(drives, original.y, gamma / FIT_GRID_PER_GAMMA)
 
     fixed = {"width": fix_width, "shift": fix_shift, "path_efficiency": fix_efficiency}
     fixed = {k: float(v) for k, v in fixed.items() if v is not None}
@@ -462,8 +458,7 @@ def fit_cascade(
     }
 
     deltas = [d.delta for d in drives]
-    best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed,
-                                 n_starts, seed)
+    best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed)
     unidentified = best is None and "width" in free and len(free) > 1
     if unidentified:
         # with no measurable absorption the width multiplies nothing and the
@@ -471,7 +466,7 @@ def fit_cascade(
         # it as unidentified
         fixed["width"] = float(width0)
         best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full,
-                                     fixed, n_starts, seed)
+                                     fixed, seed)
     if best is None:
         raise DegenerateFitError("; ".join(failures) or "all starts failed")
 
@@ -488,8 +483,8 @@ def fit_cascade(
                      best.iterations)
 
 
-def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, n_starts, seed):
-    """Seeded multi-start least squares of the filter with the `fixed`
+def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed):
+    """Seeded N_STARTS-way least squares of the filter with the `fixed`
     parameters held; returns the best FitResult (None if every start was
     degenerate) and the failure messages."""
     free = [n for n in _CASCADE_PARAMS if n not in fixed]
@@ -508,7 +503,7 @@ def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, n_starts
 
     rng = np.random.default_rng(seed)
     starts = [np.array([init_full[n] for n in free])]
-    for _ in range(n_starts - 1):
+    for _ in range(N_STARTS - 1):
         perturbed = dict(init_full)
         perturbed["width"] = init_full["width"] * rng.uniform(0.5, 2.0)
         perturbed["alpha"] = init_full["alpha"] * rng.uniform(0.6, 1.6)

@@ -52,14 +52,11 @@ class SpectrumGrid:
     grid; the elastic line is kept as a separate scalar weight (a delta
     line at offset zero is never rasterized onto the grid, which keeps
     integrals exact and lets a downstream filter attenuate it analytically).
-    `counts` is None until the grid has been rescaled to a measured photon
-    number via normalize_to_counts.
     """
 
     offsets: np.ndarray
     density: np.ndarray
     elastic_weight: float
-    counts: float | None = None
 
     def __post_init__(self) -> None:
         offsets = np.asarray(self.offsets, dtype=float)
@@ -212,11 +209,12 @@ def mollow_density(omega, p: DriveParams):
 def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[float, int]:
     """Step (MHz) and half-width (in steps) of the uniform sampling grid
     step * arange(-half, half + 1); see sample_spectrum for the rule."""
-    if grid_span < 10.0:
-        raise ValueError(f"grid span must be >= 10 linewidths, got {grid_span}")
+    if not (math.isfinite(grid_span) and grid_span >= 10.0):
+        raise ValueError(f"grid span must be finite and >= 10 linewidths, "
+                         f"got {grid_span}")
     step = gamma / 100.0 if grid_step is None else float(grid_step)
-    if step <= 0:
-        raise ValueError(f"grid step must be > 0, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"grid step must be finite and > 0, got {step}")
     if step > gamma / 10.0:
         raise ValueError(
             f"grid step {step} MHz undersamples the triplet (max {gamma / 10.0} MHz)"
@@ -249,23 +247,18 @@ def normalize_to_counts(spec: SpectrumGrid, n_original: float) -> SpectrumGrid:
     density, elastic = _normalize(spec.offsets, spec.density[None, :].copy(),
                                   np.array([spec.elastic_weight], dtype=float),
                                   np.array([n_original], dtype=float))
-    return SpectrumGrid(spec.offsets, density[0], float(elastic[0]),
-                        counts=float(n_original))
+    return SpectrumGrid(spec.offsets, density[0], float(elastic[0]))
 
 
-def sample_stack(
-    drives,
-    original_counts,
-    grid_span: float = 10.0,
-    grid_step: float | None = None,
-) -> SpectrumStack:
+def sample_stack(drives, original_counts,
+                 grid_step: float | None = None) -> SpectrumStack:
     """Normalized spectra of drives that share one linewidth, as one stack.
 
-    Row i is normalize_to_counts(sample_spectrum(drives[i], grid_span,
-    grid_step), original_counts[i]) bit for bit, with SpectrumGrid's checks
-    run once for the whole stack. The density of every row comes from one
-    broadcast over the omega >= 0 half of the grid, mirrored: the grid is
-    symmetric to the last bit and the density depends on omega only through
+    Row i is normalize_to_counts(sample_spectrum(drives[i], 10.0, grid_step),
+    original_counts[i]) bit for bit, with SpectrumGrid's checks run once
+    for the whole stack. The density of every row comes from one broadcast
+    over the omega >= 0 half of the grid, mirrored: the grid is symmetric
+    to the last bit and the density depends on omega only through
     (omega/gamma)^2.
     """
     counts = np.asarray(original_counts, dtype=float)
@@ -277,7 +270,7 @@ def sample_stack(
     gamma = drives[0].gamma
     if any(p.gamma != gamma for p in drives):
         raise ValueError("the drives of one spectrum stack must share one linewidth")
-    step, half = _grid(gamma, grid_span, grid_step)
+    step, half = _grid(gamma, 10.0, grid_step)
     offsets = step * np.arange(-half, half + 1)
     x = offsets[half:] / gamma
     terms = np.array([_mollow_terms(p) for p in drives])

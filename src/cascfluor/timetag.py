@@ -82,6 +82,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.ratio_model <= 1.0:
             raise ValueError(f"ratio_model must be in [0, 1], got {self.ratio_model}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,10 @@ import pytest
 import cascfluor.cascade
 from cascfluor.cascade import (
     AbsorptionProfile,
-    UnnormalizedSpectrumError,
-    cascaded_count,
     cascaded_counts,
     filtered_counts,
     lorentzian_profile,
     ratio_curve,
-    stack_spectra,
     transmission,
 )
 from cascfluor.fit import FIT_GRID_PER_GAMMA
@@ -24,8 +21,10 @@ from cascfluor.spectrum import (
     NormalizationError,
     normalize_to_counts,
     sample_spectrum,
+    sample_stack,
 )
 from fd_oracle import DEFAULT_FD_STEP, _jacobian
+from pointwise import one_point_count, stack_of
 
 GAMMA = DEFAULT_GAMMA_MHZ
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)
@@ -100,34 +99,30 @@ class TestCascadedCount:
     def test_identity_filter(self):
         spec = normalized_spectrum(0.4)
         prof = AbsorptionProfile(alpha=0.0, width=6.7, path_efficiency=1.0)
-        assert cascaded_count(spec, prof) == pytest.approx(1000.0, rel=1e-9)
+        assert one_point_count(spec, prof) == pytest.approx(1000.0, rel=1e-9)
 
     def test_off_resonant_drive_escapes_filter(self):
         spec = normalized_spectrum(0.4, delta=30.0)
-        got = cascaded_count(spec, FITTED, drive_detuning=30.0)
+        got = one_point_count(spec, FITTED, drive_detuning=30.0)
         assert got == pytest.approx(0.9 * 1000.0, abs=0.03 * 1000.0)
 
     def test_resonant_drive_absorbed_more(self):
-        resonant = cascaded_count(normalized_spectrum(0.4), FITTED)
-        detuned = cascaded_count(
+        resonant = one_point_count(normalized_spectrum(0.4), FITTED)
+        detuned = one_point_count(
             normalized_spectrum(0.4, delta=30.0), FITTED, drive_detuning=30.0
         )
         assert resonant < detuned
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(UnnormalizedSpectrumError):
-            cascaded_count(sample_spectrum(DriveParams(0.4)), FITTED)
-
     @pytest.mark.parametrize("s0", [0.25, 1.0, 4.0])
     def test_bounded_by_path_efficiency(self, s0):
         spec = normalized_spectrum(s0)
-        got = cascaded_count(spec, FITTED)
+        got = one_point_count(spec, FITTED)
         assert 0.0 < got < FITTED.path_efficiency * 1000.0
 
     def test_strictly_decreasing_in_alpha(self):
         spec = normalized_spectrum(1.0)
         counts = [
-            cascaded_count(
+            one_point_count(
                 spec, AbsorptionProfile(alpha=a, width=6.7, path_efficiency=0.9)
             )
             for a in [0.0, 0.2, 0.5, 0.85, 1.5, 3.0]
@@ -139,7 +134,7 @@ class TestCascadedCount:
         spec = normalized_spectrum(2.0)
         prof = AbsorptionProfile(alpha=0.85, width=0.05, path_efficiency=1.0)
         expected = spec.total_weight() - spec.elastic_weight * (1 - math.exp(-0.85))
-        got = cascaded_count(spec, prof)
+        got = one_point_count(spec, prof)
         # residual nibble on the density scales with width * peak density
         slack = float(spec.density.max()) * prof.width * 3
         assert got == pytest.approx(expected, abs=slack)
@@ -151,7 +146,7 @@ class TestCascadedCounts:
         counts = [700.0, 1000.0, 1300.0]
         got = cascaded_counts(drives, counts, FITTED)
         expected = [
-            cascaded_count(normalized_spectrum(d.s0, d.delta, n), FITTED, d.delta)
+            one_point_count(normalized_spectrum(d.s0, d.delta, n), FITTED, d.delta)
             for d, n in zip(drives, counts)
         ]
         assert isinstance(got, np.ndarray)
@@ -164,8 +159,8 @@ class TestCascadedCounts:
         drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(6)]
                   + [DriveParams(2.5, d, 6.0) for d in (-3.0, 0.0, 3.0)])
         counts = np.linspace(500.0, 1300.0, len(drives))
-        expected = [cascaded_count(normalize_to_counts(sample_spectrum(d), n), FITTED, d.delta)
-                    for d, n in zip(drives, counts)]
+        expected = [one_point_count(normalize_to_counts(sample_spectrum(d), n), FITTED,
+                                    d.delta) for d, n in zip(drives, counts)]
         rows = []
         kernel = cascfluor.cascade.filtered_counts
 
@@ -214,6 +209,10 @@ class TestCascadedCountsBoundaries:
         got = cascaded_counts((d for d in self.DRIVES),
                               (n for n in (700.0, 1000.0, 1300.0)), FITTED)
         np.testing.assert_array_equal(got, expected)
+        expected = ratio_curve([-3.0, 0.0, 3.0], 0.4, FITTED, [700.0, 1000.0, 1300.0])
+        got = ratio_curve((d for d in (-3.0, 0.0, 3.0)), 0.4, FITTED,
+                          (n for n in (700.0, 1000.0, 1300.0)))
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestFilteredCounts:
@@ -261,12 +260,12 @@ class TestFilteredCounts:
             old = float(np.trapezoid(spec.density * transmission(spec.offsets, prof, delta),
                                      spec.offsets)
                         + spec.elastic_weight * transmission(0.0, prof, delta))
-            assert cascaded_count(spec, prof, delta) == old
+            assert one_point_count(spec, prof, delta) == old
 
     def assert_gradient_matches_central_differences(self, specs, deltas, theta,
                                                     columns=slice(None)):
         prof = AbsorptionProfile(theta[1], theta[0], theta[2], theta[3])
-        stack = stack_spectra(specs)
+        stack = stack_of(specs)
         counts, jac = filtered_counts(stack, deltas, prof, gradient=True)
         np.testing.assert_array_equal(counts, filtered_counts(stack, deltas, prof))
         unbounded = (np.full(4, -np.inf), np.full(4, np.inf))
@@ -307,14 +306,14 @@ class TestFilteredCounts:
         deltas = [0.0] * len(specs)
         jac = self.assert_gradient_matches_central_differences(specs, deltas, theta,
                                                                [0, 1, 3])
-        _, full = filtered_counts(stack_spectra(specs), deltas,
+        _, full = filtered_counts(stack_of(specs), deltas,
                                   AbsorptionProfile(theta[1], theta[0], theta[2], theta[3]),
                                   gradient=True)
         assert np.all(np.abs(full[:, 2]) <= 1e-15 * np.abs(jac).max())
 
     def test_no_absorption_leaves_width_and_shift_unidentified(self):
         width, alpha, shift, eff = self.FILTERS["no_absorption"]
-        _, jac = filtered_counts(stack_spectra(self.spectra(0.4)), self.DELTAS,
+        _, jac = filtered_counts(stack_of(self.spectra(0.4)), self.DELTAS,
                                  AbsorptionProfile(alpha, width, shift, eff), gradient=True)
         assert np.all(jac[:, [0, 2]] == 0.0)
         assert np.all(jac[:, 1] < 0.0)
@@ -327,40 +326,27 @@ class TestFilteredCounts:
         width, alpha, shift, eff = self.FILTERS[name]
         prof = AbsorptionProfile(alpha, width, shift, eff)
         specs = self.spectra(s0, self.STEPS[step])
-        expected = [cascaded_count(s, prof, d) for s, d in zip(specs, self.DELTAS)]
-        got = filtered_counts(stack_spectra(specs), self.DELTAS, prof)
+        expected = [one_point_count(s, prof, d) for s, d in zip(specs, self.DELTAS)]
+        got = filtered_counts(stack_of(specs), self.DELTAS, prof)
         np.testing.assert_array_equal(got, expected)
 
     def test_each_count_is_cascaded_count(self):
         specs = self.spectra(2.5)
-        expected = [cascaded_count(s, FITTED, d) for s, d in zip(specs, self.DELTAS)]
+        expected = [one_point_count(s, FITTED, d) for s, d in zip(specs, self.DELTAS)]
         np.testing.assert_array_equal(
-            filtered_counts(stack_spectra(specs), self.DELTAS, FITTED), expected)
+            filtered_counts(stack_of(specs), self.DELTAS, FITTED), expected)
 
     def test_stack_holds_the_spectra_as_rows(self):
         specs = self.spectra(2.5)
-        stack = stack_spectra(specs)
-        assert stack.offsets is specs[0].offsets
+        stack = sample_stack([DriveParams(2.5, d) for d in self.DELTAS], [1e3] * len(specs))
+        np.testing.assert_array_equal(stack.offsets, specs[0].offsets)
         assert stack.density.shape == (len(specs), len(specs[0].offsets))
         np.testing.assert_array_equal(stack.density[3], specs[3].density)
         np.testing.assert_array_equal(stack.elastic, [s.elastic_weight for s in specs])
 
-    def test_unnormalized_rejected(self):
-        specs = [normalized_spectrum(0.4), sample_spectrum(DriveParams(0.4, 3.0))]
-        with pytest.raises(UnnormalizedSpectrumError):
-            stack_spectra(specs)
-
-    def test_grids_must_match(self):
-        fine = normalized_spectrum(0.4)
-        coarse = normalize_to_counts(sample_spectrum(DriveParams(0.4), grid_step=0.104), 1e3)
-        wide = normalize_to_counts(sample_spectrum(DriveParams(0.4, 0.0, 6.0)), 1e3)
-        for other in (coarse, wide):
-            with pytest.raises(ValueError, match="grid"):
-                stack_spectra([fine, other])
-
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="detunings"):
-            filtered_counts(stack_spectra(self.spectra(0.4)), self.DELTAS[:-1], FITTED)
+            filtered_counts(stack_of(self.spectra(0.4)), self.DELTAS[:-1], FITTED)
 
 
 def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):
@@ -398,7 +384,7 @@ class TestFitGridAccuracy:
     def test_fit_grid_ratio_within_1e_8_of_quadrature(self, s0):
         deltas = TestFilteredCounts.DELTAS
         step = GAMMA / FIT_GRID_PER_GAMMA
-        stack = stack_spectra([
+        stack = stack_of([
             normalize_to_counts(sample_spectrum(DriveParams(s0, d), grid_step=step), 1.0)
             for d in deltas])
         for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6)):

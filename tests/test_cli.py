@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cascfluor.cascade import AbsorptionProfile, cascaded_count
+from cascfluor.cascade import AbsorptionProfile
 from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
 from cascfluor.fit import DataSeries, lorentzian, read_report_csv, read_series, write_series
 from cascfluor.spectrum import DriveParams, normalize_to_counts, sample_spectrum
 from cascfluor.timetag import RunConfig, read_timetags, write_config
+from pointwise import one_point_count
 
 
 def run(args):
@@ -163,12 +164,14 @@ class TestFitCommand:
         assert run(["fit", "lorentzian", "--data", tmp_path / "flat.csv",
                     "--out", tmp_path]) == 4
 
-    def test_negative_bootstrap_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("bootstrap", [-3, 1])
+    def test_negative_bootstrap_is_usage_error(self, tmp_path, bootstrap):
+        # a single refit would give NaN sigmas, which read_report_csv refuses
         x = np.linspace(-30, 30, 61)
         write_series(tmp_path / "line.csv",
                      DataSeries(x, lorentzian(x, 1.0, 16.0, 2.0, 0.1)))
         assert run(["fit", "lorentzian", "--data", tmp_path / "line.csv",
-                    "--bootstrap", -3, "--out", tmp_path]) == 2
+                    "--bootstrap", bootstrap, "--out", tmp_path]) == 2
         assert not (tmp_path / "fit_report.csv").exists()
 
     def test_outputs_only_the_report_table(self, tmp_path):
@@ -209,6 +212,18 @@ class TestFitCommand:
         report = read_report_csv(tmp_path / "fit_report.csv")
         assert report.params["width"] == pytest.approx(6.7, rel=1e-4)
         assert report.params["alpha"] == pytest.approx(0.85, rel=1e-4)
+
+    def test_cascade_fit_bootstrap_is_usage_error(self, tmp_path, capsys):
+        # the cascade fit has no bootstrap; the flag is refused, not ignored
+        x = np.linspace(0.5, 4.0, 6)
+        write_series(tmp_path / "orig.csv", DataSeries(x, np.full(6, 1000.0)))
+        write_series(tmp_path / "casc.csv", DataSeries(x, np.full(6, 600.0)))
+        out = tmp_path / "out"
+        assert run(["fit", "cascade", "--original", tmp_path / "orig.csv",
+                    "--cascaded", tmp_path / "casc.csv", "--bootstrap", 20,
+                    "--out", out]) == 2
+        assert "bootstrap" in capsys.readouterr().err
+        assert not (out / "fit_report.csv").exists()
 
 
 class TestReproduce:
@@ -261,13 +276,25 @@ class TestReproduce:
 
 class TestModelColumnsArePointwise:
     """The model columns the CLI writes, bit for bit against the per-point
-    path cascaded_count(normalize_to_counts(sample_spectrum(drive), n)).
-    Arrays, not digests: a digest would pin one CPU's last bit of exp."""
+    path: normalize_to_counts(sample_spectrum(drive), n), filtered as a
+    one-row stack. Arrays, not digests: a digest would pin one CPU's last
+    bit of exp."""
 
     @staticmethod
     def pointwise(drives, counts, prof=REFERENCE_FILTER):
-        return np.array([cascaded_count(normalize_to_counts(sample_spectrum(d), n), prof,
-                                        d.delta) for d, n in zip(drives, counts)])
+        return np.array([one_point_count(normalize_to_counts(sample_spectrum(d), n), prof,
+                                         d.delta) for d, n in zip(drives, counts)])
+
+    @pytest.mark.parametrize("s0, delta, gamma, counts",
+                             [(0.05, -30.0, 5.2, 1.0), (2.5, 3.0, 6.0, 1000.0),
+                              (8.0, 0.0, 5.2, 1000.0)])
+    def test_cascade_command(self, tmp_path, s0, delta, gamma, counts):
+        assert run(["cascade", "--s0", s0, "--delta", delta, "--gamma", gamma,
+                    "--counts", counts, "--out", tmp_path]) == 0
+        _, cols = read_table(tmp_path / "cascade.csv")
+        expected = self.pointwise([DriveParams(s0, delta, gamma)], [counts])
+        np.testing.assert_array_equal(cols["cascaded"], expected)
+        np.testing.assert_array_equal(cols["ratio"], expected / counts)
 
     @pytest.mark.parametrize("scan, s0", [("detuning", 2.5), ("power", None)])
     def test_ratio_command(self, tmp_path, scan, s0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cascfluor.fit
-from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve, stack_spectra
+from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve
 from cascfluor.fit import (
     DataParseError,
     DataSeries,
@@ -34,7 +34,7 @@ from cascfluor.fit import (
     _saturation_jac,
 )
 from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
-                                normalize_to_counts, sample_spectrum)
+                                sample_stack)
 from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
 
 
@@ -241,6 +241,13 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="bootstrap"):
             least_squares(lambda x, th: th[0] * x + th[1], DataSeries(x, 2.0 * x + 1.0),
                           [1.0, 0.0], bootstrap=-3, jac=line_design)
+
+    def test_single_bootstrap_refit_is_an_error(self):
+        # one refit has no spread: its sigmas would be NaN
+        x = np.linspace(0.0, 5.0, 6)
+        with pytest.raises(ValueError, match="bootstrap"):
+            least_squares(lambda x, th: th[0] * x + th[1], DataSeries(x, 2.0 * x + 1.0),
+                          [1.0, 0.0], bootstrap=1, jac=line_design)
 
     def test_overflowing_residual_sum_is_an_error(self):
         # finite data whose sum of squares overflows give no fit, and no
@@ -530,12 +537,13 @@ class TestFitCascade:
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("figure", FIGURE_FITS)
-    def test_fit_grid_agrees_with_model_grid(self, figure, seed):
+    def test_fit_grid_agrees_with_model_grid(self, monkeypatch, figure, seed):
         # the default fit grid moves a refit by far less than its sigma
         points, kwargs = self.FIGURE_FITS[figure]
         original, cascaded = points(seed)
         coarse = fit_cascade(original, cascaded, **kwargs)
-        fine = fit_cascade(original, cascaded, grid_step=DEFAULT_GAMMA_MHZ / 100, **kwargs)
+        monkeypatch.setattr(cascfluor.fit, "FIT_GRID_PER_GAMMA", 100)
+        fine = fit_cascade(original, cascaded, **kwargs)
         assert coarse.params == pytest.approx(fine.params, rel=1e-6)
         assert (coarse.converged, coarse.iterations) == (fine.converged, fine.iterations)
 
@@ -557,8 +565,9 @@ class TestFitCascade:
                 calls[_key] += 1
                 return _real(*args, **kw)
             monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(cascfluor.fit, "N_STARTS", n_starts)
         res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
-                          fix_efficiency=0.9, n_starts=n_starts)
+                          fix_efficiency=0.9)
         assert res.converged
         assert calls == {"fit.sample_stack": 1, "fit.sample_spectrum": 0,
                          "spectrum.sample_spectrum": 0, "spectrum.normalize_to_counts": 0}
@@ -616,8 +625,7 @@ class TestFitCascade:
 
         ref = optimize.least_squares(residuals, start, jac="3-point", bounds=(lo, hi),
                                      xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-        stack = stack_spectra([normalize_to_counts(sample_spectrum(d), n)
-                               for d, n in zip(drives, original.y)])
+        stack = sample_stack(drives, original.y)
 
         def profile(th):
             return AbsorptionProfile(th[1], th[0], th[2], 0.9)

@@ -50,3 +50,17 @@ def test_only_the_table_codec_and_timetag_open_files():
                         and func.attr in ("open", "read_text", "write_text"))):
                 openers.add(name)
     assert openers == {"table.py", "timetag.py"}
+
+
+def test_only_spectrum_takes_grid_parameters():
+    # the cascade model and the fits sample on fixed grids; only the
+    # spectrum module (and so `cascfluor spectrum --span/--step`) sets one
+    takers = []
+    for name, tree in _parsed_sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                takers += [f"{name}:{node.name}({a.arg})" for a in params
+                           if a.arg in ("grid_span", "grid_step")]
+    assert takers and all(t.startswith("spectrum.py:") for t in takers), takers

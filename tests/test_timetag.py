@@ -56,6 +56,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would refuse it only when a run is simulated
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-3)
+
     def test_delay_consistency_with_fiber_length(self):
         # 2 x 32 m of fiber at group index 1.47 is a 313.8 ns round trip,
         # within two ticks of the configured delay
@@ -339,4 +344,10 @@ class TestFileFormats:
         path = tmp_path / "run.cfg"
         path.write_text("background_rate = nan\n")
         with pytest.raises(ParseError, match="background_rate"):
+            read_config(path)
+
+    def test_config_negative_seed(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -3\n")
+        with pytest.raises(ParseError, match="run.cfg: seed must be >= 0"):
             read_config(path)
