@@ -48,7 +48,6 @@ from .timetag import (
     write_timetags,
 )
 from .fit import (
-    DataParseError,
     DataSeries,
     DegenerateFitError,
     FitResult,

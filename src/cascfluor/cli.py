@@ -47,17 +47,14 @@ def cmd_simulate(args) -> int:
     cfg = timetag.read_config(args.config) if args.config else timetag.RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = _out_dir(args)
     tags = np.concatenate([timetag.simulate_run(cfg, run_id) for run_id in range(cfg.runs)])
-    timetag.write_timetags(out / "timetags.csv", tags)
     bin_ns = args.bin if args.bin is not None else cfg.tick
     hist = timetag.histogram(tags, bin_ns, cfg)
-    write_table(
-        out / "histogram.csv",
-        {"bin_start_ns": hist.bin_starts, "count": hist.counts},
-        meta={"bin_ns": hist.bin_ns, "period_ns": hist.period_ns},
-    )
     original, cascaded_n = timetag.window_counts(hist, cfg)
+    out = _out_dir(args)
+    timetag.write_timetags(out / "timetags.csv", tags)
+    write_table(out / "histogram.csv", {"bin_start_ns": hist.bin_starts, "count": hist.counts},
+                meta={"bin_ns": hist.bin_ns, "period_ns": hist.period_ns})
     ratio = cascaded_n / original if original else math.nan
     print(f"runs: {cfg.runs}  photons: {len(tags)}")
     print(f"original window: {original}  cascaded window: {cascaded_n}  "
@@ -105,6 +102,8 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     prof = _profile_from_args(args)
     grid = np.linspace(args.start, args.stop, args.points)
     if args.scan == "detuning":

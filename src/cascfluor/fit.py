@@ -12,7 +12,6 @@ matrix.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_count
 from .spectrum import DEFAULT_GAMMA_MHZ, DriveParams, sample_stack
 # perfbench's tracer test checks that fit binds spectrum's sample_spectrum
 from .spectrum import sample_spectrum  # noqa: F401
-from .table import ParseError, parse_float, read_rows, read_table, write_rows, write_table
+from .table import ParseError, parse_field, read_rows, read_table, write_rows, write_table
 
 MAX_ITERATIONS = 500
 RESIDUAL_RTOL = 1e-10
@@ -42,10 +41,6 @@ FIT_GRID_PER_GAMMA = 20
 
 class DegenerateFitError(RuntimeError):
     """The least-squares problem is underdetermined or singular."""
-
-
-# the table module's error, under the name this module has always raised
-DataParseError = ParseError
 
 
 @dataclass(frozen=True)
@@ -605,11 +600,11 @@ def read_series(path) -> DataSeries:
     """Read a data series table with header x,y or x,y,yerr."""
     _, columns = read_table(path, ("x,y", "x,y,yerr"))
     if not len(columns["x"]):
-        raise DataParseError(f"{path}: no data rows")
+        raise ParseError(f"{path}: no data rows")
     try:
         return DataSeries(*columns.values())
     except ValueError as exc:
-        raise DataParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_series(path, series: DataSeries) -> None:
@@ -641,23 +636,22 @@ def read_report_csv(path) -> FitResult:
     sigmas: dict[str, float] = {}
     for lineno, (name, value, sigma) in read_rows(path, ("name,value,sigma",))[2]:
         if not name or name in values:
-            raise DataParseError(f"{path}:{lineno}: empty or repeated name '{name}'")
+            raise ParseError(f"{path}:{lineno}: empty or repeated name '{name}'")
         if name in ("converged", "iterations"):
-            pattern = "[01]" if name == "converged" else "[0-9]+"
-            ok = not sigma and re.fullmatch(pattern, value)
-            number = int(value) if ok else 0
+            number = int(parse_field(value, path, lineno, np.int64))
+            ok = not sigma and number >= 0 and (name == "iterations" or number <= 1)
         elif name == "residual_norm":
-            number = parse_float(value, path, lineno)
+            number = parse_field(value, path, lineno)
             ok = not sigma and number >= 0
         else:
-            number = parse_float(value, path, lineno)
-            sigmas[name] = parse_float(sigma, path, lineno, allow_inf=True)
+            number = parse_field(value, path, lineno)
+            sigmas[name] = parse_field(sigma, path, lineno, allow_inf=True)
             ok = sigmas[name] >= 0
         if not ok:
-            raise DataParseError(f"{path}:{lineno}: out of range: '{name},{value},{sigma}'")
+            raise ParseError(f"{path}:{lineno}: out of range: '{name},{value},{sigma}'")
         values[name] = number
     for key in ("residual_norm", "converged", "iterations"):
         if key not in values:
-            raise DataParseError(f"{path}: missing '{key}' row")
+            raise ParseError(f"{path}: missing '{key}' row")
     return FitResult({n: values[n] for n in sigmas}, sigmas, values["residual_norm"],
                      bool(values["converged"]), values["iterations"])

@@ -11,14 +11,12 @@ estimation, and plain-text I/O for time tags and run configuration.
 from __future__ import annotations
 
 import math
-import re
 import typing
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .table import ParseError
+from .table import ParseError, read_records, write_table
 
 # Cs excited-state lifetime; sets the exponential emission lag after a
 # pulse and the decay tail of each histogram peak.
@@ -27,10 +25,6 @@ CS_LIFETIME_NS = 30.4
 TIMETAG_HEADER = "run_id,arrival_ns"
 # One row per detected photon; arrival is in ns since run start.
 TIMETAG_DTYPE = np.dtype([("run_id", np.int64), ("arrival", np.int64)])
-# Rows formatted per write, so the text held at once stays under 1 MB.
-_WRITE_BLOCK_ROWS = 8192
-# An integer field as np.loadtxt parses it: a sign and ASCII digits only.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -245,57 +239,22 @@ def count_rate(tags: np.ndarray, cfg: RunConfig) -> float:
 
 
 def write_timetags(path, tags: np.ndarray) -> None:
-    """Write time tags as CSV with header run_id,arrival_ns."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(TIMETAG_HEADER + "\n")
-        for start in range(0, len(tags), _WRITE_BLOCK_ROWS):
-            block = tags[start:start + _WRITE_BLOCK_ROWS]
-            pairs = np.column_stack((block["run_id"], block["arrival"])).ravel().tolist()
-            f.write(("%d,%d\n" * len(block)) % tuple(pairs))
+    """Write time tags as a table of integers with header run_id,arrival_ns."""
+    write_table(path, {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
 
 
 def read_timetags(path) -> np.ndarray:
     """Read time tags written by write_timetags into a TIMETAG_DTYPE array."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != TIMETAG_HEADER:
-            raise ParseError(f"{path}:1: expected header '{TIMETAG_HEADER}', got '{header}'")
-        start = f.tell()
-        # loadtxt warns on input without rows; a header-only file is valid
-        if all(line == "\n" for line in f):
-            return np.empty(0, TIMETAG_DTYPE)
-        f.seek(start)
-        try:
-            # older numpy reads "5.5" as int64 5 with only a DeprecationWarning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                return np.loadtxt(f, delimiter=",", dtype=TIMETAG_DTYPE, comments=None, ndmin=1)
-        except ValueError as exc:
-            f.seek(start)  # find the first row loadtxt rejects, to name its line
-            for lineno, line in enumerate(f, start=2):
-                parts = line.rstrip("\n").split(",")
-                if parts == [""]:
-                    continue
-                try:
-                    if len(parts) != 2:
-                        raise ValueError(f"expected 2 fields, got {len(parts)}")
-                    for part in map(str.strip, parts):
-                        if not _INTEGER.fullmatch(part):
-                            raise ValueError(f"not an integer: '{part}'")
-                        np.int64(part)  # OverflowError beyond int64
-                except (ValueError, OverflowError) as err:
-                    raise ParseError(f"{path}:{lineno}: {err}") from exc
-            raise ParseError(f"{path}: {exc}") from exc
-
-
-def _field_types() -> dict[str, type]:
-    hints = typing.get_type_hints(RunConfig)
-    return {f.name: hints[f.name] for f in fields(RunConfig)}
+    meta, rows = read_records(path, (TIMETAG_HEADER,), np.int64)
+    if meta:
+        raise ParseError(f"{path}:1: time tags take no metadata lines")
+    return rows.view(TIMETAG_DTYPE)
 
 
 def read_config(path) -> RunConfig:
     """Read a key = value config file mirroring RunConfig field names."""
-    types = _field_types()
+    hints = typing.get_type_hints(RunConfig)
+    types = {f.name: hints[f.name] for f in fields(RunConfig)}
     values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -305,8 +264,8 @@ def read_config(path) -> RunConfig:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
             key, _, value = (s.strip() for s in line.partition("="))
-            if key not in types:
-                raise ParseError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key not in types or key in values:
+                raise ParseError(f"{path}:{lineno}: unknown or repeated config key '{key}'")
             try:
                 values[key] = types[key](value)
             except ValueError as exc:

@@ -88,6 +88,17 @@ class TestSimulate:
         cfg_path = self.small_config(tmp_path)
         assert run(["simulate", "--config", cfg_path, "--out", tmp_path, "--bin", 0]) == 2
 
+    @pytest.mark.parametrize("args, overrides", [
+        pytest.param(["--bin", 7], {}, id="bin_not_a_tick_multiple"),
+        pytest.param([], {"delay": 450, "window": 180}, id="window_wraps_the_period"),
+    ])
+    def test_failure_writes_nothing(self, tmp_path, args, overrides):
+        cfg_path = self.small_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["simulate", "--config", cfg_path, "--out", out] + args) == 2
+        assert not any(out.iterdir())
+
     def test_bad_config_nonzero_exit(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("pulse_length = about_a_hundred\n")
@@ -129,6 +140,11 @@ class TestRatioCommand:
         ]) == 0
         _, cols = read_table(tmp_path / "ratio.csv")
         assert cols["delta_mhz"][int(np.argmin(cols["ratio"]))] == pytest.approx(2.0)
+
+    def test_zero_points_is_usage_error(self, tmp_path, capsys):
+        assert run(["ratio", "--points", 0, "--out", tmp_path]) == 2
+        assert "--points" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_power_scan_monotone(self, tmp_path):
         assert run([

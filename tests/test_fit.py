@@ -8,7 +8,6 @@ import pytest
 import cascfluor.fit
 from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve
 from cascfluor.fit import (
-    DataParseError,
     DataSeries,
     DegenerateFitError,
     FitResult,
@@ -35,6 +34,7 @@ from cascfluor.fit import (
 )
 from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
                                 sample_stack)
+from cascfluor.table import ParseError
 from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
 
 
@@ -788,13 +788,13 @@ class TestFileFormats:
     def test_series_bad_header(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataParseError, match=":1:"):
+        with pytest.raises(ParseError, match=":1:"):
             read_series(path)
 
     def test_series_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("x,y\n1,2\n3,oops\n")
-        with pytest.raises(DataParseError, match=":3:"):
+        with pytest.raises(ParseError, match=":3:"):
             read_series(path)
 
     @pytest.mark.parametrize("text, lineno", [
@@ -805,7 +805,7 @@ class TestFileFormats:
     def test_series_non_finite_reports_line(self, tmp_path, text, lineno):
         path = tmp_path / "series.csv"
         path.write_text(text)
-        with pytest.raises(DataParseError, match=f":{lineno}:"):
+        with pytest.raises(ParseError, match=f":{lineno}:"):
             read_series(path)
 
     def test_report_roundtrip(self, tmp_path):
@@ -838,7 +838,7 @@ class TestFileFormats:
         rows[lineno - 2] = row
         path = tmp_path / "report.csv"
         path.write_text("name,value,sigma\n" + "\n".join(rows) + "\n")
-        with pytest.raises(DataParseError, match=f":{lineno}: non-finite"):
+        with pytest.raises(ParseError, match=f":{lineno}: non-finite"):
             read_report_csv(path)
 
     @pytest.mark.parametrize("rows, lineno", [
@@ -862,11 +862,11 @@ class TestFileFormats:
         base = ["width,6.7,0.1", "residual_norm,0.5,", "converged,1,", "iterations,3,"]
         path = tmp_path / "report.csv"
         path.write_text("name,value,sigma\n" + "\n".join(rows + base[len(rows):]) + "\n")
-        with pytest.raises(DataParseError, match=f":{lineno}: "):
+        with pytest.raises(ParseError, match=f":{lineno}: "):
             read_report_csv(path)
 
     def test_report_missing_bookkeeping_row(self, tmp_path):
         path = tmp_path / "report.csv"
         path.write_text("name,value,sigma\nwidth,6.7,0.1\nresidual_norm,0.5,\nconverged,1,\n")
-        with pytest.raises(DataParseError, match="missing 'iterations'"):
+        with pytest.raises(ParseError, match="missing 'iterations'"):
             read_report_csv(path)

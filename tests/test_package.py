@@ -52,6 +52,12 @@ def test_only_the_table_codec_and_timetag_open_files():
     assert openers == {"table.py", "timetag.py"}
 
 
+def test_only_the_table_codec_parses_rows_in_bulk():
+    callers = {name for name, tree in _parsed_sources().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in ("loadtxt", "genfromtxt")}
+    assert callers == {"table.py"}
+
+
 def test_only_spectrum_takes_grid_parameters():
     # the cascade model and the fits sample on fixed grids; only the
     # spectrum module (and so `cascfluor spectrum --span/--step`) sets one

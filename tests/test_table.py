@@ -10,15 +10,78 @@ import cascfluor.timetag
 from cascfluor.cli import main
 from cascfluor.fit import (DataSeries, lorentzian, read_report_csv, read_series,
                            write_report_csv, write_series)
-from cascfluor.table import ParseError, read_table, write_table
-from cascfluor.timetag import RunConfig, write_config
+from cascfluor.table import (_WRITE_BLOCK_ROWS, ParseError, read_records, read_table,
+                             write_table)
+from cascfluor.timetag import RunConfig, read_timetags, write_config
 
 
-def test_one_error_type_and_one_reader():
+def test_one_error_type_and_one_codec():
     assert cascfluor.timetag.ParseError is ParseError
-    assert cascfluor.fit.DataParseError is ParseError
+    assert cascfluor.fit.ParseError is ParseError
+    assert not hasattr(cascfluor.fit, "DataParseError")
     assert cascfluor.cli.read_table is read_table
     assert cascfluor.cli.write_table is write_table
+    assert cascfluor.timetag.read_records is read_records
+    assert cascfluor.timetag.write_table is write_table
+
+
+# Line 3 of a float table, a time-tag file and a fit report holds the field,
+# or is a whitespace-only row: (field, read as a float, read as an int64).
+FIELDS = [
+    pytest.param("1_000", False, False, id="digit_separator"),
+    pytest.param("\u0663", False, False, id="non_ascii_digit"),
+    pytest.param("5\x1c", True, True, id="trailing_unit_separator"),
+    pytest.param("\xa05", True, True, id="leading_no_break_space"),
+    pytest.param(" 5", True, True, id="leading_space"),
+    pytest.param("+5", True, True, id="plus_sign"),
+    pytest.param("9" * 20, True, False, id="beyond_int64"),
+    pytest.param("nan", False, False, id="nan"),
+    pytest.param("inf", False, False, id="inf"),
+    pytest.param(None, False, False, id="whitespace_only_row"),
+]
+
+
+@pytest.mark.parametrize("field, as_float, as_int", FIELDS)
+def test_one_field_rule_for_every_reader(tmp_path, field, as_float, as_int):
+    def row(template):
+        return " \t " if field is None else template.format(field)
+
+    cases = [
+        (read_table, "x,y\n1,2\n" + row("1,{}") + "\n", as_float),
+        (read_timetags, "run_id,arrival_ns\n0,5\n" + row("0,{}") + "\n", as_int),
+        (read_report_csv, "name,value,sigma\na,1,0\n" + row("b,{},0")
+         + "\nresidual_norm,0,\nconverged,1,\niterations,3,\n", as_float),
+    ]
+    path = tmp_path / "data.csv"
+    for reader, text, accepted in cases:
+        path.write_text(text, encoding="utf-8")
+        if not accepted:
+            with pytest.raises(ParseError, match="data.csv:3: "):
+                reader(path)
+            continue
+        reader(path)
+        # a bad last row makes the bulk readers parse field by field, and
+        # that parse must accept line 3 too
+        path.write_text(text + "zzz\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"data.csv:{text.count(chr(10)) + 1}: "):
+            reader(path)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
+                                  _WRITE_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("integer", [True, False], ids=["int", "float"])
+def test_blockwise_write_matches_one_shot(tmp_path, rows, integer):
+    rng = np.random.default_rng(rows)
+    a = rng.integers(0, 120, rows)
+    b = rng.integers(-2**40, 2**40, rows) * (1 if integer else np.pi)
+    path = tmp_path / "table.csv"
+    write_table(path, {"a": a, "b": b})
+    fmt, cast = ("{},{}\n", int) if integer else ("{:.17g},{:.17g}\n", float)
+    assert path.read_text() == "a,b\n" + "".join(
+        fmt.format(cast(x), cast(y)) for x, y in zip(a.tolist(), b.tolist()))
+    if integer:
+        back = read_records(path, dtype=np.int64)[1]
+        assert np.array_equal(back["a"], a) and np.array_equal(back["b"], b)
 
 
 @pytest.mark.parametrize("text, lineno", [

@@ -7,7 +7,6 @@ import pytest
 
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.timetag import (
-    _WRITE_BLOCK_ROWS,
     ParseError,
     TIMETAG_DTYPE,
     RunConfig,
@@ -301,18 +300,11 @@ class TestFileFormats:
         with pytest.raises(ParseError, match=":3:"):
             read_timetags(path)
 
-    @pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
-                                      _WRITE_BLOCK_ROWS + 1])
-    def test_timetag_blockwise_write_matches_one_shot(self, tmp_path, rows):
-        rng = np.random.default_rng(rows)
-        tags = np.empty(rows, TIMETAG_DTYPE)
-        tags["run_id"] = rng.integers(0, 120, rows)
-        tags["arrival"] = rng.integers(-2**40, 2**40, rows)
+    def test_timetag_metadata_rejected_at_line_1(self, tmp_path):
         path = tmp_path / "tags.csv"
-        write_timetags(path, tags)
-        one_shot = "run_id,arrival_ns\n" + ("%d,%d\n" * rows) % tuple(
-            np.column_stack((tags["run_id"], tags["arrival"])).ravel().tolist())
-        assert path.read_bytes() == one_shot.encode("utf-8")
+        path.write_text("# k=1\nrun_id,arrival_ns\n0,5\n")
+        with pytest.raises(ParseError, match=":1: "):
+            read_timetags(path)
 
     def test_config_roundtrip(self, tmp_path):
         cfg = RunConfig(mean_photons_per_pulse=0.35, ratio_model=0.42, seed=99)
@@ -332,6 +324,12 @@ class TestFileFormats:
         path = tmp_path / "run.cfg"
         path.write_text("pulse_len = 100\n")
         with pytest.raises(ParseError, match=":1:"):
+            read_config(path)
+
+    def test_config_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n# again\nseed = 2\n")
+        with pytest.raises(ParseError, match="run.cfg:3: .*'seed'"):
             read_config(path)
 
     def test_config_invalid_value(self, tmp_path):
