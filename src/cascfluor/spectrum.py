@@ -105,10 +105,10 @@ def _check_spectrum(offsets, density, elastic) -> None:
 def _trapezoid(offsets, y):
     """np.trapezoid(y, offsets) along the last axis, for one row or many:
     its arithmetic, so each row comes out bit for bit as it would alone
-    (* 0.5 is its / 2.0 to the last bit)."""
+    (scaling by 0.5 is exact, so one multiply by the half steps is its
+    steps * sums / 2.0 to the last bit)."""
     terms = y[..., 1:] + y[..., :-1]
-    terms *= offsets[1:] - offsets[:-1]
-    terms *= 0.5
+    terms *= (offsets[1:] - offsets[:-1]) * 0.5
     return np.add.reduce(terms, axis=-1)
 
 
@@ -278,6 +278,6 @@ def sample_stack(drives, original_counts,
     density = np.concatenate((right[:, :0:-1], right), axis=1)
     elastic = np.array([elastic_weight(detuned_saturation(p)) for p in drives])
     density, elastic = _normalize(offsets, density, elastic, counts)
-    # a non-finite raw value stays non-finite through the rescaling
-    _check_spectrum(offsets, density, elastic)
+    # rescaling keeps a raw value non-finite; the left half mirrors the right
+    _check_spectrum(offsets, density[:, half:], elastic)
     return SpectrumStack(offsets, density, elastic)

@@ -43,6 +43,22 @@ def parse_field(text: str, path, lineno: int, dtype=float, allow_inf: bool = Fal
     return value
 
 
+@contextlib.contextmanager
+def _open_utf8(path):
+    """Open path as UTF-8 text; bytes that are not raise ParseError at their line."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        # text is decoded in blocks, so the line is found in the raw bytes
+        with open(path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                if line.decode("utf-8", "ignore").encode("utf-8") != line:
+                    raise ParseError(
+                        f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        raise
+
+
 def _read_head(f, path, headers):
     """(meta, columns, header lineno) from the first lines of open file f."""
     meta: dict[str, float] = {}
@@ -72,7 +88,7 @@ def read_rows(path, headers: tuple[str, ...] | None = None):
     """Read a table as (meta, columns, rows): float metadata, the column names
     and a (lineno, stripped fields) pair per row; headers lists valid headers."""
     rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_utf8(path) as f:
         meta, columns, lineno = _read_head(f, path, headers)
         for lineno, line in enumerate(f, start=lineno + 1):
             if line != "\n":
@@ -87,7 +103,7 @@ def read_rows(path, headers: tuple[str, ...] | None = None):
 def read_records(path, headers: tuple[str, ...] | None = None, dtype=float):
     """Read a table of dtype (float or np.int64) as (meta, rows): float
     metadata and a structured array with one field per column."""
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_utf8(path) as f:
         meta, columns, lineno = _read_head(f, path, headers)
     with open(path, "rb") as f:
         # numpy's integer parser misreads, and can crash on, non-ASCII text

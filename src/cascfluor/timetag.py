@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .table import ParseError, read_records, write_table
+from .table import ParseError, _open_utf8, parse_field, read_records, write_table
 
 # Cs excited-state lifetime; sets the exponential emission lag after a
 # pulse and the decay tail of each histogram peak.
@@ -231,11 +231,14 @@ def count_rate(tags: np.ndarray, cfg: RunConfig) -> float:
     counted photon, in counts per microsecond."""
     if len(tags) == 0:
         raise ValueError("count rate is undefined for an empty set of time tags")
-    counted = np.sort(tags["arrival"])[: cfg.cap]
-    last_us = counted[-1] / 1000.0
+    arrival = tags["arrival"]
+    n = min(len(arrival), cfg.cap)
+    # the n-th earliest arrival, without sorting them all
+    last = arrival.max() if n == len(arrival) else np.partition(arrival, n - 1)[n - 1]
+    last_us = last / 1000.0
     if last_us <= 0:
         raise ValueError("count rate is undefined when the last photon is at t = 0")
-    return len(counted) / last_us
+    return n / last_us
 
 
 def write_timetags(path, tags: np.ndarray) -> None:
@@ -252,11 +255,11 @@ def read_timetags(path) -> np.ndarray:
 
 
 def read_config(path) -> RunConfig:
-    """Read a key = value config file mirroring RunConfig field names."""
-    hints = typing.get_type_hints(RunConfig)
-    types = {f.name: hints[f.name] for f in fields(RunConfig)}
+    """Read a key = value config file mirroring RunConfig field names; each
+    value obeys the tables' field rule (table.parse_field)."""
+    types = typing.get_type_hints(RunConfig)
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_utf8(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -266,10 +269,11 @@ def read_config(path) -> RunConfig:
             key, _, value = (s.strip() for s in line.partition("="))
             if key not in types or key in values:
                 raise ParseError(f"{path}:{lineno}: unknown or repeated config key '{key}'")
+            dtype = np.int64 if types[key] is int else float
             try:
-                values[key] = types[key](value)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
+                values[key] = types[key](parse_field(value, path, lineno, dtype))
+            except ParseError as exc:
+                raise ParseError(f"{exc} for '{key}'") from None
     try:
         return RunConfig(**values)
     except ValueError as exc:

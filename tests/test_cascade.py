@@ -24,7 +24,7 @@ from cascfluor.spectrum import (
     sample_stack,
 )
 from fd_oracle import DEFAULT_FD_STEP, _jacobian
-from pointwise import one_point_count, stack_of
+from pointwise import one_point_count, reference_counts, reference_stack, stack_of
 
 GAMMA = DEFAULT_GAMMA_MHZ
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)
@@ -156,7 +156,7 @@ class TestCascadedCounts:
         # at most STACK_VALUES grid values per kernel call, and a new stack
         # where the grid changes (here the linewidth); bit for bit the
         # one-point counts either way
-        drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(6)]
+        drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(10)]
                   + [DriveParams(2.5, d, 6.0) for d in (-3.0, 0.0, 3.0)])
         counts = np.linspace(500.0, 1300.0, len(drives))
         expected = [one_point_count(normalize_to_counts(sample_spectrum(d), n), FITTED,
@@ -170,7 +170,36 @@ class TestCascadedCounts:
 
         monkeypatch.setattr(cascfluor.cascade, "filtered_counts", counted)
         np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
-        assert rows == [4, 2, 3]  # 4 x 2001 <= STACK_VALUES < 5 x 2001
+        assert rows == [8, 2, 3]  # 8 x 2001 <= STACK_VALUES < 9 x 2001
+
+
+class TestInPlaceKernel:
+    """sample_stack and filtered_counts against the reference arithmetic of
+    pointwise.py, which allocates a fresh array for every step."""
+
+    @pytest.mark.parametrize("step", [None, GAMMA / FIT_GRID_PER_GAMMA],
+                             ids=["model_grid", "fit_grid"])
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
+    def test_counts_and_jacobian_bit_for_bit(self, rows, step):
+        rng = np.random.default_rng(rows)
+        drives = [DriveParams(s0, d) for s0, d in
+                  zip(rng.uniform(0.05, 8.0, rows), rng.uniform(-30.0, 30.0, rows))]
+        counts = rng.uniform(1.0, 3000.0, rows)
+        deltas = [d.delta for d in drives]
+        stack, ref = sample_stack(drives, counts, step), reference_stack(drives, counts, step)
+        for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6),
+                     AbsorptionProfile(0.0, 6.7)):
+            value, jac = filtered_counts(stack, deltas, prof, gradient=True)
+            ref_value, ref_jac = reference_counts(ref, deltas, prof, gradient=True)
+            np.testing.assert_array_equal(value, ref_value)
+            np.testing.assert_array_equal(jac, ref_jac)
+            np.testing.assert_array_equal(filtered_counts(stack, deltas, prof), ref_value)
+            if step is None:
+                np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                              ref_value)
+        # and the filter leaves the stack as sampled
+        for got, expected in zip(stack, ref):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestCascadedCountsBoundaries:

@@ -1,6 +1,8 @@
 """Package-level contracts that no single module test covers."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,24 @@ def test_only_spectrum_takes_grid_parameters():
                 takers += [f"{name}:{node.name}({a.arg})" for a in params
                            if a.arg in ("grid_span", "grid_step")]
     assert takers and all(t.startswith("spectrum.py:") for t in takers), takers
+
+
+def test_cli_import_loads_few_modules_and_builds_no_parser():
+    # interpreter start plus this import is the set-up time of every
+    # command, so the import stays as light as it is: no new module besides
+    # numpy's, and the parser is built on first use
+    code = """if True:
+        import sys
+        import numpy
+        before = set(sys.modules)
+        from cascfluor import cli
+        print(" ".join(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
+        print(cli.build_parser.cache_info().currsize)
+    """
+    paths = [str(SOURCE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    loaded = set(out[0].split()) - {"numpy"}
+    assert loaded <= {"argparse", "copy", "dataclasses", "gettext", "__future__", "cascfluor"}
+    assert out[1] == "0"

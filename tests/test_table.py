@@ -12,7 +12,7 @@ from cascfluor.fit import (DataSeries, lorentzian, read_report_csv, read_series,
                            write_report_csv, write_series)
 from cascfluor.table import (_WRITE_BLOCK_ROWS, ParseError, read_records, read_table,
                              write_table)
-from cascfluor.timetag import RunConfig, read_timetags, write_config
+from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
 
 
 def test_one_error_type_and_one_codec():
@@ -25,8 +25,9 @@ def test_one_error_type_and_one_codec():
     assert cascfluor.timetag.write_table is write_table
 
 
-# Line 3 of a float table, a time-tag file and a fit report holds the field,
-# or is a whitespace-only row: (field, read as a float, read as an int64).
+# Line 3 of a float table, a time-tag file, a fit report and a config (an
+# int field) holds the field, or is a whitespace-only row: (field, read as a
+# float, read as an int64).
 FIELDS = [
     pytest.param("1_000", False, False, id="digit_separator"),
     pytest.param("\u0663", False, False, id="non_ascii_digit"),
@@ -51,6 +52,8 @@ def test_one_field_rule_for_every_reader(tmp_path, field, as_float, as_int):
         (read_timetags, "run_id,arrival_ns\n0,5\n" + row("0,{}") + "\n", as_int),
         (read_report_csv, "name,value,sigma\na,1,0\n" + row("b,{},0")
          + "\nresidual_norm,0,\nconverged,1,\niterations,3,\n", as_float),
+        # a config skips a blank line, whitespace only or not
+        (read_config, "runs = 3\n# note\n" + row("seed = {}") + "\n", as_int or field is None),
     ]
     path = tmp_path / "data.csv"
     for reader, text, accepted in cases:
@@ -65,6 +68,26 @@ def test_one_field_rule_for_every_reader(tmp_path, field, as_float, as_int):
         path.write_text(text + "zzz\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"data.csv:{text.count(chr(10)) + 1}: "):
             reader(path)
+
+
+# Byte 0xff, which no UTF-8 text holds, in each kind of line; text is
+# decoded in blocks, so one case puts it past the first block.
+NOT_UTF8 = [
+    pytest.param(read_table, b"x,y\n1,2\n1,\xff3\n", 3, id="data_row"),
+    pytest.param(read_table, b"x,y\n" + b"1,2\n" * 5000 + b"1,\xff\n", 5002, id="late_row"),
+    pytest.param(read_table, b"x,\xffy\n1,2\n", 1, id="header"),
+    pytest.param(read_table, b"# k=1\n# j=\xff2\nx,y\n1,2\n", 2, id="metadata_line"),
+    pytest.param(read_timetags, b"run_id,arrival_ns\n0,5\n0,\xff\n", 3, id="timetag_row"),
+    pytest.param(read_config, b"seed = 1\n# note\nruns = \xff3\n", 3, id="config_line"),
+]
+
+
+@pytest.mark.parametrize("reader, data, lineno", NOT_UTF8)
+def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, reader, data, lineno):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"data.csv:{lineno}: not UTF-8"):
+        reader(path)
 
 
 @pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,

@@ -217,6 +217,17 @@ class TestCountRate:
         extra = np.concatenate([base, run0([10**6, 2 * 10**6])])
         assert count_rate(base, cfg) == count_rate(extra, cfg)
 
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 40], ids=lambda n: f"{n}_tags_cap_10")
+    def test_is_the_sorted_definition(self, n):
+        # the cap-th earliest arrival, found without a full sort; arrivals
+        # drawn from a few values, so they tie
+        cfg = RunConfig(cap=10)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            arrivals = rng.integers(1, 30, n, dtype=np.int64)
+            counted = np.sort(arrivals)[: cfg.cap]
+            assert count_rate(run0(arrivals), cfg) == len(counted) / (counted[-1] / 1000.0)
+
     def test_rate_scales_with_mean(self):
         slow = RunConfig(mean_photons_per_pulse=0.5, seed=14)
         fast = RunConfig(mean_photons_per_pulse=1.0, seed=14)
@@ -317,7 +328,7 @@ class TestFileFormats:
         path.write_text("# protocol tweaks\nmean_photons_per_pulse = 0.5\nseed = 3\n")
         cfg = read_config(path)
         assert cfg.mean_photons_per_pulse == 0.5
-        assert cfg.seed == 3
+        assert cfg.seed == 3 and type(cfg.seed) is int
         assert cfg.pulse_period == 600
 
     def test_config_unknown_key(self, tmp_path):
@@ -330,6 +341,15 @@ class TestFileFormats:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\n# again\nseed = 2\n")
         with pytest.raises(ParseError, match="run.cfg:3: .*'seed'"):
+            read_config(path)
+
+    @pytest.mark.parametrize("line", ["runs = 5.0", "ratio_model = 0,5",
+                                      "mean_photons_per_pulse = inf"])
+    def test_config_value_error_names_line_and_key(self, tmp_path, line):
+        # int and float fields follow the tables' field rule
+        path = tmp_path / "run.cfg"
+        path.write_text("# values\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"run.cfg:2: .* for '{line.split()[0]}'"):
             read_config(path)
 
     def test_config_invalid_value(self, tmp_path):
