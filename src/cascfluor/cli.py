@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
 from pathlib import Path
@@ -300,9 +299,7 @@ def _add_profile_args(parser) -> None:
                         default=REFERENCE_FILTER.path_efficiency)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once: a parse leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="cascfluor",
         description="Cascaded resonance fluorescence: simulate, model, fit.",

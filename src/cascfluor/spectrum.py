@@ -105,10 +105,10 @@ def _check_spectrum(offsets, density, elastic) -> None:
 def _trapezoid(offsets, y):
     """np.trapezoid(y, offsets) along the last axis, for one row or many:
     its arithmetic, so each row comes out bit for bit as it would alone
-    (scaling by 0.5 is exact, so one multiply by the half steps is its
-    steps * sums / 2.0 to the last bit)."""
+    (* 0.5 is its / 2.0 to the last bit)."""
     terms = y[..., 1:] + y[..., :-1]
-    terms *= (offsets[1:] - offsets[:-1]) * 0.5
+    terms *= offsets[1:] - offsets[:-1]
+    terms *= 0.5
     return np.add.reduce(terms, axis=-1)
 
 

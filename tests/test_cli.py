@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascfluor.cascade import AbsorptionProfile
-from cascfluor.cli import REFERENCE_FILTER, build_parser, main, read_table, write_table
+from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
 from cascfluor.fit import DataSeries, lorentzian, read_report_csv, read_series, write_series
 from cascfluor.spectrum import DriveParams, normalize_to_counts, sample_spectrum
 from cascfluor.timetag import RunConfig, read_timetags, write_config
@@ -49,25 +49,6 @@ class TestUsage:
 
     def test_missing_data_is_usage_error(self, tmp_path):
         assert run(["fit", "slope", "--out", tmp_path]) == 2
-
-
-class TestSharedParser:
-    def test_is_built_once(self):
-        assert build_parser() is build_parser()
-
-    def test_no_option_carries_over(self, tmp_path):
-        # main parses every call with the one parser: a call with options
-        # must leave the next call's defaults as a fresh parser has them
-        fresh = build_parser.__wrapped__()
-        for argv in (["ratio", "--points", "5", "--scan", "power", "--s0", "2.5"],
-                     ["ratio"], ["fit", "cascade", "--fix-width", "3"], ["fit", "slope"],
-                     ["reproduce", "fig3", "--seed", "4"], ["reproduce", "fig3"]):
-            assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
-        assert run(["ratio", "--points", "5", "--out", tmp_path / "five"]) == 0
-        assert run(["ratio", "--out", tmp_path / "default"]) == 0
-        _, five = read_table(tmp_path / "five" / "ratio.csv")
-        _, default = read_table(tmp_path / "default" / "ratio.csv")
-        assert (len(five["delta_mhz"]), len(default["delta_mhz"])) == (5, 121)
 
 
 class TestSimulate:

@@ -74,17 +74,16 @@ def test_only_spectrum_takes_grid_parameters():
     assert takers and all(t.startswith("spectrum.py:") for t in takers), takers
 
 
-def test_cli_import_loads_few_modules_and_builds_no_parser():
+def test_cli_import_loads_few_modules():
     # interpreter start plus this import is the set-up time of every
     # command, so the import stays as light as it is: no new module besides
-    # numpy's, and the parser is built on first use
+    # numpy's
     code = """if True:
         import sys
         import numpy
         before = set(sys.modules)
         from cascfluor import cli
         print(" ".join(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
-        print(cli.build_parser.cache_info().currsize)
     """
     paths = [str(SOURCE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -92,4 +91,3 @@ def test_cli_import_loads_few_modules_and_builds_no_parser():
                          text=True, check=True).stdout.splitlines()
     loaded = set(out[0].split()) - {"numpy"}
     assert loaded <= {"argparse", "copy", "dataclasses", "gettext", "__future__", "cascfluor"}
-    assert out[1] == "0"
