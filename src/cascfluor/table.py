@@ -139,14 +139,24 @@ def write_rows(path, columns, rows) -> None:
 
 
 def write_table(path, columns: dict, meta: dict | None = None) -> None:
-    """Write named numeric columns, metadata first; lossless for read_records."""
+    """Write named numeric columns, metadata first; lossless for read_records.
+    An all-integer table has each stretch of equal first-column values
+    written into the row format as literal text."""
     arrays = [np.asarray(v) for v in columns.values()]
     ints = all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     arrays = arrays if ints else [a.astype(float) for a in arrays]
-    row = ",".join(["%d" if ints else "%.17g"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(f"# {k}={float(v):.17g}\n" for k, v in (meta or {}).items())
                 + ",".join(columns) + "\n")
         for start in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
-            block = np.column_stack([a[start:start + _WRITE_BLOCK_ROWS] for a in arrays])
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+            block = [a[start:start + _WRITE_BLOCK_ROWS] for a in arrays]
+            if ints:
+                lead = block.pop(0)
+                cuts = [0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(), len(lead)]
+                tail = ",%d" * len(block) + "\n"
+                row = "".join(f"{int(lead[lo])}{tail}" * (hi - lo)
+                              for lo, hi in zip(cuts, cuts[1:]))
+            else:
+                row = (",".join(["%.17g"] * len(block)) + "\n") * len(block[0])
+            values = np.column_stack(block).ravel().tolist() if block else []
+            f.write(row % tuple(values))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .table import ParseError, _open_utf8, parse_field, read_records, write_table
+from .table import ParseError, _open_utf8, parse_field, read_records, read_rows, write_table
 
 # Cs excited-state lifetime; sets the exponential emission lag after a
 # pulse and the decay tail of each histogram peak.
@@ -105,19 +105,21 @@ def simulate_run(cfg: RunConfig, run_id: int = 0) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(run_id,))
     )
-    means = np.full(cfg.pulses_per_run, cfg.mean_photons_per_pulse)
+    means = cfg.mean_photons_per_pulse
     if cfg.heating_tau_pulses > 0:
-        means *= np.exp(-np.arange(cfg.pulses_per_run) / cfg.heating_tau_pulses)
-    pairs = rng.poisson(means)
+        means = means * np.exp(-np.arange(cfg.pulses_per_run) / cfg.heating_tau_pulses)
+    # a scalar mean draws the same stream as an array of it, and faster
+    pairs = rng.poisson(means, cfg.pulses_per_run)
     n = int(2 * pairs.sum())
 
-    pulse_start = np.repeat(
-        np.arange(cfg.pulses_per_run, dtype=np.int64) * cfg.pulse_period, 2 * pairs
-    )
-    emit = rng.uniform(0.0, cfg.pulse_length, n) + rng.exponential(CS_LIFETIME_NS, n)
+    arrival = rng.uniform(0.0, cfg.pulse_length, n)
+    arrival += rng.exponential(CS_LIFETIME_NS, n)
     toward_detector = rng.random(n) < 0.5
     survives_cascade = rng.random(n) < cfg.ratio_model
-    arrival = pulse_start + emit + np.where(toward_detector, 0, cfg.delay)
+    arrival += np.repeat(
+        np.arange(cfg.pulses_per_run, dtype=np.int64) * cfg.pulse_period, 2 * pairs
+    )
+    np.add(arrival, cfg.delay, out=arrival, where=~toward_detector)
     detected = arrival[toward_detector | survives_cascade]
 
     total_ns = cfg.pulses_per_run * cfg.pulse_period
@@ -125,9 +127,13 @@ def simulate_run(cfg: RunConfig, run_id: int = 0) -> np.ndarray:
     if n_bg:
         detected = np.concatenate([detected, rng.uniform(0.0, total_ns, n_bg)])
 
-    ticks = (detected // cfg.tick).astype(np.int64) * cfg.tick
-    ticks.sort()
-    ticks = ticks[: cfg.cap]
+    # flooring is monotone, so the cap earliest arrivals give the cap earliest ticks
+    if len(detected) > cfg.cap:
+        detected = np.partition(detected, cfg.cap - 1)[: cfg.cap]
+    detected.sort()
+    ticks = detected.astype(np.int64)  # the floor, as every arrival is >= 0
+    ticks //= cfg.tick
+    ticks *= cfg.tick
     tags = np.empty(len(ticks), TIMETAG_DTYPE)
     tags["run_id"] = run_id
     tags["arrival"] = ticks
@@ -247,10 +253,15 @@ def write_timetags(path, tags: np.ndarray) -> None:
 
 
 def read_timetags(path) -> np.ndarray:
-    """Read time tags written by write_timetags into a TIMETAG_DTYPE array."""
+    """Read time tags written by write_timetags into a TIMETAG_DTYPE array;
+    a negative run_id or arrival_ns is a ParseError at its line."""
     meta, rows = read_records(path, (TIMETAG_HEADER,), np.int64)
     if meta:
         raise ParseError(f"{path}:1: time tags take no metadata lines")
+    values = rows.view(np.int64)
+    if len(values) and values.min() < 0:
+        lineno = read_rows(path)[2][int(np.argmax(values < 0)) // 2][0]
+        raise ParseError(f"{path}:{lineno}: negative run_id or arrival_ns")
     return rows.view(TIMETAG_DTYPE)
 
 

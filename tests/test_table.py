@@ -13,6 +13,7 @@ from cascfluor.fit import (DataSeries, lorentzian, read_report_csv, read_series,
 from cascfluor.table import (_WRITE_BLOCK_ROWS, ParseError, read_records, read_table,
                              write_table)
 from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
+from reference_timetag import reference_write
 
 
 def test_one_error_type_and_one_codec():
@@ -105,6 +106,30 @@ def test_blockwise_write_matches_one_shot(tmp_path, rows, integer):
     if integer:
         back = read_records(path, dtype=np.int64)[1]
         assert np.array_equal(back["a"], a) and np.array_equal(back["b"], b)
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param({"run_id": np.repeat([0, 1, 2], [5, 1, 7]),
+                  "arrival_ns": np.arange(13) * 5}, id="grouped_runs"),
+    pytest.param({"bin_start_ns": np.arange(120) * 5, "count": np.arange(120) % 7},
+                 id="one_row_stretches"),
+    pytest.param({"a": np.repeat([3, 4], [2 * _WRITE_BLOCK_ROWS + 5, 2]),
+                  "b": np.arange(2 * _WRITE_BLOCK_ROWS + 7)}, id="stretch_beyond_block"),
+    pytest.param({"a": np.array([INT64_MIN, INT64_MIN, -1, 0, INT64_MAX]),
+                  "b": np.array([INT64_MAX, -7, INT64_MIN, 0, -1])}, id="negative_extreme"),
+    pytest.param({"a": np.array([-4, -4, 9]), "b": np.array([1, 2, 3]),
+                  "c": np.array([INT64_MIN, 0, INT64_MAX])}, id="three_columns"),
+    pytest.param({"a": np.array([-3, -3, 8])}, id="one_column"),
+    pytest.param({"a": np.zeros(0, np.int64), "b": np.zeros(0, np.int64)}, id="no_rows"),
+])
+def test_integer_write_matches_reference(tmp_path, columns):
+    written, expected = tmp_path / "table.csv", tmp_path / "reference.csv"
+    write_table(written, columns)
+    reference_write(expected, columns)
+    assert written.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("text, lineno", [

@@ -21,6 +21,7 @@ from cascfluor.timetag import (
     write_timetags,
 )
 from cascfluor.cascade import ratio_curve
+from reference_timetag import reference_run
 
 
 def run0(arrivals):
@@ -120,6 +121,27 @@ class TestSimulateRun:
         half_ns = cfg.pulses_per_run * cfg.pulse_period / 2
         early = np.count_nonzero(tags["arrival"] < half_ns)
         assert early > 0.9 * len(tags)
+
+    @pytest.mark.parametrize("settings", [
+        pytest.param({}, id="default"),
+        pytest.param({"background_rate": 50.0}, id="background"),
+        pytest.param({"heating_tau_pulses": 400.0, "tick": 3}, id="heating_tick3"),
+        pytest.param({"tick": 1}, id="tick1"),
+        pytest.param({"cap": 1}, id="cap1"),
+        pytest.param({"cap": 10**9}, id="uncapped"),
+        pytest.param({"mean_photons_per_pulse": 0.0}, id="mean0"),
+        pytest.param({"mean_photons_per_pulse": 0.01}, id="mean_0.01"),
+        pytest.param({"ratio_model": 0.0}, id="ratio0"),
+        pytest.param({"ratio_model": 1.0}, id="ratio1"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 123])
+    def test_bit_identical_to_the_reference(self, settings, seed):
+        cfg = RunConfig(seed=seed, **settings)
+        for run_id in (0, 7, 119):
+            tags = simulate_run(cfg, run_id)
+            expected = reference_run(cfg, run_id)
+            assert tags.dtype == expected.dtype
+            assert tags.tobytes() == expected.tobytes()
 
 
 class TestHistogram:
@@ -309,6 +331,18 @@ class TestFileFormats:
         path = tmp_path / "tags.csv"
         path.write_text(f"run_id,arrival_ns\n0,{field}\n0,abc\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":3:"):
+            read_timetags(path)
+
+    @pytest.mark.parametrize("body, lineno", [
+        pytest.param("-1,-20\n", 2, id="both"),
+        pytest.param("0,5\n-1,20\n", 3, id="run_id"),
+        pytest.param("0,5\n\n1,-5\n0,-5\n", 4, id="arrival_after_blank_line"),
+        pytest.param(f"0,5\n0,{-2**63}\n", 3, id="int64_min"),
+    ])
+    def test_timetag_negative_value_rejected_at_its_line(self, tmp_path, body, lineno):
+        path = tmp_path / "tags.csv"
+        path.write_text("run_id,arrival_ns\n" + body)
+        with pytest.raises(ParseError, match=f":{lineno}: negative"):
             read_timetags(path)
 
     def test_timetag_metadata_rejected_at_line_1(self, tmp_path):
