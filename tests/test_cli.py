@@ -7,7 +7,7 @@ from cascfluor.cascade import AbsorptionProfile
 from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
 from cascfluor.fit import DataSeries, lorentzian, read_report_csv, read_series, write_series
 from cascfluor.spectrum import DriveParams, normalize_to_counts, sample_spectrum
-from cascfluor.timetag import RunConfig, read_timetags, write_config
+from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
 from pointwise import one_point_count
 from reference_timetag import reference_run, reference_write
 
@@ -83,8 +83,7 @@ class TestSimulate:
     def test_timetags_match_the_reference(self, tmp_path):
         cfg_path = self.small_config(tmp_path, cap=150, background_rate=2.0)
         assert run(["simulate", "--config", cfg_path, "--out", tmp_path]) == 0
-        cfg = RunConfig(pulses_per_run=400, runs=3, mean_photons_per_pulse=0.5, seed=42,
-                        cap=150, background_rate=2.0)
+        cfg = read_config(cfg_path)
         tags = np.concatenate([reference_run(cfg, run_id) for run_id in range(cfg.runs)])
         reference_write(tmp_path / "reference.csv",
                         {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
