@@ -52,7 +52,6 @@ from .fit import (
     DegenerateFitError,
     FitResult,
     cascade_model_counts,
-    cascade_profile,
     fit_cascade,
     fit_lorentzian,
     fit_power_broadening,

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (
-    DEFAULT_GAMMA_MHZ,
-    DriveParams,
-    SpectrumStack,
-    _grid,
-    _trapezoid,
-    sample_stack,
-)
+from .spectrum import DriveParams, SpectrumStack, _grid, _trapezoid, sample_stack
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
@@ -165,17 +158,18 @@ def ratio_curve(
     s0: float,
     prof: AbsorptionProfile,
     original_counts,
-    gamma: float = DEFAULT_GAMMA_MHZ,
 ) -> np.ndarray:
     """Cascaded/original count ratio for each drive detuning.
 
-    The emission spectrum is recomputed per detuning, normalized to the
-    measured original count there, and sent through the filter, all through
-    cascaded_counts: a few detunings share one sample_stack broadcast and one
-    filtered_counts call, bit for bit the per-point result. The curve
+    Each drive has saturation s0 and the default natural linewidth
+    (DriveParams' DEFAULT_GAMMA_MHZ). The emission spectrum is recomputed
+    per detuning, normalized to the measured original count there, and sent
+    through the filter, all through cascaded_counts: a few detunings share
+    one sample_stack broadcast and one filtered_counts call, bit for bit the
+    per-point result. The curve
     dips where the drive sits on the filter center and the dip gets
     shallower with increasing s0 as the sidebands escape the filter.
     """
     counts = np.fromiter(original_counts, dtype=float)
-    drives = [DriveParams(s0, delta, gamma) for delta in detunings]
+    drives = [DriveParams(s0, delta) for delta in detunings]
     return cascaded_counts(drives, counts, prof) / counts

@@ -3,9 +3,11 @@
 Subcommands tie the simulator, the spectral model and the fitting
 pipelines together and emit plot-ready CSV tables. All output is
 deterministic for a fixed seed and bit-identical across repeated runs.
+Each command, and each `fit` model, takes only the options it uses.
 
-Exit codes: 0 success, 2 usage or numeric overflow, 3 parse error,
-4 non-convergence, 5 degenerate fit.
+Exit codes: 0 success, 2 usage (argparse's SystemExit for an unknown or
+missing option) or numeric overflow, 3 parse error, 4 non-convergence,
+5 degenerate fit.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ BROADENING_GAMMA0_MHZ = 8.44
 SHIFT_SLOPE_MHZ = 0.25
 SHIFT_INTERCEPT_MHZ = 0.5
 LOW_POWER_LINEWIDTH_MHZ = 16.0
-
-FIGURES = ("fig3", "fig4a", "fig4b", "fig5a", "fig5b")
 
 
 def _out_dir(args) -> Path:
@@ -120,39 +120,24 @@ def cmd_ratio(args) -> int:
     return 0
 
 
-def _run_fit(args):
-    if args.model == "cascade":
-        if not args.original or not args.cascaded:
-            raise ValueError("cascade fit needs --original and --cascaded")
-        if args.bootstrap:
-            raise ValueError("--bootstrap applies to single-series fits only")
-        original = fit.read_series(args.original)
-        cascaded_series = fit.read_series(args.cascaded)
-        return fit.fit_cascade(
-            original,
-            cascaded_series,
-            scan=args.scan,
-            s0=args.s0,
-            gamma=args.gamma,
-            fix_width=args.fix_width,
-            fix_shift=args.fix_shift,
-            fix_efficiency=args.fix_efficiency,
-            seed=args.seed if args.seed is not None else 0,
-        )
-    if not args.data:
-        raise ValueError(f"{args.model} fit needs --data")
-    series = fit.read_series(args.data)
-    runners = {
-        "lorentzian": fit.fit_lorentzian,
-        "saturation": fit.fit_saturation,
-        "broadening": fit.fit_power_broadening,
-        "slope": fit.fit_shift_slope,
-    }
-    return runners[args.model](series, bootstrap=args.bootstrap)
+# the single-series `fit` models; they share one parser
+_SERIES_FITS = {
+    "lorentzian": fit.fit_lorentzian,
+    "saturation": fit.fit_saturation,
+    "broadening": fit.fit_power_broadening,
+    "slope": fit.fit_shift_slope,
+}
 
 
 def cmd_fit(args) -> int:
-    result = _run_fit(args)
+    if args.model == "cascade":
+        result = fit.fit_cascade(
+            fit.read_series(args.original), fit.read_series(args.cascaded),
+            scan=args.scan, s0=args.s0, gamma=args.gamma, fix_width=args.fix_width,
+            fix_shift=args.fix_shift, fix_efficiency=args.fix_efficiency, seed=args.seed,
+        )
+    else:
+        result = _SERIES_FITS[args.model](fit.read_series(args.data), bootstrap=args.bootstrap)
     out = _out_dir(args)
     fit.write_report_csv(out / "fit_report.csv", result)
     for name, value in result.params.items():
@@ -198,18 +183,22 @@ def _lorentz_rate(delta, s0):
     return fit.lorentzian(delta, 0.0, width, amp, 0.0)
 
 
-def _reproduce_fig4(out: Path, rng, which: str) -> None:
+def _fig4_ratio_curves():
+    """fig4's detuning grid and, per drive, (s0, column tag, ratio curve)."""
     grid = np.linspace(-30.0, 30.0, 121)
+    ones = np.ones_like(grid)
+    return grid, [(s0, tag, cascade.ratio_curve(grid, s0, REFERENCE_FILTER, ones))
+                  for s0, tag in ((0.4, "s0p4"), (2.5, "s2p5"))]
+
+
+def _reproduce_fig4a(out: Path, rng) -> None:
+    grid, curves = _fig4_ratio_curves()
     cols = {"delta_mhz": grid}
-    for s0, tag in ((0.4, "s0p4"), (2.5, "s2p5")):
+    for s0, tag, ratios in curves:
         original = _lorentz_rate(grid, s0)
-        ratios = cascade.ratio_curve(grid, s0, REFERENCE_FILTER, np.ones_like(grid))
-        if which == "fig4a":
-            cols[f"original_rate_{tag}"] = original
-            cols[f"cascaded_rate_{tag}"] = original * ratios
-        else:
-            cols[f"ratio_{tag}"] = ratios
-    write_table(out / f"{which}_model.csv", cols)
+        cols[f"original_rate_{tag}"] = original
+        cols[f"cascaded_rate_{tag}"] = original * ratios
+    write_table(out / "fig4a_model.csv", cols)
 
     pts = np.linspace(-25.0, 25.0, 21)
     s0 = 0.4
@@ -218,15 +207,22 @@ def _reproduce_fig4(out: Path, rng, which: str) -> None:
     noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
     orig_series = fit.DataSeries(pts, n_orig)
     casc_series = fit.DataSeries(pts, noisy, 0.03 * model)
-    fit.write_series(out / f"{which}_points_original.csv", orig_series)
-    fit.write_series(out / f"{which}_points_cascaded.csv", casc_series)
-    refit = fit.fit_cascade(
-        orig_series, casc_series, scan="detuning", s0=s0, fix_efficiency=0.9
-    )
-    fit.write_report_csv(out / f"{which}_refit.csv", refit)
-    print(f"{which} refit: width = {refit.params['width']:.3f} MHz (model 6.7), "
+    fit.write_series(out / "fig4a_points_original.csv", orig_series)
+    fit.write_series(out / "fig4a_points_cascaded.csv", casc_series)
+    refit = fit.fit_cascade(orig_series, casc_series, scan="detuning", s0=s0,
+                            fix_efficiency=0.9)
+    fit.write_report_csv(out / "fig4a_refit.csv", refit)
+    print(f"fig4a refit: width = {refit.params['width']:.3f} MHz (model 6.7), "
           f"alpha = {refit.params['alpha']:.3f} (model 0.85), "
           f"shift = {refit.params['shift']:.3f} MHz (model 0.0)")
+
+
+def _reproduce_fig4b(out: Path, _rng) -> None:
+    # the ratio model only: fig4a holds the synthetic points and their refit
+    grid, curves = _fig4_ratio_curves()
+    cols = {"delta_mhz": grid}
+    cols.update((f"ratio_{tag}", ratios) for _, tag, ratios in curves)
+    write_table(out / "fig4b_model.csv", cols)
 
 
 def _reproduce_fig5a(out: Path, rng) -> None:
@@ -272,23 +268,18 @@ def _reproduce_fig5b(out: Path, rng) -> None:
           f"(model {SHIFT_SLOPE_MHZ})")
 
 
+# `reproduce` figures, each called with the output directory and the noise rng
+FIGURES = {"fig3": _reproduce_fig3, "fig4a": _reproduce_fig4a, "fig4b": _reproduce_fig4b,
+           "fig5a": _reproduce_fig5a, "fig5b": _reproduce_fig5b}
+
+
 def cmd_reproduce(args) -> int:
-    out = _out_dir(args)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 1)
-    if args.figure == "fig3":
-        _reproduce_fig3(out, rng)
-    elif args.figure in ("fig4a", "fig4b"):
-        _reproduce_fig4(out, rng, args.figure)
-    elif args.figure == "fig5a":
-        _reproduce_fig5a(out, rng)
-    else:
-        _reproduce_fig5b(out, rng)
+    FIGURES[args.figure](_out_dir(args), np.random.default_rng(args.seed))
     return 0
 
 
-def _add_common(parser) -> None:
+def _add_out(parser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
 
 
 def _add_profile_args(parser) -> None:
@@ -309,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the time-tag Monte Carlo")
     p.add_argument("--config", help="key = value run configuration file")
     p.add_argument("--bin", type=int, default=None, help="histogram bin in ns")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed override (default: the config's seed)")
+    _add_out(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="tabulate an emission spectrum")
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None, help="grid step in MHz")
     p.add_argument("--counts", type=float, default=None,
                    help="normalize the spectrum to this photon number")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("cascade", help="predict one cascaded count")
@@ -331,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", type=float, default=1000.0,
                    help="original photon count")
     _add_profile_args(p)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("ratio", help="cascaded/original ratio curve")
@@ -343,33 +336,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=30.0)
     p.add_argument("--points", type=int, default=121)
     _add_profile_args(p)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("fit", help="fit a model to CSV data")
-    p.add_argument("model",
-                   choices=("lorentzian", "saturation", "broadening", "slope",
-                            "cascade"))
-    p.add_argument("--data", help="x,y[,yerr] CSV for single-series models")
-    p.add_argument("--original", help="original-counts CSV (cascade fit)")
-    p.add_argument("--cascaded", help="cascaded-counts CSV (cascade fit)")
-    p.add_argument("--scan", choices=("power", "detuning"), default="power")
-    p.add_argument("--s0", type=float, default=None,
-                   help="drive s0 for the detuning scan")
-    p.add_argument("--gamma", type=float, default=spectrum.DEFAULT_GAMMA_MHZ)
-    p.add_argument("--fix-width", type=float, default=None)
-    p.add_argument("--fix-shift", type=float, default=None)
-    p.add_argument("--fix-efficiency", type=float, default=None)
-    p.add_argument("--bootstrap", type=int, default=0,
-                   help="resampling refits for the uncertainties of "
-                        "single-series fits (default: linearized)")
-    _add_common(p)
     p.set_defaults(func=cmd_fit)
+    models = p.add_subparsers(dest="model", required=True)
+    m = models.add_parser("cascade", help="absorption filter of a power or detuning scan")
+    m.add_argument("--original", required=True, help="original-counts CSV")
+    m.add_argument("--cascaded", required=True, help="cascaded-counts CSV")
+    m.add_argument("--scan", choices=("power", "detuning"), default="power")
+    m.add_argument("--s0", type=float, default=None, help="drive s0 of a detuning scan")
+    m.add_argument("--gamma", type=float, default=spectrum.DEFAULT_GAMMA_MHZ)
+    m.add_argument("--fix-width", type=float, default=None)
+    m.add_argument("--fix-shift", type=float, default=None)
+    m.add_argument("--fix-efficiency", type=float, default=None)
+    m.add_argument("--seed", type=int, default=0, help="multi-start seed")
+    _add_out(m)
+    first, *others = _SERIES_FITS
+    m = models.add_parser(first, aliases=others, help="single-series fit",
+                          prog=f"{p.prog} {{{','.join(_SERIES_FITS)}}}")
+    m.add_argument("--data", required=True, help="x,y[,yerr] CSV")
+    m.add_argument("--bootstrap", type=int, default=0,
+                   help="resampling refits for the uncertainties "
+                        "(default: linearized)")
+    _add_out(m)
 
-    p = sub.add_parser("reproduce", help="emit reference model curves, "
-                       "synthetic data and a closing refit")
+    p = sub.add_parser("reproduce", help="emit a figure's model curves and, but for "
+                       "fig4b, synthetic data and their refit")
     p.add_argument("figure", choices=FIGURES)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1, help="synthetic-noise seed")
+    _add_out(p)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

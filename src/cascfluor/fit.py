@@ -91,9 +91,7 @@ def least_squares(
     init,
     bounds=None,
     names=None,
-    max_iterations: int = MAX_ITERATIONS,
     bootstrap: int = 0,
-    bootstrap_seed: int = 0,
     *,
     jac,
 ) -> FitResult:
@@ -103,10 +101,11 @@ def least_squares(
     optional list of (lo, hi) pairs; init must lie inside. Convergence is
     declared when the relative drop of the squared-residual sum falls
     below 1e-10 or the gradient inf-norm falls below 1e-8; hitting the
-    iteration limit yields converged=False. Uncertainties come from the
-    diagonal of the inverse weighted normal matrix scaled by the reduced
-    chi-square; pass bootstrap=B > 0 to replace them with the parameter
-    spread over B seeded residual-resampling refits. A singular normal
+    iteration limit MAX_ITERATIONS yields converged=False. Uncertainties
+    come from the diagonal of the inverse weighted normal matrix scaled by
+    the reduced chi-square; pass bootstrap=B > 0 to replace them with the
+    parameter spread over B residual-resampling refits, drawn from a
+    generator with the fixed seed 0. A singular normal
     matrix raises DegenerateFitError; a non-finite initial sum of squares
     raises ValueError. jac maps (x array, parameter vector) to the model
     Jacobian, shape (len(x), n_params). A stall in which every step-halving
@@ -148,7 +147,7 @@ def least_squares(
         raise ValueError("initial weighted residual sum is not finite")
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         jmat = jac(data.x, theta) / sigma[:, None]
         grad = jmat.T @ res
         if np.max(np.abs(grad)) < GRADIENT_ATOL:
@@ -196,9 +195,7 @@ def least_squares(
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("singular normal matrix at the optimum") from exc
     if bootstrap > 0:
-        sig = _bootstrap_sigmas(
-            model, data, theta, bounds, max_iterations, bootstrap, bootstrap_seed, jac,
-        )
+        sig = _bootstrap_sigmas(model, data, theta, bounds, bootstrap, jac)
     return FitResult(
         params=dict(zip(names, (float(v) for v in theta))),
         sigmas=dict(zip(names, (float(v) for v in sig))),
@@ -218,10 +215,9 @@ def _ill_conditioned(normal) -> bool:
     return not (eig[0] > 0.0 and eig[-1] <= MAX_CONDITION * eig[0])
 
 
-def _bootstrap_sigmas(model, data, theta, bounds, max_iterations, n_resamples, seed,
-                      jac):
-    """Parameter spread over refits of residual-resampled data."""
-    rng = np.random.default_rng(seed)
+def _bootstrap_sigmas(model, data, theta, bounds, n_resamples, jac):
+    """Parameter spread over refits of residual-resampled data (seed 0)."""
+    rng = np.random.default_rng(0)
     fitted = model(data.x, theta)
     resid = data.y - fitted
     draws = np.empty((n_resamples, len(theta)))
@@ -230,7 +226,7 @@ def _bootstrap_sigmas(model, data, theta, bounds, max_iterations, n_resamples, s
         try:
             refit = least_squares(
                 model, DataSeries(data.x, resampled, data.y_err), theta,
-                bounds=bounds, max_iterations=max_iterations, jac=jac,
+                bounds=bounds, jac=jac,
             )
         except DegenerateFitError:
             draws[b] = np.nan
@@ -275,10 +271,12 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
         return least_squares(_lorentzian_model, data, init, bounds, names,
                              bootstrap=bootstrap, jac=_lorentzian_jac)
     except DegenerateFitError:
+        # the weighted sum of squares, as least_squares reports it
+        err = data.y_err if data.y_err is not None else 1.0
         return FitResult(
             params=dict(zip(names, (float(v) for v in init))),
             sigmas={n: math.inf for n in names},
-            residual_norm=float(np.sum((y - lorentzian(x, *init)) ** 2)),
+            residual_norm=float(np.sum(((y - lorentzian(x, *init)) / err) ** 2)),
             converged=False,
             iterations=0,
         )
@@ -525,15 +523,6 @@ def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed):
                             < best.residual_norm * (1.0 - START_TIE_RTOL)):
             best = result
     return best, failures
-
-
-def cascade_profile(result: FitResult) -> AbsorptionProfile:
-    """AbsorptionProfile from a fit_cascade result."""
-    p = result.params
-    return AbsorptionProfile(
-        alpha=p["alpha"], width=p["width"], shift=p["shift"],
-        path_efficiency=p["path_efficiency"],
-    )
 
 
 # ---------------------------------------------------------------------------

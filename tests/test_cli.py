@@ -5,7 +5,8 @@ import pytest
 
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
-from cascfluor.fit import DataSeries, lorentzian, read_report_csv, read_series, write_series
+from cascfluor.fit import (DataSeries, fit_power_broadening, fit_saturation, fit_shift_slope,
+                           lorentzian, read_report_csv, read_series, write_series)
 from cascfluor.spectrum import DriveParams, normalize_to_counts, sample_spectrum
 from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
 from pointwise import one_point_count
@@ -49,7 +50,27 @@ class TestUsage:
         assert err.value.code == 2
 
     def test_missing_data_is_usage_error(self, tmp_path):
-        assert run(["fit", "slope", "--out", tmp_path]) == 2
+        with pytest.raises(SystemExit) as err:
+            run(["fit", "slope", "--out", tmp_path])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["spectrum", "--s0", "0.4", "--seed", "3"], id="spectrum_seed"),
+        pytest.param(["cascade", "--s0", "0.4", "--seed", "3"], id="cascade_seed"),
+        pytest.param(["ratio", "--seed", "3"], id="ratio_seed"),
+        pytest.param(["fit", "lorentzian", "--data", "x.csv", "--seed", "3"],
+                     id="lorentzian_seed"),
+        pytest.param(["fit", "lorentzian", "--data", "x.csv", "--fix-width", "3"],
+                     id="lorentzian_fix_width"),
+        pytest.param(["fit", "cascade", "--original", "o.csv", "--cascaded", "c.csv",
+                      "--data", "x.csv"], id="cascade_data"),
+    ])
+    def test_option_the_command_does_not_use(self, tmp_path, argv):
+        # an option a command would ignore is refused before anything runs
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -201,6 +222,19 @@ class TestFitCommand:
                     "--bootstrap", bootstrap, "--out", tmp_path]) == 2
         assert not (tmp_path / "fit_report.csv").exists()
 
+    @pytest.mark.parametrize("model, runner", [
+        ("saturation", fit_saturation),
+        ("broadening", fit_power_broadening),
+        ("slope", fit_shift_slope),
+    ])
+    def test_each_alias_reaches_its_own_fit(self, tmp_path, model, runner):
+        # the single-series models share one parser; the name picks the fit
+        x = np.linspace(0.5, 4.0, 6)
+        data = DataSeries(x, 3.0 * x / (1.2 + x) + 0.01 * np.cos(7.0 * x))
+        write_series(tmp_path / "data.csv", data)
+        assert run(["fit", model, "--data", tmp_path / "data.csv", "--out", tmp_path]) == 0
+        assert read_report_csv(tmp_path / "fit_report.csv") == runner(data)
+
     def test_outputs_only_the_report_table(self, tmp_path):
         x = np.linspace(0.0, 4.0, 6)
         write_series(tmp_path / "line.csv", DataSeries(x, 0.25 * x + 0.5))
@@ -249,9 +283,10 @@ class TestFitCommand:
         write_series(tmp_path / "orig.csv", DataSeries(x, np.full(6, 1000.0)))
         write_series(tmp_path / "casc.csv", DataSeries(x, np.full(6, 600.0)))
         out = tmp_path / "out"
-        assert run(["fit", "cascade", "--original", tmp_path / "orig.csv",
-                    "--cascaded", tmp_path / "casc.csv", "--bootstrap", 20,
-                    "--out", out]) == 2
+        with pytest.raises(SystemExit) as err:
+            run(["fit", "cascade", "--original", tmp_path / "orig.csv",
+                 "--cascaded", tmp_path / "casc.csv", "--bootstrap", 20, "--out", out])
+        assert err.value.code == 2
         assert "bootstrap" in capsys.readouterr().err
         assert not (out / "fit_report.csv").exists()
 
@@ -272,6 +307,14 @@ class TestReproduce:
         assert run(["reproduce", "fig4b", "--out", tmp_path]) == 0
         _, cols = read_table(tmp_path / "fig4b_model.csv")
         assert cols["ratio_s2p5"].min() > cols["ratio_s0p4"].min()
+
+    def test_fig4b_writes_only_its_ratio_model(self, tmp_path, capsys):
+        # fig4a owns the synthetic points and their refit
+        assert run(["reproduce", "fig4b", "--out", tmp_path]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["fig4b_model.csv"]
+        assert capsys.readouterr().out == ""
+        _, cols = read_table(tmp_path / "fig4b_model.csv")
+        assert list(cols) == ["delta_mhz", "ratio_s0p4", "ratio_s2p5"]
 
     def test_fig5a_zero_power_anchor(self, tmp_path):
         assert run(["reproduce", "fig5a", "--out", tmp_path]) == 0

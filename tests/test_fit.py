@@ -12,7 +12,6 @@ from cascfluor.fit import (
     DegenerateFitError,
     FitResult,
     cascade_model_counts,
-    cascade_profile,
     fit_cascade,
     fit_lorentzian,
     fit_power_broadening,
@@ -210,7 +209,8 @@ class TestLeastSquares:
             least_squares(lambda x, th: th[0] * x, data, [2.0], bounds=[(0.0, 1.0)],
                           jac=lambda x, th: x[:, None])
 
-    def test_iteration_limit_flags_nonconvergence(self):
+    def test_iteration_limit_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(cascfluor.fit, "MAX_ITERATIONS", 1)
         rng = np.random.default_rng(4)
         x = np.linspace(-20, 20, 41)
         y = lorentzian(x, 2.0, 11.0, 3.0, 0.3) + rng.normal(0, 0.02, len(x))
@@ -219,7 +219,6 @@ class TestLeastSquares:
             DataSeries(x, y),
             [-5.0, 30.0, 1.0, 0.0],
             bounds=[(-np.inf, np.inf), (1e-9, np.inf), (0, np.inf), (-np.inf, np.inf)],
-            max_iterations=1,
             jac=_lorentzian_jac,
         )
         assert not res.converged
@@ -286,7 +285,7 @@ class TestLeastSquares:
         model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
         plain = least_squares(model, data, [1.0, 1.0], names=["a", "b"], jac=line_design)
         boot = least_squares(model, data, [1.0, 1.0], names=["a", "b"],
-                             bootstrap=300, bootstrap_seed=1, jac=line_design)
+                             bootstrap=300, jac=line_design)
         assert boot.params == plain.params
         for name in ("a", "b"):
             assert boot.sigmas[name] == pytest.approx(plain.sigmas[name], rel=0.35)
@@ -404,6 +403,16 @@ class TestFitLorentzian:
         data = DataSeries(np.linspace(0, 10, 11), np.full(11, 3.0))
         res = fit_lorentzian(data)
         assert not res.converged
+
+    def test_flat_data_residual_is_weighted(self):
+        # the fallback reports the weighted sum of squares like every fit:
+        # errors of 0.5 quadruple it
+        x = np.linspace(-10.0, 10.0, 21)
+        plain = fit_lorentzian(DataSeries(x, np.full(21, 3.0)))
+        weighted = fit_lorentzian(DataSeries(x, np.full(21, 3.0), np.full(21, 0.5)))
+        assert not plain.converged and not weighted.converged
+        assert plain.residual_norm > 0.0
+        assert weighted.residual_norm == 4.0 * plain.residual_norm
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateFitError):
@@ -677,7 +686,7 @@ class TestFitCascade:
         original, cascaded = self.synth_power_scan()
         res = fit_cascade(original, cascaded, scan="power",
                           fix_shift=0.0, fix_efficiency=0.9)
-        prof = cascade_profile(res)
+        prof = AbsorptionProfile(**res.params)
         assert isinstance(prof, AbsorptionProfile)
         assert prof.width == res.params["width"]
         assert prof.path_efficiency == 0.9
