@@ -11,16 +11,13 @@ from .spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
     NormalizationError,
-    SpectrumGrid,
     SpectrumStack,
     detuned_saturation,
     elastic_weight,
     excited_state_population,
     mollow_density,
-    normalize_to_counts,
     rabi_frequency,
     sample_spectrum,
-    sample_stack,
 )
 from .cascade import (
     DEFAULT_PATH_EFFICIENCY,

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import DriveParams, SpectrumStack, _grid, _trapezoid, sample_stack
+from .spectrum import DriveParams, SpectrumStack, _grid, _trapezoid, sample_spectrum
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
 DEFAULT_PATH_EFFICIENCY = 0.9
 # cascaded_counts samples and filters at most this many grid values (points
 # x grid) per stack: eight points of the default grid, which spreads the fixed
-# cost of sample_stack and filtered_counts while their temporaries stay in
+# cost of sample_spectrum and filtered_counts while their temporaries stay in
 # cache. Sampling plus filtering costs about 100 us per point alone, 52 us at
 # four points, 44 us at eight and 57 us at sixteen (2-vCPU host, +-30%).
 STACK_VALUES = 16384
@@ -76,9 +76,9 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
                     gradient: bool = False):
     """Cascaded count of each row of a spectrum stack, all rows at once.
 
-    stack (from sample_stack) holds the shared offsets, the (n, grid)
-    densities and the (n,) elastic weights of n normalized spectra; row i
-    is filtered as seen by a drive detuned by detunings[i]. The Lorentzian
+    stack (from sample_spectrum) holds the shared offsets, the (n, grid)
+    densities and the (n,) elastic weights of n spectra; row i is
+    filtered as seen by a drive detuned by detunings[i]. The Lorentzian
     L and the transmission are evaluated as (n, grid + 1) arrays, the
     elastic line being the last column at omega = 0. Each count is the
     trapezoid of its row of density * transmission plus the attenuated
@@ -128,11 +128,11 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     """Cascaded count at each drive point, as an array.
 
     Each point's spectrum is sampled over +-10 linewidths at gamma/100 and
-    normalized to its original count, bit for bit as
-    normalize_to_counts(sample_spectrum(drive), count). Consecutive points
-    of one linewidth (one grid) are sampled by sample_stack and filtered
-    together, at most STACK_VALUES grid values at a time, so only a few
-    spectra are held at once.
+    normalized to its original count, as sample_spectrum([drive], [count])
+    would alone. Consecutive points of one linewidth (one grid) are
+    sampled by one sample_spectrum call and filtered together, at most
+    STACK_VALUES grid values at a time, so only a few spectra are held at
+    once.
     """
     drives = list(drives)
     counts = np.fromiter(original_counts, dtype=float)
@@ -147,7 +147,7 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
         stop = start + 1
         while stop < limit and drives[stop].gamma == gamma:
             stop += 1
-        stack = sample_stack(drives[start:stop], counts[start:stop])
+        stack = sample_spectrum(drives[start:stop], counts[start:stop])
         out[start:stop] = filtered_counts(stack, [d.delta for d in drives[start:stop]], prof)
         start = stop
     return out
@@ -165,10 +165,10 @@ def ratio_curve(
     (DriveParams' DEFAULT_GAMMA_MHZ). The emission spectrum is recomputed
     per detuning, normalized to the measured original count there, and sent
     through the filter, all through cascaded_counts: a few detunings share
-    one sample_stack broadcast and one filtered_counts call, bit for bit the
-    per-point result. The curve
-    dips where the drive sits on the filter center and the dip gets
-    shallower with increasing s0 as the sidebands escape the filter.
+    one sample_spectrum broadcast and one filtered_counts call, bit for bit
+    the per-point result. The curve dips where the drive sits on the filter
+    center and the dip gets shallower with increasing s0 as the sidebands
+    escape the filter.
     """
     counts = np.fromiter(original_counts, dtype=float)
     drives = [DriveParams(s0, delta) for delta in detunings]

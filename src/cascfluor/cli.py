@@ -64,18 +64,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = spectrum.DriveParams(args.s0, args.delta, args.gamma)
-    spec = spectrum.sample_spectrum(params, args.span, args.step)
-    if args.counts is not None:
-        spec = spectrum.normalize_to_counts(spec, args.counts)
+    counts = None if args.counts is None else [args.counts]
+    stack = spectrum.sample_spectrum([params], counts, args.step, args.span)
+    offsets, density, elastic = stack.offsets, stack.density[0], float(stack.elastic[0])
     out = _out_dir(args)
     write_table(
         out / "spectrum.csv",
-        {"omega_mhz": spec.offsets, "density_per_mhz": spec.density},
-        meta={"elastic_weight": spec.elastic_weight, "s0": args.s0,
+        {"omega_mhz": offsets, "density_per_mhz": density},
+        meta={"elastic_weight": elastic, "s0": args.s0,
               "delta_mhz": args.delta, "gamma_mhz": args.gamma},
     )
-    print(f"grid points: {len(spec.offsets)}  elastic weight: "
-          f"{spec.elastic_weight:.6g}  total weight: {spec.total_weight():.6g}")
+    total = spectrum._trapezoid(offsets, density) + elastic
+    print(f"grid points: {len(offsets)}  elastic weight: "
+          f"{elastic:.6g}  total weight: {total:.6g}")
     return 0
 
 
@@ -107,8 +108,11 @@ def cmd_ratio(args) -> int:
     prof = _profile_from_args(args)
     grid = np.linspace(args.start, args.stop, args.points)
     if args.scan == "detuning":
-        drives = [spectrum.DriveParams(args.s0, d, args.gamma) for d in grid]
+        s0 = 0.4 if args.s0 is None else args.s0
+        drives = [spectrum.DriveParams(s0, d, args.gamma) for d in grid]
         key = "delta_mhz"
+    elif args.s0 is not None:
+        raise ValueError("--s0 is only for --scan detuning")
     else:
         drives = [spectrum.DriveParams(s0, 0.0, args.gamma) for s0 in grid]
         key = "s0"
@@ -329,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="cascaded/original ratio curve")
     p.add_argument("--scan", choices=("detuning", "power"), default="detuning")
-    p.add_argument("--s0", type=float, default=0.4,
-                   help="drive s0 for the detuning scan")
+    p.add_argument("--s0", type=float, default=None,
+                   help="drive s0 of a detuning scan (default 0.4)")
     p.add_argument("--gamma", type=float, default=spectrum.DEFAULT_GAMMA_MHZ)
     p.add_argument("--start", type=float, default=-30.0)
     p.add_argument("--stop", type=float, default=30.0)

@@ -18,9 +18,7 @@ import numpy as np
 
 from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_counts,
                       filtered_counts)
-from .spectrum import DEFAULT_GAMMA_MHZ, DriveParams, sample_stack
-# perfbench's tracer test checks that fit binds spectrum's sample_spectrum
-from .spectrum import sample_spectrum  # noqa: F401
+from .spectrum import DEFAULT_GAMMA_MHZ, DriveParams, sample_spectrum
 from .table import ParseError, parse_field, read_rows, read_table, write_rows, write_table
 
 MAX_ITERATIONS = 500
@@ -367,7 +365,7 @@ def cascade_model_counts(
 
     Builds the emission spectrum per point, rescales it to the measured
     original count there, and integrates it through the lab-frame filter
-    (cascaded_counts: a few points per sample_stack and filter call).
+    (cascaded_counts: a few points per sample_spectrum and filter call).
     """
     prof = AbsorptionProfile(alpha, width, shift, path_efficiency)
     return cascaded_counts(drives, original_counts, prof)
@@ -388,15 +386,16 @@ def fit_cascade(
 
     `original` and `cascaded` share abscissae: saturation values s0 for
     scan="power" (resonant drive), detunings in MHz for scan="detuning"
-    (fixed s0, required). Free parameters are (width, alpha, shift,
-    path_efficiency); each of width, shift and efficiency can be pinned
-    with the fix_* arguments (fixed values are reported with sigma 0).
+    (fixed s0, required there and refused for a power scan). Free
+    parameters are (width, alpha, shift, path_efficiency); each of width,
+    shift and efficiency can be pinned with the fix_* arguments (fixed
+    values are reported with sigma 0).
     Residuals are taken on the cascaded counts, weighted by cascaded.y_err
     when present. A seeded N_STARTS-way multi-start guards against local
     minima. All points' spectra are sampled and normalized once per call,
-    as one sample_stack (one broadcast, no per-point SpectrumGrid), on the
-    fit grid gamma / FIT_GRID_PER_GAMMA; every start and iteration filters
-    that stack. The fit grid is coarser than the gamma/100 model grid of
+    by one sample_spectrum broadcast on the fit grid
+    gamma / FIT_GRID_PER_GAMMA; every start and iteration filters that
+    stack. The fit grid is coarser than the gamma/100 model grid of
     cascade_model_counts and ratio_curve, with ratios within 1e-8 of
     adaptive quadrature.
 
@@ -416,10 +415,12 @@ def fit_cascade(
         if s0 is None:
             raise ValueError("scan='detuning' requires the drive s0")
         drives = [DriveParams(s0, float(d), gamma) for d in original.x]
+    elif s0 is not None:
+        raise ValueError("the drive s0 is only for scan='detuning'")
     else:
         drives = [DriveParams(float(v), 0.0, gamma) for v in original.x]
 
-    stack = sample_stack(drives, original.y, gamma / FIT_GRID_PER_GAMMA)
+    stack = sample_spectrum(drives, original.y, gamma / FIT_GRID_PER_GAMMA)
 
     fixed = {"width": fix_width, "shift": fix_shift, "path_efficiency": fix_efficiency}
     fixed = {k: float(v) for k, v in fixed.items() if v is not None}

@@ -44,43 +44,15 @@ class DriveParams:
             raise ValueError(f"natural linewidth must be > 0, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class SpectrumGrid:
-    """Emission spectrum tabulated over laser-relative frequency offsets.
-
-    `density` is the inelastic spectral density per MHz on the `offsets`
-    grid; the elastic line is kept as a separate scalar weight (a delta
-    line at offset zero is never rasterized onto the grid, which keeps
-    integrals exact and lets a downstream filter attenuate it analytically).
-    """
-
-    offsets: np.ndarray
-    density: np.ndarray
-    elastic_weight: float
-
-    def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        if offsets.ndim != 1 or offsets.shape != density.shape:
-            raise ValueError("offsets and density must be 1-d arrays of equal length")
-        if offsets.size < 2:
-            raise ValueError("spectrum grid needs at least two points")
-        _check_spectrum(offsets, density, self.elastic_weight)
-        offsets.setflags(write=False)
-        density.setflags(write=False)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "density", density)
-
-    def total_weight(self) -> float:
-        """Trapezoidal integral of the density plus the elastic weight."""
-        return float(_trapezoid(self.offsets, self.density) + self.elastic_weight)
-
-
 class SpectrumStack(NamedTuple):
-    """Normalized spectra on one shared grid, one row per scan point.
+    """Emission spectra on one shared grid, one row per drive.
 
     offsets is the shared grid, density the (n, grid) inelastic densities
-    and elastic the (n,) elastic weights.
+    per MHz and elastic the (n,) elastic weights. The elastic line is kept
+    as a separate weight: a delta line at offset zero is never rasterized
+    onto the grid, which keeps integrals exact and lets a downstream filter
+    attenuate it analytically. The rows are normalized to photon counts
+    only when sample_spectrum is given counts.
     """
 
     offsets: np.ndarray
@@ -89,8 +61,9 @@ class SpectrumStack(NamedTuple):
 
 
 def _check_spectrum(offsets, density, elastic) -> None:
-    """SpectrumGrid's value checks, for one spectrum or a stack of rows
-    (density (n, grid) and elastic (n,)) on one grid."""
+    """Value checks of spectra on one grid: offsets finite and strictly
+    increasing, density (one row or (n, grid)) and elastic weights finite
+    and non-negative."""
     # increasing offsets are finite when both ends are; min and max see a NaN
     if not (np.all(offsets[1:] > offsets[:-1])
             and math.isfinite(offsets[0]) and math.isfinite(offsets[-1])):
@@ -112,10 +85,14 @@ def _trapezoid(offsets, y):
     return np.add.reduce(terms, axis=-1)
 
 
-def _normalize(offsets, density, elastic, counts):
+def _normalize(offsets, density, elastic, original_counts):
     """Density rows and elastic weights rescaled by one factor per row so
     that each row's trapezoid plus its elastic weight equals its count.
     Rescales density and elastic in place and returns them."""
+    counts = np.asarray(original_counts, dtype=float)
+    if counts.shape != elastic.shape:
+        raise ValueError(f"{len(elastic)} drives need as many counts, "
+                         f"got shape {counts.shape}")
     bad = ~(np.isfinite(counts) & (counts > 0))
     if bad.any():
         raise ValueError(f"photon count must be finite and > 0, got {counts[bad][0]}")
@@ -222,62 +199,37 @@ def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[floa
     return step, math.ceil(grid_span * gamma / step - 1e-9)
 
 
-def sample_spectrum(
-    p: DriveParams,
-    grid_span: float = 10.0,
-    grid_step: float | None = None,
-) -> SpectrumGrid:
-    """Tabulate the emission spectrum on a uniform grid symmetric about zero.
+def sample_spectrum(drives, original_counts=None, grid_step: float | None = None,
+                    grid_span: float = 10.0) -> SpectrumStack:
+    """Emission spectra of drives that share one linewidth, as one stack.
 
-    grid_span is in multiples of gamma and must cover at least +-10 gamma
-    so the triplet tails are carried by downstream integrals; grid_step is
-    in MHz (default gamma/100) and is rejected above gamma/10, which would
-    undersample the triplet. The grid always contains omega = 0 exactly.
+    The grid is uniform and symmetric about zero and always contains
+    omega = 0 exactly. grid_span is in multiples of gamma and must cover
+    at least +-10 gamma so the triplet tails are carried by downstream
+    integrals; grid_step is in MHz (default gamma/100) and is rejected
+    above gamma/10, which would undersample the triplet. Row i is
+    mollow_density on the grid with elastic weight
+    elastic_weight(detuned_saturation(drives[i])). Given original_counts,
+    row i is rescaled by one factor so that its trapezoid plus its elastic
+    weight equals original_counts[i]. The density of every row comes from
+    one broadcast over the omega >= 0 half of the grid, mirrored: the grid
+    is symmetric to the last bit and the density depends on omega only
+    through (omega/gamma)^2.
     """
-    step, half = _grid(p.gamma, grid_span, grid_step)
-    offsets = step * np.arange(-half, half + 1)
-    density = mollow_density(offsets, p)
-    return SpectrumGrid(offsets, density, elastic_weight(detuned_saturation(p)))
-
-
-def normalize_to_counts(spec: SpectrumGrid, n_original: float) -> SpectrumGrid:
-    """Rescale density and elastic weight by one common factor so that the
-    trapezoidal integral of the density plus the elastic weight equals the
-    measured original photon number."""
-    density, elastic = _normalize(spec.offsets, spec.density[None, :].copy(),
-                                  np.array([spec.elastic_weight], dtype=float),
-                                  np.array([n_original], dtype=float))
-    return SpectrumGrid(spec.offsets, density[0], float(elastic[0]))
-
-
-def sample_stack(drives, original_counts,
-                 grid_step: float | None = None) -> SpectrumStack:
-    """Normalized spectra of drives that share one linewidth, as one stack.
-
-    Row i is normalize_to_counts(sample_spectrum(drives[i], 10.0, grid_step),
-    original_counts[i]) bit for bit, with SpectrumGrid's checks run once
-    for the whole stack. The density of every row comes from one broadcast
-    over the omega >= 0 half of the grid, mirrored: the grid is symmetric
-    to the last bit and the density depends on omega only through
-    (omega/gamma)^2.
-    """
-    counts = np.asarray(original_counts, dtype=float)
-    if counts.shape != (len(drives),):
-        raise ValueError(f"{len(drives)} drives need as many counts, "
-                         f"got shape {counts.shape}")
     if not drives:
         raise ValueError("a spectrum stack needs at least one drive")
     gamma = drives[0].gamma
     if any(p.gamma != gamma for p in drives):
         raise ValueError("the drives of one spectrum stack must share one linewidth")
-    step, half = _grid(gamma, 10.0, grid_step)
+    step, half = _grid(gamma, grid_span, grid_step)
     offsets = step * np.arange(-half, half + 1)
     x = offsets[half:] / gamma
     terms = np.array([_mollow_terms(p) for p in drives])
     right = _mollow(x * x, *terms.T[:, :, None])
     density = np.concatenate((right[:, :0:-1], right), axis=1)
     elastic = np.array([elastic_weight(detuned_saturation(p)) for p in drives])
-    density, elastic = _normalize(offsets, density, elastic, counts)
+    if original_counts is not None:
+        density, elastic = _normalize(offsets, density, elastic, original_counts)
     # rescaling keeps a raw value non-finite; the left half mirrors the right
     _check_spectrum(offsets, density[:, half:], elastic)
     return SpectrumStack(offsets, density, elastic)

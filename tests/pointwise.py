@@ -1,28 +1,60 @@
-"""Per-point reference for the stacked cascade model.
+"""Per-point references for the stacked spectrum and cascade model.
 
-normalize_to_counts(sample_spectrum(drive), count) builds and checks one
-SpectrumGrid per point. These helpers put such spectra into a
-SpectrumStack by hand and filter them with reference_counts: the
-arithmetic of sample_stack and filtered_counts written out with a fresh
-array for every step, as the formulas read. The package computes the same
-operations in the same order in place, so it must match bit for bit.
+one_point_spectrum builds one spectrum the way the formulas read:
+mollow_density on the full grid, elastic_weight, and a normalization by
+np.trapezoid. stack_of puts such spectra into a SpectrumStack by hand,
+reference_stack builds a whole stack from fresh arrays, and
+reference_counts filters a stack: the arithmetic of sample_spectrum and
+filtered_counts written out with a fresh array for every step. The
+package computes the same operations in the same order in place, and
+broadcasts over the omega >= 0 half of the grid, so it must match bit for
+bit.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from cascfluor.spectrum import SpectrumStack, _grid
+from cascfluor.spectrum import (SpectrumStack, _grid, detuned_saturation, elastic_weight,
+                                mollow_density)
+
+
+class OnePointSpectrum(NamedTuple):
+    """One spectrum: the grid, its inelastic density and the elastic weight."""
+
+    offsets: np.ndarray
+    density: np.ndarray
+    elastic_weight: float
+
+    def total_weight(self):
+        """Trapezoidal integral of the density plus the elastic weight."""
+        return float(np.trapezoid(self.density, self.offsets) + self.elastic_weight)
+
+
+def one_point_spectrum(drive, count=None, grid_span=10.0, grid_step=None):
+    """sample_spectrum([drive], [count], grid_step, grid_span) as one
+    spectrum from fresh arrays: the Mollow density on the whole grid and,
+    given a count, one factor that makes the trapezoid plus the elastic
+    weight equal it."""
+    step, half = _grid(drive.gamma, grid_span, grid_step)
+    offsets = step * np.arange(-half, half + 1)
+    spec = OnePointSpectrum(offsets, mollow_density(offsets, drive),
+                            elastic_weight(detuned_saturation(drive)))
+    if count is None:
+        return spec
+    factor = count / spec.total_weight()
+    return OnePointSpectrum(offsets, spec.density * factor, spec.elastic_weight * factor)
 
 
 def stack_of(specs):
-    """Normalized spectra on one grid as the rows of one stack."""
+    """Spectra on one grid as the rows of one stack."""
     return SpectrumStack(specs[0].offsets, np.array([s.density for s in specs]),
                          np.array([s.elastic_weight for s in specs]))
 
 
 def reference_stack(drives, counts, grid_step=None):
-    """sample_stack(drives, counts, grid_step) from fresh arrays: the Mollow
+    """sample_spectrum(drives, counts, grid_step) from fresh arrays: the Mollow
     density on the omega >= 0 half, mirrored, normalized by np.trapezoid."""
     gamma = drives[0].gamma
     step, half = _grid(gamma, 10.0, grid_step)

@@ -19,19 +19,18 @@ from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
     NormalizationError,
-    normalize_to_counts,
     sample_spectrum,
-    sample_stack,
 )
 from fd_oracle import DEFAULT_FD_STEP, _jacobian
-from pointwise import one_point_count, reference_counts, reference_stack, stack_of
+from pointwise import (one_point_count, one_point_spectrum, reference_counts, reference_stack,
+                       stack_of)
 
 GAMMA = DEFAULT_GAMMA_MHZ
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)
 
 
 def normalized_spectrum(s0, delta=0.0, counts=1000.0):
-    return normalize_to_counts(sample_spectrum(DriveParams(s0, delta)), counts)
+    return one_point_spectrum(DriveParams(s0, delta), counts)
 
 
 class TestAbsorptionProfile:
@@ -159,8 +158,8 @@ class TestCascadedCounts:
         drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(10)]
                   + [DriveParams(2.5, d, 6.0) for d in (-3.0, 0.0, 3.0)])
         counts = np.linspace(500.0, 1300.0, len(drives))
-        expected = [one_point_count(normalize_to_counts(sample_spectrum(d), n), FITTED,
-                                    d.delta) for d, n in zip(drives, counts)]
+        expected = [one_point_count(one_point_spectrum(d, n), FITTED, d.delta)
+                    for d, n in zip(drives, counts)]
         rows = []
         kernel = cascfluor.cascade.filtered_counts
 
@@ -174,7 +173,7 @@ class TestCascadedCounts:
 
 
 class TestInPlaceKernel:
-    """sample_stack and filtered_counts against the reference arithmetic of
+    """sample_spectrum and filtered_counts against the reference arithmetic of
     pointwise.py, which allocates a fresh array for every step."""
 
     @pytest.mark.parametrize("step", [None, GAMMA / FIT_GRID_PER_GAMMA],
@@ -186,7 +185,8 @@ class TestInPlaceKernel:
                   zip(rng.uniform(0.05, 8.0, rows), rng.uniform(-30.0, 30.0, rows))]
         counts = rng.uniform(1.0, 3000.0, rows)
         deltas = [d.delta for d in drives]
-        stack, ref = sample_stack(drives, counts, step), reference_stack(drives, counts, step)
+        stack = sample_spectrum(drives, counts, step)
+        ref = reference_stack(drives, counts, step)
         for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6),
                      AbsorptionProfile(0.0, 6.7)):
             value, jac = filtered_counts(stack, deltas, prof, gradient=True)
@@ -260,11 +260,11 @@ class TestFilteredCounts:
     STEPS = {"model_grid": None, "fit_grid": GAMMA / FIT_GRID_PER_GAMMA}
 
     def spectra(self, s0, step=None):
-        return [normalize_to_counts(sample_spectrum(DriveParams(s0, d), 10.0, step), 1e3)
+        return [one_point_spectrum(DriveParams(s0, d), 1e3, grid_step=step)
                 for d in self.DELTAS]
 
     def power_spectra(self, step=None):
-        return [normalize_to_counts(sample_spectrum(DriveParams(s), 10.0, step), 1e3)
+        return [one_point_spectrum(DriveParams(s), 1e3, grid_step=step)
                 for s in self.LADDER]
 
     @staticmethod
@@ -367,7 +367,8 @@ class TestFilteredCounts:
 
     def test_stack_holds_the_spectra_as_rows(self):
         specs = self.spectra(2.5)
-        stack = sample_stack([DriveParams(2.5, d) for d in self.DELTAS], [1e3] * len(specs))
+        stack = sample_spectrum([DriveParams(2.5, d) for d in self.DELTAS],
+                                [1e3] * len(specs))
         np.testing.assert_array_equal(stack.offsets, specs[0].offsets)
         assert stack.density.shape == (len(specs), len(specs[0].offsets))
         np.testing.assert_array_equal(stack.density[3], specs[3].density)
@@ -414,7 +415,7 @@ class TestFitGridAccuracy:
         deltas = TestFilteredCounts.DELTAS
         step = GAMMA / FIT_GRID_PER_GAMMA
         stack = stack_of([
-            normalize_to_counts(sample_spectrum(DriveParams(s0, d), grid_step=step), 1.0)
+            one_point_spectrum(DriveParams(s0, d), 1.0, grid_step=step)
             for d in deltas])
         for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6)):
             got = filtered_counts(stack, deltas, prof)

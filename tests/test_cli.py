@@ -7,9 +7,9 @@ from cascfluor.cascade import AbsorptionProfile
 from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
 from cascfluor.fit import (DataSeries, fit_power_broadening, fit_saturation, fit_shift_slope,
                            lorentzian, read_report_csv, read_series, write_series)
-from cascfluor.spectrum import DriveParams, normalize_to_counts, sample_spectrum
+from cascfluor.spectrum import DriveParams
 from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
-from pointwise import one_point_count
+from pointwise import one_point_count, one_point_spectrum
 from reference_timetag import reference_run, reference_write
 
 
@@ -152,6 +152,44 @@ class TestSpectrumCommand:
         total = np.trapezoid(cols["density_per_mhz"], cols["omega_mhz"])
         assert total + meta["elastic_weight"] == pytest.approx(1500.0, rel=1e-9)
 
+    @staticmethod
+    def expected(path, drive, count=None, span=10.0, step=None):
+        """spectrum.csv (written to path) and stdout of the command, from
+        the one-point reference through the table codec and its format."""
+        spec = one_point_spectrum(drive, count, span, step)
+        write_table(path, {"omega_mhz": spec.offsets, "density_per_mhz": spec.density},
+                    meta={"elastic_weight": spec.elastic_weight, "s0": drive.s0,
+                          "delta_mhz": drive.delta, "gamma_mhz": drive.gamma})
+        return path.read_bytes(), (f"grid points: {len(spec.offsets)}  elastic weight: "
+                                   f"{spec.elastic_weight:.6g}  total weight: "
+                                   f"{spec.total_weight():.6g}\n")
+
+    # no drive has no weight to normalize: test_no_drive_cannot_be_normalized
+    @pytest.mark.parametrize("s0, delta, count", [
+        (s0, delta, count) for s0 in (0.0, 0.05, 0.4, 2.5, 8.0)
+        for delta in (-30.0, 0.0, 3.0) for count in (None, 1234.5) if s0 or count is None])
+    def test_is_the_one_point_reference(self, tmp_path, capsys, s0, delta, count):
+        args = ["spectrum", "--s0", s0, "--delta", delta, "--out", tmp_path / "out"]
+        if count is not None:
+            args += ["--counts", count]
+        assert run(args) == 0
+        csv, stdout = self.expected(tmp_path / "ref.csv", DriveParams(s0, delta), count)
+        assert (tmp_path / "out" / "spectrum.csv").read_bytes() == csv
+        assert capsys.readouterr().out == stdout
+
+    def test_span_and_step_are_the_one_point_reference(self, tmp_path, capsys):
+        assert run(["spectrum", "--s0", 2.5, "--delta", 3, "--gamma", 6, "--span", 12,
+                    "--step", 0.2, "--counts", 77, "--out", tmp_path / "out"]) == 0
+        csv, stdout = self.expected(tmp_path / "ref.csv", DriveParams(2.5, 3.0, 6.0), 77.0,
+                                    12.0, 0.2)
+        assert (tmp_path / "out" / "spectrum.csv").read_bytes() == csv
+        assert capsys.readouterr().out == stdout
+
+    def test_no_drive_cannot_be_normalized(self, tmp_path, capsys):
+        assert run(["spectrum", "--s0", 0, "--counts", 100, "--out", tmp_path / "out"]) == 2
+        assert "zero total weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCascadeCommand:
     def test_off_resonant_ratio(self, tmp_path, capsys):
@@ -185,6 +223,12 @@ class TestRatioCommand:
         ]) == 0
         _, cols = read_table(tmp_path / "ratio.csv")
         assert np.all(np.diff(cols["ratio"]) > 0)
+
+    def test_s0_on_a_power_scan_is_usage_error(self, tmp_path, capsys):
+        # --s0 drives a detuning scan only; a power scan refuses it
+        assert run(["ratio", "--scan", "power", "--s0", 1, "--out", tmp_path]) == 2
+        assert "--s0 is only for --scan detuning" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestFitCommand:
@@ -290,6 +334,17 @@ class TestFitCommand:
         assert "bootstrap" in capsys.readouterr().err
         assert not (out / "fit_report.csv").exists()
 
+    def test_cascade_power_scan_s0_is_usage_error(self, tmp_path, capsys):
+        x = np.linspace(0.5, 4.0, 6)
+        write_series(tmp_path / "orig.csv", DataSeries(x, np.full(6, 1000.0)))
+        write_series(tmp_path / "casc.csv", DataSeries(x, np.full(6, 600.0)))
+        out = tmp_path / "out"
+        assert run(["fit", "cascade", "--original", tmp_path / "orig.csv",
+                    "--cascaded", tmp_path / "casc.csv", "--scan", "power", "--s0", 1,
+                    "--out", out]) == 2
+        assert "s0 is only for scan='detuning'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_fig3_model_anchors(self, tmp_path, capsys):
@@ -349,14 +404,13 @@ class TestReproduce:
 
 class TestModelColumnsArePointwise:
     """The model columns the CLI writes, bit for bit against the per-point
-    path: normalize_to_counts(sample_spectrum(drive), n), filtered as a
-    one-row stack. Arrays, not digests: a digest would pin one CPU's last
-    bit of exp."""
+    path: one_point_spectrum(drive, n), filtered as a one-row stack.
+    Arrays, not digests: a digest would pin one CPU's last bit of exp."""
 
     @staticmethod
     def pointwise(drives, counts, prof=REFERENCE_FILTER):
-        return np.array([one_point_count(normalize_to_counts(sample_spectrum(d), n), prof,
-                                         d.delta) for d, n in zip(drives, counts)])
+        return np.array([one_point_count(one_point_spectrum(d, n), prof, d.delta)
+                         for d, n in zip(drives, counts)])
 
     @pytest.mark.parametrize("s0, delta, gamma, counts",
                              [(0.05, -30.0, 5.2, 1.0), (2.5, 3.0, 6.0, 1000.0),
@@ -384,6 +438,17 @@ class TestModelColumnsArePointwise:
                                  REFERENCE_FILTER.path_efficiency)
         np.testing.assert_array_equal(cols["ratio"], self.pointwise(drives, np.ones_like(x),
                                                                     prof))
+
+    def test_plain_ratio_command(self, tmp_path, capsys):
+        # without options: the s0 = 0.4 detuning scan over +-30 MHz
+        assert run(["ratio", "--out", tmp_path]) == 0
+        _, cols = read_table(tmp_path / "ratio.csv")
+        np.testing.assert_array_equal(cols["delta_mhz"], np.linspace(-30.0, 30.0, 121))
+        ratios = self.pointwise([DriveParams(0.4, d) for d in cols["delta_mhz"]],
+                                np.ones(121))
+        np.testing.assert_array_equal(cols["ratio"], ratios)
+        assert capsys.readouterr().out == (f"wrote 121 points; min ratio {ratios.min():.4f} "
+                                           f"at delta_mhz=0\n")
 
     def test_reproduce_fig3(self, tmp_path):
         assert run(["reproduce", "fig3", "--out", tmp_path, "--seed", 7]) == 0

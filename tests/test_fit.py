@@ -32,7 +32,7 @@ from cascfluor.fit import (
     _saturation_jac,
 )
 from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
-                                sample_stack)
+                                sample_spectrum)
 from cascfluor.table import ParseError
 from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
 
@@ -562,10 +562,9 @@ class TestFitCascade:
                                                           n_starts):
         # however many starts, iterations and fallback refits a fit runs, it
         # samples and normalizes its spectra once, in one stack build, and
-        # never point by point
+        # never again through the cascade model's own sampling
         original, cascaded = self.synth_power_scan(alpha=alpha)
-        calls = {"fit.sample_stack": 0, "fit.sample_spectrum": 0,
-                 "spectrum.sample_spectrum": 0, "spectrum.normalize_to_counts": 0}
+        calls = {"fit.sample_spectrum": 0, "cascade.sample_spectrum": 0}
         for key in calls:
             module, name = key.split(".")
             module = getattr(cascfluor, module)
@@ -578,8 +577,7 @@ class TestFitCascade:
         res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
                           fix_efficiency=0.9)
         assert res.converged
-        assert calls == {"fit.sample_stack": 1, "fit.sample_spectrum": 0,
-                         "spectrum.sample_spectrum": 0, "spectrum.normalize_to_counts": 0}
+        assert calls == {"fit.sample_spectrum": 1, "cascade.sample_spectrum": 0}
 
     def test_detuning_fit_evaluates_model_only_for_residuals(self, monkeypatch):
         # with closed-form derivatives no evaluation goes to Jacobian probes:
@@ -634,7 +632,7 @@ class TestFitCascade:
 
         ref = optimize.least_squares(residuals, start, jac="3-point", bounds=(lo, hi),
                                      xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-        stack = sample_stack(drives, original.y)
+        stack = sample_spectrum(drives, original.y)
 
         def profile(th):
             return AbsorptionProfile(th[1], th[0], th[2], 0.9)
@@ -681,6 +679,11 @@ class TestFitCascade:
         a = DataSeries(np.linspace(-5, 5, 6), np.ones(6))
         with pytest.raises(ValueError):
             fit_cascade(a, a, scan="detuning")
+
+    def test_power_scan_refuses_s0(self):
+        a = DataSeries(np.linspace(0.5, 4.0, 6), np.ones(6))
+        with pytest.raises(ValueError, match="only for scan='detuning'"):
+            fit_cascade(a, a, scan="power", s0=1.0)
 
     def test_profile_bridge(self):
         original, cascaded = self.synth_power_scan()

@@ -9,17 +9,17 @@ from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
     NormalizationError,
-    SpectrumGrid,
+    _check_spectrum,
+    _trapezoid,
     detuned_saturation,
     elastic_weight,
     excited_state_population,
     mollow_density,
-    normalize_to_counts,
     rabi_frequency,
     sample_spectrum,
-    sample_stack,
 )
 from cascfluor.fit import FIT_GRID_PER_GAMMA
+from pointwise import one_point_spectrum
 
 GAMMA = DEFAULT_GAMMA_MHZ
 
@@ -175,8 +175,8 @@ class TestMollowDensity:
         # steady-state moments give the incoherent power s^2 / (2 (1+s)^2)
         p = DriveParams(s0, delta)
         s = detuned_saturation(p)
-        spec = sample_spectrum(p, grid_span=100.0, grid_step=0.05 * GAMMA)
-        integral = np.trapezoid(spec.density, spec.offsets)
+        offsets, density, _ = sample_spectrum([p], grid_step=0.05 * GAMMA, grid_span=100.0)
+        integral = np.trapezoid(density[0], offsets)
         assert integral == pytest.approx(s * s / (2.0 * (1.0 + s) ** 2), rel=1e-4)
 
 
@@ -193,102 +193,107 @@ class TestElasticWeight:
 
 class TestSampleSpectrum:
     def test_no_drive_is_empty(self):
-        spec = sample_spectrum(DriveParams(0.0))
+        spec = sample_spectrum([DriveParams(0.0)])
         assert np.all(spec.density == 0)
-        assert spec.elastic_weight == 0.0
+        assert spec.elastic[0] == 0.0
 
     def test_default_grid_shape(self):
-        spec = sample_spectrum(DriveParams(0.4), grid_span=10.0, grid_step=0.01 * GAMMA)
+        spec = sample_spectrum([DriveParams(0.4)], grid_step=0.01 * GAMMA, grid_span=10.0)
         assert len(spec.offsets) == 2001
         assert spec.offsets[0] == pytest.approx(-52.0)
         assert spec.offsets[-1] == pytest.approx(52.0)
         assert 0.0 in spec.offsets
-        np.testing.assert_allclose(spec.density, spec.density[::-1], rtol=1e-12)
+        np.testing.assert_allclose(spec.density[0], spec.density[0, ::-1], rtol=1e-12)
 
     @pytest.mark.parametrize("span", [5.0, math.nan, math.inf])
     def test_span_too_small_rejected(self, span):
         with pytest.raises(ValueError, match="grid span"):
-            sample_spectrum(DriveParams(1.0), grid_span=span)
+            sample_spectrum([DriveParams(1.0)], grid_span=span)
 
     @pytest.mark.parametrize("step", [GAMMA, math.nan, math.inf])
     def test_step_too_coarse_rejected(self, step):
         with pytest.raises(ValueError, match="grid step"):
-            sample_spectrum(DriveParams(1.0), grid_step=step)
+            sample_spectrum([DriveParams(1.0)], grid_step=step)
 
 
-class TestSpectrumGridValidation:
+class TestSpectrumValidation:
+    """The value checks sample_spectrum runs on every stack it returns."""
+
     def test_rejects_bad_arrays(self):
         with pytest.raises(ValueError):
-            SpectrumGrid(np.array([0.0, 1.0, 1.0]), np.zeros(3), 0.0)
+            _check_spectrum(np.array([0.0, 1.0, 1.0]), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
-            SpectrumGrid(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 0.0)
+            _check_spectrum(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 0.0)
         with pytest.raises(ValueError):
-            SpectrumGrid(np.array([0.0, 1.0]), np.zeros(2), -0.5)
+            _check_spectrum(np.array([0.0, 1.0]), np.zeros(2), -0.5)
 
     @pytest.mark.parametrize("field, bad", [
         ("density", np.nan), ("density", np.inf), ("offsets", np.inf),
-        ("elastic_weight", np.nan), ("elastic_weight", np.inf),
+        ("elastic", np.nan), ("elastic", np.inf),
     ])
     def test_rejects_non_finite(self, field, bad):
         fields = {"offsets": np.linspace(-50.0, 50.0, 11), "density": np.ones(11),
-                  "elastic_weight": 0.1}
-        if field == "elastic_weight":
+                  "elastic": 0.1}
+        if field == "elastic":
             fields[field] = bad
         else:
             fields[field][-1] = bad
         with pytest.raises(ValueError, match="finite"):
-            SpectrumGrid(**fields)
-
-    def test_immutable_arrays(self):
-        spec = sample_spectrum(DriveParams(1.0))
-        with pytest.raises(ValueError):
-            spec.density[0] = 1.0
+            _check_spectrum(**fields)
 
 
-class TestNormalizeToCounts:
+class TestNormalization:
+    """sample_spectrum given photon counts."""
+
     def test_closure_by_independent_reintegration(self):
-        spec = normalize_to_counts(sample_spectrum(DriveParams(0.4)), 1500.0)
-        dx = np.diff(spec.offsets)
-        manual = float(np.sum(0.5 * (spec.density[1:] + spec.density[:-1]) * dx))
-        assert manual + spec.elastic_weight == pytest.approx(1500.0, abs=1e-6)
+        offsets, density, elastic = sample_spectrum([DriveParams(0.4)], [1500.0])
+        dx = np.diff(offsets)
+        manual = float(np.sum(0.5 * (density[0, 1:] + density[0, :-1]) * dx))
+        assert manual + elastic[0] == pytest.approx(1500.0, abs=1e-6)
 
     def test_identity_when_already_matching(self):
-        spec = sample_spectrum(DriveParams(1.0))
-        total = spec.total_weight()
-        renorm = normalize_to_counts(spec, total)
-        np.testing.assert_allclose(renorm.density, spec.density, rtol=1e-9)
-        assert abs(renorm.total_weight() - total) <= 1e-9 * total
+        raw = sample_spectrum([DriveParams(1.0)])
+        total = float(np.trapezoid(raw.density[0], raw.offsets) + raw.elastic[0])
+        renorm = sample_spectrum([DriveParams(1.0)], [total])
+        np.testing.assert_allclose(renorm.density, raw.density, rtol=1e-9)
+        back = np.trapezoid(renorm.density[0], renorm.offsets) + renorm.elastic[0]
+        assert abs(back - total) <= 1e-9 * total
 
     def test_linearity(self):
-        spec = sample_spectrum(DriveParams(2.5))
-        one = normalize_to_counts(spec, 700.0)
-        two = normalize_to_counts(spec, 1400.0)
-        np.testing.assert_allclose(two.density, 2.0 * one.density, rtol=1e-12)
-        assert two.elastic_weight == pytest.approx(2.0 * one.elastic_weight)
+        stack = sample_spectrum([DriveParams(2.5)] * 2, [700.0, 1400.0])
+        np.testing.assert_allclose(stack.density[1], 2.0 * stack.density[0], rtol=1e-12)
+        assert stack.elastic[1] == pytest.approx(2.0 * stack.elastic[0])
 
     @pytest.mark.parametrize("s0, delta, step", [(0.05, -30.0, None), (2.5, 3.0, None),
                                                  (8.0, 0.0, GAMMA / FIT_GRID_PER_GAMMA)])
     def test_is_numpy_trapezoid_bit_for_bit(self, s0, delta, step):
         # the one normalization arithmetic is np.trapezoid's, to the last bit
-        spec = sample_spectrum(DriveParams(s0, delta), grid_step=step)
-        total = float(np.trapezoid(spec.density, spec.offsets) + spec.elastic_weight)
-        assert spec.total_weight() == total
-        scaled = normalize_to_counts(spec, 1234.5)
-        np.testing.assert_array_equal(scaled.density, spec.density * (1234.5 / total))
-        assert scaled.elastic_weight == spec.elastic_weight * (1234.5 / total)
+        drive = [DriveParams(s0, delta)]
+        raw = sample_spectrum(drive, grid_step=step)
+        total = float(np.trapezoid(raw.density[0], raw.offsets) + raw.elastic[0])
+        assert _trapezoid(raw.offsets, raw.density[0]) + raw.elastic[0] == total
+        scaled = sample_spectrum(drive, [1234.5], step)
+        np.testing.assert_array_equal(scaled.density[0], raw.density[0] * (1234.5 / total))
+        assert scaled.elastic[0] == raw.elastic[0] * (1234.5 / total)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(NormalizationError):
-            normalize_to_counts(sample_spectrum(DriveParams(0.0)), 100.0)
+            sample_spectrum([DriveParams(0.0)], [100.0])
 
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):
-            normalize_to_counts(sample_spectrum(DriveParams(1.0)), 0.0)
+            sample_spectrum([DriveParams(1.0)], [0.0])
 
     @pytest.mark.parametrize("count", [math.nan, math.inf])
     def test_non_finite_count_rejected(self, count):
         with pytest.raises(ValueError):
-            normalize_to_counts(sample_spectrum(DriveParams(1.0)), count)
+            sample_spectrum([DriveParams(1.0)], [count])
+
+    def test_overflowing_rescale_rejected(self):
+        # an elastic weight of 2.5e-301 scaled to 1e10 photons overflows the
+        # factor; the checks run on the rescaled stack
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            sample_spectrum([DriveParams(1e-300)], [1e10])
 
 
 class TestSampleStack:
@@ -306,10 +311,10 @@ class TestSampleStack:
     def test_rows_are_the_per_point_path_bit_for_bit(self, grid):
         gamma, step = self.GRIDS[grid]
         drives = [DriveParams(s0, delta, gamma) for s0, delta in self.DRIVES]
-        stack = sample_stack(drives, self.COUNTS, step)
+        stack = sample_spectrum(drives, self.COUNTS, step)
         assert stack.density.shape == (len(drives), stack.offsets.size)
         for k, (drive, n) in enumerate(zip(drives, self.COUNTS)):
-            ref = normalize_to_counts(sample_spectrum(drive, 10.0, step), n)
+            ref = one_point_spectrum(drive, n, grid_step=step)
             np.testing.assert_array_equal(stack.offsets, ref.offsets)
             np.testing.assert_array_equal(stack.density[k], ref.density)
             assert stack.elastic[k] == ref.elastic_weight
@@ -318,21 +323,32 @@ class TestSampleStack:
 
     def test_one_row_is_a_stack(self):
         drive = DriveParams(2.5, 3.0)
-        stack = sample_stack([drive], [700.0])
-        ref = normalize_to_counts(sample_spectrum(drive), 700.0)
+        stack = sample_spectrum([drive], [700.0])
+        ref = one_point_spectrum(drive, 700.0)
         np.testing.assert_array_equal(stack.density, [ref.density])
         np.testing.assert_array_equal(stack.elastic, [ref.elastic_weight])
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("span", [10.0, 14.0])
+    def test_without_counts_rows_are_the_closed_form(self, grid, span):
+        gamma, step = self.GRIDS[grid]
+        drives = [DriveParams(s0, delta, gamma) for s0, delta in self.DRIVES]
+        drives.append(DriveParams(0.0, 3.0, gamma))
+        stack = sample_spectrum(drives, grid_step=step, grid_span=span)
+        for k, p in enumerate(drives):
+            np.testing.assert_array_equal(stack.density[k], mollow_density(stack.offsets, p))
+            assert stack.elastic[k] == elastic_weight(detuned_saturation(p))
 
     def test_shares_the_grid_rule(self):
         # count and zero-weight errors are checked through cascaded_counts
         drives = [DriveParams(0.4), DriveParams(2.5)]
         with pytest.raises(ValueError, match="undersamples"):
-            sample_stack(drives, [1.0, 1.0], grid_step=GAMMA)
+            sample_spectrum(drives, [1.0, 1.0], grid_step=GAMMA)
 
     def test_one_grid_per_stack(self):
         with pytest.raises(ValueError, match="linewidth"):
-            sample_stack([DriveParams(0.4), DriveParams(0.4, 0.0, 6.0)], [1.0, 1.0])
+            sample_spectrum([DriveParams(0.4), DriveParams(0.4, 0.0, 6.0)], [1.0, 1.0])
         with pytest.raises(ValueError, match="counts"):
-            sample_stack([DriveParams(0.4), DriveParams(2.5)], [1.0])
+            sample_spectrum([DriveParams(0.4), DriveParams(2.5)], [1.0])
         with pytest.raises(ValueError, match="at least one"):
-            sample_stack([], [])
+            sample_spectrum([], [])
