@@ -278,7 +278,10 @@ FIGURES = {"fig3": _reproduce_fig3, "fig4a": _reproduce_fig4a, "fig4b": _reprodu
 
 
 def cmd_reproduce(args) -> int:
-    FIGURES[args.figure](_out_dir(args), np.random.default_rng(args.seed))
+    if args.figure == "fig4b" and args.seed is not None:
+        raise ValueError("--seed is not for fig4b, which draws no noise")
+    seed = 1 if args.seed is None else args.seed
+    FIGURES[args.figure](_out_dir(args), np.random.default_rng(seed))
     return 0
 
 
@@ -294,14 +297,7 @@ def _add_profile_args(parser) -> None:
                         default=REFERENCE_FILTER.path_efficiency)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cascfluor",
-        description="Cascaded resonance fluorescence: simulate, model, fit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run the time-tag Monte Carlo")
+def _simulate_args(p) -> None:
     p.add_argument("--config", help="key = value run configuration file")
     p.add_argument("--bin", type=int, default=None, help="histogram bin in ns")
     p.add_argument("--seed", type=int, default=None,
@@ -309,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("spectrum", help="tabulate an emission spectrum")
+
+def _spectrum_args(p) -> None:
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=spectrum.DEFAULT_GAMMA_MHZ)
@@ -321,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("cascade", help="predict one cascaded count")
+
+def _cascade_args(p) -> None:
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=spectrum.DEFAULT_GAMMA_MHZ)
@@ -331,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_cascade)
 
-    p = sub.add_parser("ratio", help="cascaded/original ratio curve")
+
+def _ratio_args(p) -> None:
     p.add_argument("--scan", choices=("detuning", "power"), default="detuning")
     p.add_argument("--s0", type=float, default=None,
                    help="drive s0 of a detuning scan (default 0.4)")
@@ -343,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("fit", help="fit a model to CSV data")
+
+def _fit_args(p) -> None:
     p.set_defaults(func=cmd_fit)
     models = p.add_subparsers(dest="model", required=True)
     m = models.add_parser("cascade", help="absorption filter of a power or detuning scan")
@@ -366,18 +366,52 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: linearized)")
     _add_out(m)
 
-    p = sub.add_parser("reproduce", help="emit a figure's model curves and, but for "
-                       "fig4b, synthetic data and their refit")
+
+def _reproduce_args(p) -> None:
     p.add_argument("figure", choices=FIGURES)
-    p.add_argument("--seed", type=int, default=1, help="synthetic-noise seed")
+    p.add_argument("--seed", type=int, default=None, help="synthetic-noise seed")
     _add_out(p)
     p.set_defaults(func=cmd_reproduce)
 
+
+# each subcommand's one-line help and the function that adds its arguments
+_COMMANDS = {
+    "simulate": ("run the time-tag Monte Carlo", _simulate_args),
+    "spectrum": ("tabulate an emission spectrum", _spectrum_args),
+    "cascade": ("predict one cascaded count", _cascade_args),
+    "ratio": ("cascaded/original ratio curve", _ratio_args),
+    "fit": ("fit a model to CSV data", _fit_args),
+    "reproduce": ("emit a figure's model curves and, but for fig4b, synthetic data "
+                  "and their refit", _reproduce_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command tree, for help and for usage errors."""
+    parser = argparse.ArgumentParser(
+        prog="cascfluor",
+        description="Cascaded resonance fluorescence: simulate, model, fit.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv with only the named command's parser; the full tree
+    parses it instead, to report top-level usage or leftover arguments."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"cascfluor {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         # data that overflow the fit arithmetic stop it as bad input
         with np.errstate(over="raise", divide="raise", invalid="raise"):

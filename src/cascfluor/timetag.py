@@ -252,16 +252,28 @@ def write_timetags(path, tags: np.ndarray) -> None:
     write_table(path, {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
 
 
+def _raise_first_bad_row(path) -> None:
+    """Re-scan the rows of a time-tag file in order and raise the ParseError
+    of the first one with a field that is not an int64 or is negative."""
+    for lineno, fields in read_rows(path, (TIMETAG_HEADER,))[2]:
+        if min(parse_field(v, path, lineno, np.int64) for v in fields) < 0:
+            raise ParseError(f"{path}:{lineno}: negative run_id or arrival_ns")
+
+
 def read_timetags(path) -> np.ndarray:
     """Read time tags written by write_timetags into a TIMETAG_DTYPE array;
     a negative run_id or arrival_ns is a ParseError at its line."""
-    meta, rows = read_records(path, (TIMETAG_HEADER,), np.int64)
+    try:
+        meta, rows = read_records(path, (TIMETAG_HEADER,), np.int64)
+    except ParseError:
+        # that names the first unparseable field; a negative value may come first
+        _raise_first_bad_row(path)
+        raise
     if meta:
         raise ParseError(f"{path}:1: time tags take no metadata lines")
     values = rows.view(np.int64)
     if len(values) and values.min() < 0:
-        lineno = read_rows(path)[2][int(np.argmax(values < 0)) // 2][0]
-        raise ParseError(f"{path}:{lineno}: negative run_id or arrival_ns")
+        _raise_first_bad_row(path)
     return rows.view(TIMETAG_DTYPE)
 
 

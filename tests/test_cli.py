@@ -1,10 +1,12 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from cascfluor.cascade import AbsorptionProfile
-from cascfluor.cli import REFERENCE_FILTER, main, read_table, write_table
+from cascfluor.cli import REFERENCE_FILTER, build_parser, main, read_table, write_table
 from cascfluor.fit import (DataSeries, fit_power_broadening, fit_saturation, fit_shift_slope,
                            lorentzian, read_report_csv, read_series, write_series)
 from cascfluor.spectrum import DriveParams
@@ -71,6 +73,58 @@ class TestUsage:
             main(argv + ["--out", str(tmp_path / "out")])
         assert err.value.code == 2
         assert not (tmp_path / "out").exists()
+
+
+def exit_outcome(capsys, call):
+    """(exit code, stdout, stderr) of a call that exits through SystemExit."""
+    with pytest.raises(SystemExit) as err:
+        call()
+    out, err_text = capsys.readouterr()
+    return err.value.code, out, err_text
+
+
+class TestParserFastPath:
+    """`main` parses with the named command's parser alone; its help, usage
+    errors and exit codes are those of the full parser tree."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "-h"] for name in ("simulate", "spectrum", "cascade", "ratio", "fit",
+                                    "reproduce")),
+        ["fit", "cascade", "-h"],
+        ["fit", "slope", "-h"],
+        ["spectrum"],
+        ["fit", "lorentzian"],
+        ["ratio", "--points", "x"],
+        ["ratio", "--bogus"],
+        ["fit", "slope", "--data", "f", "--zzz"],
+        ["ratio", "extra"],
+        [],
+        ["-h"],
+        ["bogus"],
+    ], ids=lambda argv: " ".join(argv) or "no_arguments")
+    def test_same_as_the_full_parser(self, capsys, argv):
+        fast = exit_outcome(capsys, lambda: main(argv))
+        assert fast == exit_outcome(capsys, lambda: build_parser().parse_args(argv))
+        assert fast[0] in (0, 2)
+
+    def test_leftover_arguments_get_top_level_usage(self, capsys):
+        code, _, err = exit_outcome(capsys, lambda: main(["ratio", "--bogus"]))
+        assert code == 2
+        assert err.startswith("usage: cascfluor [-h]")
+        assert err.endswith("cascfluor: error: unrecognized arguments: --bogus\n")
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "argv", ["cascfluor", "ratio", "--bogus"])
+        full = exit_outcome(capsys, lambda: build_parser().parse_args(["ratio", "--bogus"]))
+        assert exit_outcome(capsys, lambda: main(None)) == full
+        monkeypatch.setattr(sys, "argv", ["cascfluor", "ratio", "--points", "3",
+                                          "--out", str(tmp_path)])
+        assert main(None) == 0
+        assert (tmp_path / "ratio.csv").exists()
 
 
 class TestSimulate:
@@ -370,6 +424,21 @@ class TestReproduce:
         assert capsys.readouterr().out == ""
         _, cols = read_table(tmp_path / "fig4b_model.csv")
         assert list(cols) == ["delta_mhz", "ratio_s0p4", "ratio_s2p5"]
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_fig4b_seed_is_usage_error(self, tmp_path, capsys, seed):
+        # fig4b draws no noise, so a seed would change nothing
+        out = tmp_path / "out"
+        assert run(["reproduce", "fig4b", "--seed", seed, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --seed is not for fig4b, which draws no noise\n"
+        assert not out.exists()
+
+    def test_default_seed_is_1(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        run(["reproduce", "fig5b", "--out", a])
+        run(["reproduce", "fig5b", "--out", b, "--seed", 1])
+        for name in ("fig5b_model.csv", "fig5b_points.csv", "fig5b_refit.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_fig5a_zero_power_anchor(self, tmp_path):
         assert run(["reproduce", "fig5a", "--out", tmp_path]) == 0

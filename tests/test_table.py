@@ -171,7 +171,9 @@ COMMANDS = {
     "cascade": "cascade --s0 0.4 --delta 3",
     "ratio_detuning": "ratio --scan detuning --points 31",
     "ratio_power": "ratio --scan power --start 0.25 --stop 8 --points 12",
-    **{f"reproduce_{fig}": f"reproduce {fig} --seed 7" for fig in cascfluor.cli.FIGURES},
+    # fig4b draws no noise and takes no --seed
+    **{f"reproduce_{fig}": f"reproduce {fig}" + (" --seed 7" if fig != "fig4b" else "")
+       for fig in cascfluor.cli.FIGURES},
     "fit_lorentzian": "fit lorentzian --data {line} --bootstrap 5",
 }
 

@@ -327,10 +327,11 @@ class TestFileFormats:
     @pytest.mark.parametrize("field", [" 5", "5\t", "+5", "-5", "05", "\xa05", "5\x1c"])
     def test_timetag_padded_and_signed_integers_read(self, tmp_path, field):
         # what the array parser accepts must not trip the re-scan when a
-        # later row is bad
+        # later row is bad; a negative value is itself the first bad row
         path = tmp_path / "tags.csv"
         path.write_text(f"run_id,arrival_ns\n0,{field}\n0,abc\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=":3:"):
+        match = ":2: negative" if field == "-5" else ":3: not an int64"
+        with pytest.raises(ParseError, match=match):
             read_timetags(path)
 
     @pytest.mark.parametrize("body, lineno", [
@@ -343,6 +344,19 @@ class TestFileFormats:
         path = tmp_path / "tags.csv"
         path.write_text("run_id,arrival_ns\n" + body)
         with pytest.raises(ParseError, match=f":{lineno}: negative"):
+            read_timetags(path)
+
+    @pytest.mark.parametrize("body, lineno, error", [
+        pytest.param("-1,5\n0,abc\n", 2, "negative", id="negative_then_non_integer"),
+        pytest.param("0,5\n0,-5\n0,5.5\n0,abc\n", 3, "negative", id="after_good_row"),
+        pytest.param("0,abc\n-1,5\n", 2, "not an int64", id="non_integer_then_negative"),
+        pytest.param("-1,abc\n", 2, "not an int64", id="both_on_one_line"),
+    ])
+    def test_timetag_first_bad_line_is_named(self, tmp_path, body, lineno, error):
+        # a negative value before an unparseable field is the first bad line
+        path = tmp_path / "tags.csv"
+        path.write_text("run_id,arrival_ns\n" + body)
+        with pytest.raises(ParseError, match=f":{lineno}: {error}"):
             read_timetags(path)
 
     def test_timetag_metadata_rejected_at_line_1(self, tmp_path):
