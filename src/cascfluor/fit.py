@@ -1,12 +1,13 @@
 """Nonlinear least squares and the toolkit's fitting pipelines.
 
-The engine is a damped Gauss-Newton solver with step-halving that takes
-the model Jacobian from the caller. On top of it sit the four analyses used
+The engine is a damped Gauss-Newton solver with step-halving. Its model
+callable returns the values and the Jacobian together, so each candidate
+costs one model call. On top of it sit the four analyses used
 throughout: Lorentzian line fits, the saturation-curve fit, the cascaded
-absorption fit (forward model and its closed-form derivatives from the
-cascade module), and the power-broadening / shift-slope fits. Every fit
-passes closed-form derivatives; the two linear models pass their design
-matrix.
+absorption fit (forward model and its closed-form derivatives from one
+cascade.filtered_counts call), and the power-broadening / shift-slope
+fits. Every fit passes closed-form derivatives; the two linear models pass
+their design matrix.
 """
 
 from __future__ import annotations
@@ -90,24 +91,22 @@ def least_squares(
     bounds=None,
     names=None,
     bootstrap: int = 0,
-    *,
-    jac,
 ) -> FitResult:
-    """Minimize the weighted sum of squares of y - model(x, params).
+    """Minimize the weighted sum of squares of y - model(x, params)[0].
 
-    model maps (x array, parameter vector) to a y array. bounds is an
-    optional list of (lo, hi) pairs; init must lie inside. Convergence is
-    declared when the relative drop of the squared-residual sum falls
-    below 1e-10 or the gradient inf-norm falls below 1e-8; hitting the
-    iteration limit MAX_ITERATIONS yields converged=False. Uncertainties
-    come from the diagonal of the inverse weighted normal matrix scaled by
-    the reduced chi-square; pass bootstrap=B > 0 to replace them with the
-    parameter spread over B residual-resampling refits, drawn from a
-    generator with the fixed seed 0. A singular normal
+    model maps (x array, parameter vector) to the pair (y array, Jacobian
+    of shape (len(x), n_params)); each evaluated candidate costs one call.
+    bounds is an optional list of (lo, hi) pairs; init must lie inside.
+    Convergence is declared when the relative drop of the squared-residual
+    sum falls below 1e-10 or the gradient inf-norm falls below 1e-8;
+    hitting the iteration limit MAX_ITERATIONS yields converged=False.
+    Uncertainties come from the diagonal of the inverse weighted normal
+    matrix scaled by the reduced chi-square; pass bootstrap=B > 0 to
+    replace them with the parameter spread over B residual-resampling
+    refits, drawn from a generator with the fixed seed 0. A singular normal
     matrix raises DegenerateFitError; a non-finite initial sum of squares
-    raises ValueError. jac maps (x array, parameter vector) to the model
-    Jacobian, shape (len(x), n_params). A stall in which every step-halving
-    candidate made the model non-finite yields converged=False.
+    raises ValueError. A candidate with non-finite values or Jacobian halves
+    the step; a stall in which every candidate was so yields converged=False.
     """
     theta = np.asarray(init, dtype=float).copy()
     n_par = theta.size
@@ -130,23 +129,23 @@ def least_squares(
         raise DegenerateFitError(f"parameter {pinned[0]} is pinned by its bounds")
     sigma = data.y_err if data.y_err is not None else np.ones_like(data.y)
 
-    def residuals(th):
-        f = model(data.x, th)
+    def evaluate(th):
+        """Weighted residuals and weighted Jacobian at th."""
+        f, jmat = model(data.x, th)
         if not np.all(np.isfinite(f)):
             raise ValueError("model returned non-finite values")
-        return (data.y - f) / sigma
+        return (data.y - f) / sigma, jmat / sigma[:, None]
 
     # finite data can still overflow the sum of squares; report that as bad
     # input instead of a fit with an infinite residual
     with np.errstate(over="ignore", invalid="ignore"):
-        res = residuals(theta)
+        res, jmat = evaluate(theta)
         ssr = float(res @ res)
     if not math.isfinite(ssr):
         raise ValueError("initial weighted residual sum is not finite")
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jmat = jac(data.x, theta) / sigma[:, None]
         grad = jmat.T @ res
         if np.max(np.abs(grad)) < GRADIENT_ATOL:
             converged = True
@@ -161,15 +160,19 @@ def least_squares(
         for _ in range(30):
             cand = np.clip(theta + step, lo, hi)
             try:
-                cand_res = residuals(cand)
+                cand_res, cand_jmat = evaluate(cand)
             except ValueError:
+                step = step / 2.0
+                continue
+            if not np.all(np.isfinite(cand_jmat)):
+                # no step or covariance can be taken from there
                 step = step / 2.0
                 continue
             finite_seen = True
             cand_ssr = float(cand_res @ cand_res)
             if cand_ssr < ssr:
                 rel_drop = (ssr - cand_ssr) / max(ssr, np.finfo(float).tiny)
-                theta, res, ssr = cand, cand_res, cand_ssr
+                theta, res, jmat, ssr = cand, cand_res, cand_jmat, cand_ssr
                 accepted = True
                 if rel_drop < RESIDUAL_RTOL:
                     converged = True
@@ -183,7 +186,6 @@ def least_squares(
         if converged:
             break
 
-    jmat = jac(data.x, theta) / sigma[:, None]
     normal = jmat.T @ jmat
     dof = max(len(data) - n_par, 1)
     chi2_red = ssr / dof
@@ -193,7 +195,7 @@ def least_squares(
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("singular normal matrix at the optimum") from exc
     if bootstrap > 0:
-        sig = _bootstrap_sigmas(model, data, theta, bounds, bootstrap, jac)
+        sig = _bootstrap_sigmas(model, data, theta, bounds, bootstrap)
     return FitResult(
         params=dict(zip(names, (float(v) for v in theta))),
         sigmas=dict(zip(names, (float(v) for v in sig))),
@@ -213,18 +215,17 @@ def _ill_conditioned(normal) -> bool:
     return not (eig[0] > 0.0 and eig[-1] <= MAX_CONDITION * eig[0])
 
 
-def _bootstrap_sigmas(model, data, theta, bounds, n_resamples, jac):
+def _bootstrap_sigmas(model, data, theta, bounds, n_resamples):
     """Parameter spread over refits of residual-resampled data (seed 0)."""
     rng = np.random.default_rng(0)
-    fitted = model(data.x, theta)
+    fitted = model(data.x, theta)[0]
     resid = data.y - fitted
     draws = np.empty((n_resamples, len(theta)))
     for b in range(n_resamples):
         resampled = fitted + rng.choice(resid, size=len(resid), replace=True)
         try:
             refit = least_squares(
-                model, DataSeries(data.x, resampled, data.y_err), theta,
-                bounds=bounds, jac=jac,
+                model, DataSeries(data.x, resampled, data.y_err), theta, bounds=bounds
             )
         except DegenerateFitError:
             draws[b] = np.nan
@@ -267,7 +268,7 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
     names = ["center", "fwhm", "amplitude", "offset"]
     try:
         return least_squares(_lorentzian_model, data, init, bounds, names,
-                             bootstrap=bootstrap, jac=_lorentzian_jac)
+                             bootstrap=bootstrap)
     except DegenerateFitError:
         # the weighted sum of squares, as least_squares reports it
         err = data.y_err if data.y_err is not None else 1.0
@@ -281,15 +282,14 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
 
 
 def _lorentzian_model(x, th):
-    return lorentzian(x, th[0], th[1], th[2], th[3])
-
-
-def _lorentzian_jac(x, th):
-    """Derivatives of lorentzian in (center, fwhm, amplitude, offset)."""
+    """lorentzian at th = (center, fwhm, amplitude, offset) and its
+    derivatives in th, operation for operation as lorentzian computes it."""
     u = (np.asarray(x, float) - th[0]) / th[1]
-    shape = 1.0 / (1.0 + 4.0 * u**2)
+    denom = 1.0 + 4.0 * u**2
+    shape = 1.0 / denom
     d_center = 8.0 * th[2] * u * shape**2 / th[1]
-    return np.column_stack([d_center, d_center * u, shape, np.ones_like(u)])
+    return (th[3] + th[2] / denom,
+            np.column_stack([d_center, d_center * u, shape, np.ones_like(u)]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +331,12 @@ def fit_saturation(data: DataSeries, bootstrap: int = 0) -> FitResult:
         i00 = float(np.median(x))
     i00 = min(max(i00, 1e-9), 1e9)
     result = least_squares(
-        lambda xx, th: saturation_rate(xx, th[0], th[1]),
+        lambda xx, th: (saturation_rate(xx, th[0], th[1]), _saturation_jac(xx, th)),
         data,
         [i00, max(rate_max0, 1e-9)],
         bounds=[(1e-12, np.inf), (1e-12, np.inf)],
         names=["i0", "rate_max"],
         bootstrap=bootstrap,
-        jac=_saturation_jac,
     )
     if result.params["i0"] < float(x.min()) / 100.0:
         raise DegenerateFitError(
@@ -490,10 +489,8 @@ def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed):
         return AbsorptionProfile(**full)
 
     def model(_x, th):
-        return filtered_counts(stack, deltas, profile(th))
-
-    def jac(_x, th):
-        return filtered_counts(stack, deltas, profile(th), gradient=True)[1][:, columns]
+        counts, grad = filtered_counts(stack, deltas, profile(th), gradient=True)
+        return counts, grad[:, columns]
 
     rng = np.random.default_rng(seed)
     starts = [np.array([init_full[n] for n in free])]
@@ -514,9 +511,8 @@ def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed):
     failures: list[str] = []
     for start in starts:
         try:
-            result = least_squares(
-                model, cascaded, np.clip(start, lo, hi), bounds, list(free), jac=jac
-            )
+            result = least_squares(model, cascaded, np.clip(start, lo, hi), bounds,
+                                   list(free))
         except DegenerateFitError as exc:
             failures.append(str(exc))
             continue
@@ -555,13 +551,12 @@ def fit_power_broadening(data: DataSeries, bootstrap: int = 0) -> FitResult:
     coef = np.polyfit(basis, data.y, 1)
     init = [max(float(coef[0]), 1e-6), float(coef[1])]
     return least_squares(
-        lambda x, th: power_broadened_width(x, th[0], th[1]),
+        lambda x, th: (power_broadened_width(x, th[0], th[1]), _broadening_jac(x, th)),
         data,
         init,
         bounds=[(0.0, np.inf), (-np.inf, np.inf)],
         names=["gamma", "gamma0"],
         bootstrap=bootstrap,
-        jac=_broadening_jac,
     )
 
 
@@ -573,12 +568,11 @@ def fit_shift_slope(data: DataSeries, bootstrap: int = 0) -> FitResult:
         raise DegenerateFitError("degenerate abscissae")
     coef = np.polyfit(data.x, data.y, 1)
     return least_squares(
-        lambda x, th: th[0] * x + th[1],
+        lambda x, th: (th[0] * x + th[1], _line_jac(x, th)),
         data,
         [float(coef[0]), float(coef[1])],
         names=["slope", "intercept"],
         bootstrap=bootstrap,
-        jac=_line_jac,
     )
 
 

@@ -86,18 +86,23 @@ def _read_head(f, path, headers):
 
 def read_rows(path, headers: tuple[str, ...] | None = None):
     """Read a table as (meta, columns, rows): float metadata, the column names
-    and a (lineno, stripped fields) pair per row; headers lists valid headers."""
-    rows: list[tuple[int, list[str]]] = []
+    and an iterator of (lineno, stripped fields) pairs; headers lists valid
+    headers. The iterator checks each row's field count only when it gets
+    there, so a caller that parses each row before taking the next names
+    the first bad line."""
     with _open_utf8(path) as f:
-        meta, columns, lineno = _read_head(f, path, headers)
-        for lineno, line in enumerate(f, start=lineno + 1):
+        meta, columns, head_lineno = _read_head(f, path, headers)
+        lines = f.readlines()
+
+    def rows():
+        for lineno, line in enumerate(lines, start=head_lineno + 1):
             if line != "\n":
                 fields = line.rstrip("\n").split(",")
                 if len(fields) != len(columns):
                     raise ParseError(f"{path}:{lineno}: expected {len(columns)} fields, "
                                      f"got {len(fields)}")
-                rows.append((lineno, [v.strip() for v in fields]))
-    return meta, columns, rows
+                yield lineno, [v.strip() for v in fields]
+    return meta, columns, rows()
 
 
 def read_records(path, headers: tuple[str, ...] | None = None, dtype=float):
@@ -121,7 +126,7 @@ def read_records(path, headers: tuple[str, ...] | None = None, dtype=float):
         # parse field by field, to name the first bad line
         meta, columns, rows = read_rows(path, headers)
         data = np.array([[parse_field(v, path, n, dtype) for v in fields]
-                         for n, fields in rows], dtype).reshape(len(rows), len(columns))
+                         for n, fields in rows], dtype).reshape(-1, len(columns))
     return meta, data.view([(c, dtype) for c in columns])[:, 0]
 
 

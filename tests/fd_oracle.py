@@ -1,5 +1,5 @@
 """Central-difference Jacobians: the test oracle for the closed-form
-derivatives that every fit passes to `least_squares`."""
+derivatives that every fit returns to `least_squares` with its values."""
 
 import numpy as np
 
@@ -30,10 +30,10 @@ def _jacobian(model, x, theta, bounds, sigma, fd_step):
 
 
 def fd_jac(model):
-    """A `jac=` callable for least_squares: unweighted, unbounded central
-    differences of `model` at the default step."""
-    def jac(x, th):
+    """A model for least_squares: the values of `model` and its unweighted,
+    unbounded central differences at the default step."""
+    def fused(x, th):
         unbounded = (np.full(len(th), -np.inf), np.full(len(th), np.inf))
-        return _jacobian(model, x, np.asarray(th, float), unbounded, np.ones(len(x)),
-                         DEFAULT_FD_STEP)
-    return jac
+        return model(x, th), _jacobian(model, x, np.asarray(th, float), unbounded,
+                                       np.ones(len(x)), DEFAULT_FD_STEP)
+    return fused

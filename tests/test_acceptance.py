@@ -233,9 +233,9 @@ def test_criterion_8_fit_engine_oracles():
     x = np.linspace(0.0, 10.0, 40)
     y = 1.3 * x - 0.7 + rng.normal(0, 0.25, len(x))
     err = rng.uniform(0.2, 0.4, len(x))
-    res = least_squares(lambda xx, th: th[0] * xx + th[1],
-                        DataSeries(x, y, err), [0.0, 0.0], names=["a", "b"],
-                        jac=lambda xx, th: np.column_stack([xx, np.ones_like(xx)]))
+    res = least_squares(lambda xx, th: (th[0] * xx + th[1],
+                                        np.column_stack([xx, np.ones_like(xx)])),
+                        DataSeries(x, y, err), [0.0, 0.0], names=["a", "b"])
     w = 1.0 / err**2
     design = np.column_stack([x, np.ones_like(x)])
     expected = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))

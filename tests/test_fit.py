@@ -28,13 +28,14 @@ from cascfluor.fit import (
     _broadening_jac,
     _ill_conditioned,
     _line_jac,
-    _lorentzian_jac,
+    _lorentzian_model,
     _saturation_jac,
 )
 from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
                                 sample_spectrum)
 from cascfluor.table import ParseError
 from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
+from reference_fit import fused_least_squares, lorentzian_jac
 
 
 def closed_form_linear(x, y, sigma=None):
@@ -46,9 +47,9 @@ def closed_form_linear(x, y, sigma=None):
     return np.linalg.solve(normal, design.T @ (w * y))
 
 
-def line_design(x, _th):
-    """Design matrix of th[0] * x + th[1]."""
-    return np.column_stack([x, np.ones_like(x)])
+def line(x, th):
+    """th[0] * x + th[1] and its design matrix."""
+    return th[0] * x + th[1], np.column_stack([x, np.ones_like(x)])
 
 
 class TestLeastSquares:
@@ -57,11 +58,10 @@ class TestLeastSquares:
         truth = [1.5, 12.0, 3.0, 0.2]
         data = DataSeries(x, lorentzian(x, *truth))
         res = least_squares(
-            lambda xx, th: lorentzian(xx, *th),
+            _lorentzian_model,
             data,
             [1.0, 9.0, 2.5, 0.0],
             bounds=[(-np.inf, np.inf), (1e-9, np.inf), (0, np.inf), (-np.inf, np.inf)],
-            jac=_lorentzian_jac,
         )
         assert res.converged
         for got, want in zip(res.params.values(), truth):
@@ -74,10 +74,7 @@ class TestLeastSquares:
         y = 2.0 * x - 1.0 + rng.normal(0, 0.3, len(x))
         err = rng.uniform(0.2, 0.5, len(x))
         data = DataSeries(x, y, err)
-        res = least_squares(
-            lambda xx, th: th[0] * xx + th[1], data, [0.0, 0.0], names=["a", "b"],
-            jac=line_design,
-        )
+        res = least_squares(line, data, [0.0, 0.0], names=["a", "b"])
         expected = closed_form_linear(x, y, err)
         assert res.params["a"] == pytest.approx(expected[0], rel=1e-10)
         assert res.params["b"] == pytest.approx(expected[1], rel=1e-10)
@@ -87,10 +84,7 @@ class TestLeastSquares:
         x = np.linspace(0.0, 5.0, 20)
         y = 0.7 * x + 2.0 + rng.normal(0, 0.2, len(x))
         data = DataSeries(x, y)
-        res = least_squares(
-            lambda xx, th: th[0] * xx + th[1], data, [0.0, 0.0], names=["a", "b"],
-            jac=line_design,
-        )
+        res = least_squares(line, data, [0.0, 0.0], names=["a", "b"])
         design = np.column_stack([x, np.ones_like(x)])
         coef = closed_form_linear(x, y)
         resid = y - design @ coef
@@ -122,16 +116,17 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         data = DataSeries(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(DegenerateFitError):
-            least_squares(lambda x, th: th[0] * x + th[1] + th[2], data, [1, 1, 1],
-                          jac=lambda x, th: np.column_stack([x, np.ones_like(x),
-                                                             np.ones_like(x)]))
+            least_squares(lambda x, th: (th[0] * x + th[1] + th[2],
+                                         np.column_stack([x, np.ones_like(x),
+                                                          np.ones_like(x)])),
+                          data, [1, 1, 1])
 
     def test_collinear_rejected(self):
         data = DataSeries(np.linspace(0, 1, 10), np.linspace(0, 1, 10))
         with pytest.raises(DegenerateFitError):
             # two parameters multiplying the same column
-            least_squares(lambda x, th: (th[0] + th[1]) * x, data, [1.0, 1.0],
-                          jac=lambda x, th: np.column_stack([x, x]))
+            least_squares(lambda x, th: ((th[0] + th[1]) * x, np.column_stack([x, x])),
+                          data, [1.0, 1.0])
 
     def test_analytic_jacobian_matches_closed_form_linear(self):
         rng = np.random.default_rng(16)
@@ -140,9 +135,8 @@ class TestLeastSquares:
         y = 1.5 * x + 3.0 + err * rng.standard_normal(len(x))
         data = DataSeries(x, y, err)
         model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
-        design = lambda xx, th: np.column_stack([xx, np.ones_like(xx)])  # noqa: E731
-        exact = least_squares(model, data, [1.0, 1.0], jac=design)
-        fd = least_squares(model, data, [1.0, 1.0], jac=fd_jac(model))
+        exact = least_squares(line, data, [1.0, 1.0])
+        fd = least_squares(fd_jac(model), data, [1.0, 1.0])
         slope, intercept = closed_form_linear(x, y, err)
         assert exact.params["p0"] == pytest.approx(slope, rel=1e-10)
         assert exact.params["p1"] == pytest.approx(intercept, rel=1e-10)
@@ -152,15 +146,13 @@ class TestLeastSquares:
     def test_analytic_jacobian_pinned_parameter_rejected(self):
         data = DataSeries(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         with pytest.raises(DegenerateFitError, match="pinned"):
-            least_squares(lambda x, th: th[0] * x + th[1], data, [1.0, 0.5],
-                          bounds=[(-np.inf, np.inf), (0.5, 0.5)],
-                          jac=lambda x, th: np.column_stack([x, np.ones_like(x)]))
+            least_squares(line, data, [1.0, 0.5], bounds=[(-np.inf, np.inf), (0.5, 0.5)])
 
     def test_analytic_jacobian_singular_rejected(self):
         data = DataSeries(np.linspace(0, 1, 10), np.linspace(0, 1, 10))
         with pytest.raises(DegenerateFitError, match="singular"):
-            least_squares(lambda x, th: (th[0] + th[1]) * x, data, [1.0, 1.0],
-                          jac=lambda x, th: np.column_stack([x, x]))
+            least_squares(lambda x, th: ((th[0] + th[1]) * x, np.column_stack([x, x])),
+                          data, [1.0, 1.0])
 
     def test_bootstrap_refits_use_the_analytic_jacobian(self):
         rng = np.random.default_rng(17)
@@ -168,16 +160,15 @@ class TestLeastSquares:
         data = DataSeries(x, 1.5 * x + 3.0 + rng.normal(0, 0.4, len(x)))
         calls = []
 
-        def design(xx, th):
+        def counted(xx, th):
             calls.append(1)
-            return np.column_stack([xx, np.ones_like(xx)])
+            return line(xx, th)
 
-        model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
-        least_squares(model, data, [1.0, 1.0], jac=design)
+        least_squares(counted, data, [1.0, 1.0])
         plain_calls = len(calls)
-        boot = least_squares(model, data, [1.0, 1.0], jac=design, bootstrap=20)
-        fd_boot = least_squares(model, data, [1.0, 1.0], bootstrap=20,
-                                jac=fd_jac(model))
+        boot = least_squares(counted, data, [1.0, 1.0], bootstrap=20)
+        fd_boot = least_squares(fd_jac(lambda xx, th: th[0] * xx + th[1]), data,
+                                [1.0, 1.0], bootstrap=20)
         assert len(calls) - plain_calls >= 20 * plain_calls
         for name in ("p0", "p1"):
             assert boot.sigmas[name] == pytest.approx(fd_boot.sigmas[name], rel=1e-6)
@@ -186,8 +177,9 @@ class TestLeastSquares:
         # every step-halving candidate makes the model NaN: the start is no optimum
         x = np.linspace(1.0, 5.0, 9)
         res = least_squares(
-            lambda xx, th: th[0] * xx if th[0] == 1.0 else np.full_like(xx, np.nan),
-            DataSeries(x, 2.0 * x), [1.0], jac=lambda xx, th: xx[:, None],
+            lambda xx, th: (th[0] * xx if th[0] == 1.0 else np.full_like(xx, np.nan),
+                            xx[:, None]),
+            DataSeries(x, 2.0 * x), [1.0],
         )
         assert not res.converged
         assert res.iterations == 1
@@ -197,17 +189,35 @@ class TestLeastSquares:
         # a Jacobian of the wrong sign points every candidate uphill; the
         # model stays finite, so this is the ordinary no-decrease stop
         x = np.linspace(1.0, 5.0, 9)
-        res = least_squares(lambda xx, th: th[0] * xx, DataSeries(x, 2.0 * x), [1.0],
-                            jac=lambda xx, th: -xx[:, None])
+        res = least_squares(lambda xx, th: (th[0] * xx, -xx[:, None]),
+                            DataSeries(x, 2.0 * x), [1.0])
         assert res.converged
         assert res.iterations == 1
         assert res.params["p0"] == 1.0
 
+    def test_non_finite_jacobian_halves_the_step(self):
+        # the Jacobian turns NaN just short of the optimum: the candidate
+        # there is refused like one with NaN values, so the fit stops short
+        # of it with a finite sigma (it once stopped there with sigma NaN
+        # and converged=True)
+        x = np.linspace(1.0, 5.0, 9)
+        y = 2.0 * x + np.random.default_rng(0).normal(0.0, 0.1, len(x))
+        best = float(x @ y / (x @ x))
+
+        def model(xx, th):
+            finite = th[0] <= best - 1e-12
+            return th[0] * xx, xx[:, None] if finite else np.full((len(xx), 1), np.nan)
+
+        res = least_squares(model, DataSeries(x, y), [best - 1e-7])
+        assert res.converged
+        assert math.isfinite(res.sigmas["p0"]) and res.sigmas["p0"] > 0.0
+        assert best - 1e-7 < res.params["p0"] <= best - 1e-12
+
     def test_init_outside_bounds_rejected(self):
         data = DataSeries(np.linspace(0, 1, 5), np.zeros(5))
         with pytest.raises(ValueError):
-            least_squares(lambda x, th: th[0] * x, data, [2.0], bounds=[(0.0, 1.0)],
-                          jac=lambda x, th: x[:, None])
+            least_squares(lambda x, th: (th[0] * x, x[:, None]), data, [2.0],
+                          bounds=[(0.0, 1.0)])
 
     def test_iteration_limit_flags_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(cascfluor.fit, "MAX_ITERATIONS", 1)
@@ -215,11 +225,10 @@ class TestLeastSquares:
         x = np.linspace(-20, 20, 41)
         y = lorentzian(x, 2.0, 11.0, 3.0, 0.3) + rng.normal(0, 0.02, len(x))
         res = least_squares(
-            lambda xx, th: lorentzian(xx, *th),
+            _lorentzian_model,
             DataSeries(x, y),
             [-5.0, 30.0, 1.0, 0.0],
             bounds=[(-np.inf, np.inf), (1e-9, np.inf), (0, np.inf), (-np.inf, np.inf)],
-            jac=_lorentzian_jac,
         )
         assert not res.converged
         assert res.iterations == 1
@@ -238,15 +247,13 @@ class TestLeastSquares:
     def test_negative_bootstrap_is_an_error(self):
         x = np.linspace(0.0, 5.0, 6)
         with pytest.raises(ValueError, match="bootstrap"):
-            least_squares(lambda x, th: th[0] * x + th[1], DataSeries(x, 2.0 * x + 1.0),
-                          [1.0, 0.0], bootstrap=-3, jac=line_design)
+            least_squares(line, DataSeries(x, 2.0 * x + 1.0), [1.0, 0.0], bootstrap=-3)
 
     def test_single_bootstrap_refit_is_an_error(self):
         # one refit has no spread: its sigmas would be NaN
         x = np.linspace(0.0, 5.0, 6)
         with pytest.raises(ValueError, match="bootstrap"):
-            least_squares(lambda x, th: th[0] * x + th[1], DataSeries(x, 2.0 * x + 1.0),
-                          [1.0, 0.0], bootstrap=1, jac=line_design)
+            least_squares(line, DataSeries(x, 2.0 * x + 1.0), [1.0, 0.0], bootstrap=1)
 
     def test_overflowing_residual_sum_is_an_error(self):
         # finite data whose sum of squares overflows give no fit, and no
@@ -255,8 +262,7 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="not finite"):
             fit_shift_slope(data)
         with pytest.raises(ValueError, match="not finite"):
-            least_squares(lambda x, th: th[0] * x + th[1], data, [0.0, 0.0],
-                          jac=line_design)
+            least_squares(line, data, [0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("condition", [0.9e14, 1.1e14])
@@ -282,10 +288,8 @@ class TestLeastSquares:
         x = np.linspace(0.0, 10.0, 40)
         y = 1.5 * x + 3.0 + rng.normal(0, 0.4, len(x))
         data = DataSeries(x, y)
-        model = lambda xx, th: th[0] * xx + th[1]  # noqa: E731
-        plain = least_squares(model, data, [1.0, 1.0], names=["a", "b"], jac=line_design)
-        boot = least_squares(model, data, [1.0, 1.0], names=["a", "b"],
-                             bootstrap=300, jac=line_design)
+        plain = least_squares(line, data, [1.0, 1.0], names=["a", "b"])
+        boot = least_squares(line, data, [1.0, 1.0], names=["a", "b"], bootstrap=300)
         assert boot.params == plain.params
         for name in ("a", "b"):
             assert boot.sigmas[name] == pytest.approx(plain.sigmas[name], rel=0.35)
@@ -311,7 +315,7 @@ class TestLeastSquares:
                               rng.uniform(0.5, 4), rng.uniform(-1, 1)])
             x = np.linspace(-25, 25, 21)
             model = lambda xx, th: lorentzian(xx, *th)  # noqa: E731
-            analytic = _lorentzian_jac
+            analytic = lambda xx, th: _lorentzian_model(xx, th)[1]  # noqa: E731
         elif family == "saturation":
             theta = np.array([rng.uniform(50, 300), rng.uniform(0.5, 5)])
             x = np.linspace(5, 600, 21)
@@ -380,9 +384,10 @@ class TestFitLorentzian:
             diffs.append(fit_w.params["fwhm"] - fit_n.params["fwhm"])
         assert np.mean(diffs) == pytest.approx(5.0, abs=1.0)
 
-    def test_bootstrap_evaluates_model_only_for_residuals(self, monkeypatch):
-        # closed-form derivatives: 51 fits of a few iterations each stay
-        # under 300 evaluations (central differences took 2233)
+    def test_bootstrap_evaluates_model_once_per_candidate(self, monkeypatch):
+        # closed-form derivatives that come with the values: 51 fits of a
+        # few iterations each stay under 300 model calls (central
+        # differences took 2233)
         rng = np.random.default_rng(7)
         x = np.linspace(-40, 40, 81)
         data = DataSeries(x, lorentzian(x, 0.3, 16.0, 1.0, 0.05)
@@ -579,12 +584,18 @@ class TestFitCascade:
         assert res.converged
         assert calls == {"fit.sample_spectrum": 1, "cascade.sample_spectrum": 0}
 
-    def test_detuning_fit_evaluates_model_only_for_residuals(self, monkeypatch):
-        # with closed-form derivatives no evaluation goes to Jacobian probes:
-        # 5 starts of about 7 iterations each stay under 60 evaluations
-        # (central differences took 268)
+    def test_detuning_fit_filters_once_per_evaluation(self, monkeypatch):
+        # each candidate the engine evaluates is one filtered_counts call
+        # that returns the counts and their derivatives together, and no
+        # call goes to a separate Jacobian: 5 starts of about 7 iterations
+        # each stay under 60 (central differences took 268 model calls)
         original, cascaded = self.fig4a_points(seed=1)
-        evals = []
+        evals, filters = [], []
+        real_filter = cascfluor.fit.filtered_counts
+
+        def counted_filter(*args, **kwargs):
+            filters.append(kwargs.get("gradient", False))
+            return real_filter(*args, **kwargs)
 
         def counting(model, *args, **kwargs):
             def counted(x, th):
@@ -592,10 +603,12 @@ class TestFitCascade:
                 return model(x, th)
             return least_squares(counted, *args, **kwargs)
 
+        monkeypatch.setattr(cascfluor.fit, "filtered_counts", counted_filter)
         monkeypatch.setattr(cascfluor.fit, "least_squares", counting)
         res = fit_cascade(original, cascaded, scan="detuning", s0=0.4, fix_efficiency=0.9)
         assert res.converged
-        assert len(evals) <= 60
+        assert len(filters) == len(evals) <= 60
+        assert all(filters)
 
     @pytest.mark.parametrize("norms, winner", [
         pytest.param([1.0, np.nextafter(1.0, 0.0), 2.0, 2.0, 2.0], 0, id="last_bit_tie"),
@@ -605,7 +618,7 @@ class TestFitCascade:
         original, cascaded = self.synth_power_scan()
         calls = []
 
-        def fake(model, data, init, bounds, names, jac):
+        def fake(model, data, init, bounds, names):
             calls.append(1)
             k = len(calls) - 1
             return FitResult(dict(zip(names, init)), dict.fromkeys(names, 0.1),
@@ -637,11 +650,12 @@ class TestFitCascade:
         def profile(th):
             return AbsorptionProfile(th[1], th[0], th[2], 0.9)
 
-        engine = least_squares(
-            lambda _x, th: filtered_counts(stack, original.x, profile(th)), cascaded, start,
-            bounds=list(zip(lo, hi)), names=["width", "alpha", "shift"],
-            jac=lambda _x, th: filtered_counts(stack, original.x, profile(th), True)[1][:, :3],
-        )
+        def model(_x, th):
+            counts, grad = filtered_counts(stack, original.x, profile(th), gradient=True)
+            return counts, grad[:, :3]
+
+        engine = least_squares(model, cascaded, start, bounds=list(zip(lo, hi)),
+                               names=["width", "alpha", "shift"])
         res = fit_cascade(original, cascaded, scan="detuning", s0=0.4, fix_efficiency=0.9)
         for fitted in (engine, res):
             assert fitted.converged
@@ -693,6 +707,74 @@ class TestFitCascade:
         assert isinstance(prof, AbsorptionProfile)
         assert prof.width == res.params["width"]
         assert prof.path_efficiency == 0.9
+
+
+def bits(result):
+    """A FitResult's names, numbers as exact bits, and flags."""
+    return (list(result.params), [v.hex() for v in result.params.values()],
+            list(result.sigmas), [v.hex() for v in result.sigmas.values()],
+            result.residual_norm.hex(), result.converged, result.iterations)
+
+
+class TestReferenceEngine:
+    """Each fit on the engine of tests/reference_fit.py, which calls the
+    model and the Jacobian separately, and again on the package's: params,
+    sigmas, residual norm, convergence and iterations agree bit for bit.
+    The fused models' values are those of the value paths they replaced:
+    the Lorentzian's is checked here, the cascade kernel's in
+    test_cascade.py."""
+
+    S0 = np.array([0.1, 0.4, 0.8, 1.6, 2.5, 4.0, 8.0])
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, fit):
+        fused = fit()
+        monkeypatch.setattr(cascfluor.fit, "least_squares", fused_least_squares)
+        assert bits(fused) == bits(fit())
+
+    @staticmethod
+    def single_series_fit(name, bootstrap):
+        """One of the four single-series fits on seeded noisy data."""
+        rng = np.random.default_rng(9)
+        s0 = TestReferenceEngine.S0
+        if name == "lorentzian":
+            x = np.linspace(-40.0, 40.0, 81)
+            y = lorentzian(x, 0.3, 16.0, 1.0, 0.05) + rng.normal(0.0, 0.02, len(x))
+            return fit_lorentzian(DataSeries(x, y), bootstrap)
+        if name == "saturation":
+            powers = np.array([10.0, 20.0, 40.0, 80.0, 121.0, 160.0, 240.0, 400.0, 600.0])
+            y = saturation_rate(powers, 121.0, 3.0) * (1.0 + 0.02 * rng.standard_normal(9))
+            return fit_saturation(DataSeries(powers, y), bootstrap)
+        if name == "broadening":
+            y = power_broadened_width(s0, 6.45, 8.44) * (1.0 + 0.05 * rng.standard_normal(7))
+            return fit_power_broadening(DataSeries(s0, y), bootstrap)
+        y = 0.25 * s0 + 0.5 + rng.normal(0.0, 0.1, len(s0))
+        return fit_shift_slope(DataSeries(s0, y, np.full(len(s0), 0.1)), bootstrap)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("figure", TestFitCascade.FIGURE_FITS)
+    def test_cascade_fit_bit_for_bit(self, monkeypatch, figure, seed):
+        points, kwargs = TestFitCascade.FIGURE_FITS[figure]
+        self.assert_matches_reference(
+            monkeypatch, lambda: fit_cascade(*points(seed), **kwargs))
+
+    @pytest.mark.parametrize("name, bootstrap", [
+        ("lorentzian", 50),
+        *((name, b) for name in ("saturation", "broadening", "slope") for b in (0, 20)),
+    ])
+    def test_single_series_fit_bit_for_bit(self, monkeypatch, name, bootstrap):
+        self.assert_matches_reference(
+            monkeypatch, lambda: self.single_series_fit(name, bootstrap))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lorentzian_model_is_lorentzian_and_its_jacobian(self, seed):
+        rng = np.random.default_rng(seed)
+        th = np.array([rng.uniform(-3, 3), rng.uniform(0.5, 20), rng.uniform(0.1, 4),
+                       rng.uniform(-1, 1)])
+        x = np.sort(rng.uniform(-40.0, 40.0, 33))
+        values, jac = _lorentzian_model(x, th)
+        assert values.tobytes() == lorentzian(x, *th).tobytes()
+        assert jac.tobytes() == lorentzian_jac(x, th).tobytes()
 
 
 class TestFitPowerBroadening:
@@ -770,8 +852,7 @@ class TestDataSeries:
         y = lorentzian(x, 0.5, 4.0, 9.0, 1.0)
         y[7] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            least_squares(lambda x, th: lorentzian(x, *th), DataSeries(x, y),
-                          [0.5, 4, 9, 1], jac=_lorentzian_jac)
+            least_squares(_lorentzian_model, DataSeries(x, y), [0.5, 4, 9, 1])
         with pytest.raises(ValueError, match="finite"):
             fit_lorentzian(DataSeries(x, y))
 

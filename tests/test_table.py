@@ -155,6 +155,23 @@ def test_read_table_names_the_bad_line(tmp_path, text, lineno):
         read_table(path)
 
 
+# a bad value on line 2 ahead of a row with the wrong field count on line 3
+FIRST_BAD_LINE = [
+    pytest.param(read_table, "x,y\n1,abc\n1,2,3\n", id="table_value"),
+    pytest.param(read_timetags, "run_id,arrival_ns\n-1,5\n0,5,6\n", id="timetag_sign"),
+    pytest.param(read_report_csv, "name,value,sigma\nwidth,abc,1\nalpha,1\n",
+                 id="report_value"),
+]
+
+
+@pytest.mark.parametrize("reader, text", FIRST_BAD_LINE)
+def test_the_first_bad_line_is_named(tmp_path, reader, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="data.csv:2: "):
+        reader(path)
+
+
 def test_read_table_header_only_gives_empty_columns(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("# k=2.5\nx,y\n")
