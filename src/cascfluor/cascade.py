@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .spectrum import DriveParams, SpectrumStack, _grid, _trapezoid, sample_spectrum
+from .spectrum import DriveParams, SpectrumStack, _sample, _sampling_grid, _trapezoid
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
 DEFAULT_PATH_EFFICIENCY = 0.9
-# cascaded_counts samples and filters at most this many grid values (points
-# x grid) per stack: eight points of the default grid, which spreads the fixed
-# cost of sample_spectrum and filtered_counts while their temporaries stay in
-# cache. Sampling plus filtering costs about 100 us per point alone, 52 us at
-# four points, 44 us at eight and 57 us at sixteen (2-vCPU host, +-30%).
+# cascaded_counts filters at most this many grid values (points x grid) at a
+# time, and each of its work arrays holds at most this many: eight points of
+# the default grid. The bound is set by the allocator: an 8-row (n, grid + 1)
+# array of the default grid is 128,128 bytes, just under glibc's default
+# 128 KiB mmap threshold, so it and the temporaries numpy still makes come
+# from the heap and are reused. At 16 rows each is a fresh mmap: a 121-point
+# scan took 717 minor page faults (getrusage ru_minflt) with the allocating
+# stack kernel, against 0 at 8 rows.
 STACK_VALUES = 16384
 
 
@@ -72,16 +76,52 @@ def transmission(omega, prof: AbsorptionProfile, drive_detuning: float = 0.0):
     return prof.path_efficiency * np.exp(-prof.alpha * lor)
 
 
+def _transmission(u, prof: AbsorptionProfile, work=None):
+    """The Lorentzian L = 1 / (1 + 4 u^2) and the transmission
+    T = path_efficiency * exp(-alpha L) of u = omega - center, which is
+    divided by the width here in place, operation for operation as
+    lorentzian_profile and transmission compute them. Given work (which
+    may be u), L and then T overwrite it."""
+    u /= prof.width
+    lor = np.square(u, out=work)
+    np.divide(1.0, np.add(1.0, np.multiply(4.0, lor, out=lor), out=lor), out=lor)
+    trans = np.multiply(-prof.alpha, lor, out=work)
+    np.multiply(prof.path_efficiency, np.exp(trans, out=trans), out=trans)
+    return lor, trans
+
+
+def _filter(axis, steps, density, elastic, centers, prof: AbsorptionProfile, work, terms):
+    """filtered_counts' value path in place: the count of row i of density
+    and elastic seen through the filter at centers[i], on the axis (the
+    grid, then 0.0 for the elastic line). work and terms are flat work
+    arrays of at least len(centers) * len(axis) values. When every center
+    is the same, L and T are one row, broadcast."""
+    n, size = len(centers), len(axis)
+    if (centers == centers[0]).all():
+        u = terms[:size].reshape(1, size)
+        inelastic = work[:n * (size - 1)].reshape(n, -1)
+    else:
+        u = work[:n * size].reshape(n, size)
+        inelastic = u[:, :-1]
+    np.subtract(axis, centers[:len(u), None], out=u)
+    _, trans = _transmission(u, prof, u)
+    np.multiply(density, trans[:, :-1], out=inelastic)
+    # taken before the trapezoid, whose terms overwrite a broadcast row
+    tail = elastic * trans[:, -1]
+    return _trapezoid(steps, inelastic, terms[:n * (size - 2)].reshape(n, -1)) + tail
+
+
 def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
                     gradient: bool = False):
     """Cascaded count of each row of a spectrum stack, all rows at once.
 
     stack (from sample_spectrum) holds the shared offsets, the (n, grid)
     densities and the (n,) elastic weights of n spectra; row i is
-    filtered as seen by a drive detuned by detunings[i]. The Lorentzian
-    L and the transmission are evaluated as (n, grid + 1) arrays, the
-    elastic line being the last column at omega = 0. Each count is the
-    trapezoid of its row of density * transmission plus the attenuated
+    filtered as seen by a drive detuned by detunings[i], which must be
+    finite. The Lorentzian L and the transmission are evaluated as
+    (n, grid + 1) arrays, the elastic line being the last column at
+    omega = 0 (as one row when every detuning is the same). Each count is
+    the trapezoid of its row of density * transmission plus the attenuated
     elastic weight, so a row comes out bit for bit as it would alone. With
     gradient=True, also returns the (n, 4) closed-form derivatives of the
     counts with respect to (width, alpha, shift, path_efficiency), from the
@@ -91,25 +131,25 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     width and dT/dpath_efficiency = T / path_efficiency.
     """
     offsets, density, elastic = stack
-    centers = np.subtract(prof.shift, detunings)
-    if centers.shape != elastic.shape:
+    detunings = np.asarray(detunings, dtype=float)
+    if detunings.shape != elastic.shape:
         raise ValueError(f"{len(elastic)} spectra need as many detunings, "
-                         f"got shape {centers.shape}")
-    u = np.subtract(np.concatenate((offsets, (0.0,))), centers[:, None])
-    u /= prof.width
-    # L = 1 / (1 + 4 u^2) and T = path_efficiency * exp(-alpha L), operation for
-    # operation; the value path turns u into L, T and the integrand in place
-    work = None if gradient else u
-    lor = np.square(u, out=work)
-    np.divide(1.0, np.add(1.0, np.multiply(4.0, lor, out=lor), out=lor), out=lor)
-    trans = np.multiply(-prof.alpha, lor, out=work)
-    np.multiply(prof.path_efficiency, np.exp(trans, out=trans), out=trans)
-    inelastic = np.multiply(density, trans[:, :-1], out=None if gradient else trans[:, :-1])
-    counts = _trapezoid(offsets, inelastic) + elastic * trans[:, -1]
+                         f"got shape {detunings.shape}")
+    bad = ~np.isfinite(detunings)
+    if bad.any():
+        raise ValueError(f"drive detuning must be finite, got {detunings[bad][0]}")
+    centers = np.subtract(prof.shift, detunings)
+    axis = np.concatenate((offsets, (0.0,)))
+    steps = offsets[1:] - offsets[:-1]
     if not gradient:
-        return counts
+        n = len(centers)
+        return _filter(axis, steps, density, elastic, centers, prof,
+                       np.empty(n * len(axis)), np.empty(n * len(axis)))
+    u = np.subtract(axis, centers[:, None])
+    lor, trans = _transmission(u, prof)
+    counts = _trapezoid(steps, density * trans[:, :-1]) + elastic * trans[:, -1]
     # trapezoid weight of each grid point, then 1 for the elastic line
-    half = (offsets[1:] - offsets[:-1]) / 2.0
+    half = steps / 2.0
     weights = np.concatenate((half, [0.0, 1.0]))
     weights[1:-1] += half
     # minus the integrand of d/dalpha, density (elastic weight) times L T,
@@ -124,32 +164,72 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     return counts, np.column_stack((d_width, d_alpha, d_shift, counts / prof.path_efficiency))
 
 
+def _stacks(drives, counts, limits):
+    """The stacks of cascaded_counts, as lists of groups of drive indices.
+
+    Drives with equal (gamma, s0, abs(delta), count) form one group and
+    share one sampled row: their spectra are the same to the last bit, as
+    the density and the elastic weight depend on delta only through
+    (delta/gamma)^2. The groups of one linewidth fill stacks of at most
+    limits[gamma] groups in order of first appearance. Within a stack the
+    groups are ordered by falling size."""
+    groups = {}
+    for k, (p, n) in enumerate(zip(drives, counts.tolist())):
+        groups.setdefault((p.gamma, p.s0, abs(p.delta), n), []).append(k)
+    filling = {}
+    for (gamma, *_), group in groups.items():
+        stack = filling.setdefault(gamma, [])
+        stack.append(group)
+        if len(stack) == limits[gamma]:
+            yield sorted(filling.pop(gamma), key=len, reverse=True)
+    for stack in filling.values():
+        yield sorted(stack, key=len, reverse=True)
+
+
 def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndarray:
     """Cascaded count at each drive point, as an array.
 
     Each point's spectrum is sampled over +-10 linewidths at gamma/100 and
     normalized to its original count, as sample_spectrum([drive], [count])
-    would alone. Consecutive points of one linewidth (one grid) are
-    sampled by one sample_spectrum call and filtered together, at most
-    STACK_VALUES grid values at a time, so only a few spectra are held at
-    once.
+    would alone, and filtered as filtered_counts would filter it; the
+    counts are bit for bit theirs. The work each call shares is done once:
+    one grid per linewidth and one set of work arrays, each of at most
+    STACK_VALUES values, in which a stack of a few spectra is sampled and
+    filtered in place. Drives that differ at most in the sign of the
+    detuning (a scan symmetric about resonance) share one sampled row, and
+    each row is filtered once per drive, at most STACK_VALUES grid values
+    at a time. When those drives share one detuning (a power scan), the
+    filter is evaluated as one row.
     """
     drives = list(drives)
     counts = np.fromiter(original_counts, dtype=float)
     if len(counts) != len(drives):
         raise ValueError(f"{len(drives)} drives need as many counts, got {len(counts)}")
     out = np.empty(len(drives))
-    start = 0
-    while start < len(drives):
-        gamma = drives[start].gamma
-        _, half = _grid(gamma, 10.0, None)
-        limit = min(start + max(1, STACK_VALUES // (2 * half + 1)), len(drives))
-        stop = start + 1
-        while stop < limit and drives[stop].gamma == gamma:
-            stop += 1
-        stack = sample_spectrum(drives[start:stop], counts[start:stop])
-        out[start:stop] = filtered_counts(stack, [d.delta for d in drives[start:stop]], prof)
-        start = stop
+    if not drives:
+        return out
+    grids = {}
+    for p in drives:
+        if p.gamma not in grids:
+            grid = _sampling_grid(p.gamma)
+            grids[p.gamma] = grid, np.concatenate((grid.offsets, (0.0,)))
+    limits = {g: max(1, STACK_VALUES // len(grid.offsets)) for g, (grid, _) in grids.items()}
+    capacity = max(limits[g] * len(axis) for g, (_, axis) in grids.items())
+    density, work, terms = np.empty(capacity), np.empty(capacity), np.empty(capacity)
+    elastic = np.empty(max(limits.values()))
+    centers = np.subtract(prof.shift, [p.delta for p in drives])
+    for stack in _stacks(drives, counts, limits):
+        grid, axis = grids[drives[stack[0][0]].gamma]
+        firsts = [group[0] for group in stack]
+        rows = density[:len(firsts) * len(grid.offsets)].reshape(len(firsts), -1)
+        _sample(grid, [drives[k] for k in firsts], counts[firsts], rows,
+                elastic[:len(firsts)], work, terms)
+        # the j-th drives of the groups that have one; the largest come first
+        for block in zip_longest(*stack):
+            block = [k for k in block if k is not None]
+            m = len(block)
+            out[block] = _filter(axis, grid.steps, rows[:m], elastic[:m], centers[block],
+                                 prof, work, terms)
     return out
 
 
@@ -165,10 +245,10 @@ def ratio_curve(
     (DriveParams' DEFAULT_GAMMA_MHZ). The emission spectrum is recomputed
     per detuning, normalized to the measured original count there, and sent
     through the filter, all through cascaded_counts: a few detunings share
-    one sample_spectrum broadcast and one filtered_counts call, bit for bit
-    the per-point result. The curve dips where the drive sits on the filter
-    center and the dip gets shallower with increasing s0 as the sidebands
-    escape the filter.
+    one stack, and a detuning and its mirror -detuning one sampled spectrum,
+    bit for bit the per-point result. The curve dips where the drive sits on
+    the filter center and the dip gets shallower with increasing s0 as the
+    sidebands escape the filter.
     """
     counts = np.fromiter(original_counts, dtype=float)
     drives = [DriveParams(s0, delta) for delta in detunings]

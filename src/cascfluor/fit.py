@@ -364,7 +364,8 @@ def cascade_model_counts(
 
     Builds the emission spectrum per point, rescales it to the measured
     original count there, and integrates it through the lab-frame filter
-    (cascaded_counts: a few points per sample_spectrum and filter call).
+    (cascaded_counts: a few points per in-place stack, one sampled
+    spectrum for a detuning and its mirror).
     """
     prof = AbsorptionProfile(alpha, width, shift, path_efficiency)
     return cascaded_counts(drives, original_counts, prof)

@@ -161,15 +161,135 @@ class TestCascadedCounts:
         expected = [one_point_count(one_point_spectrum(d, n), FITTED, d.delta)
                     for d, n in zip(drives, counts)]
         rows = []
-        kernel = cascfluor.cascade.filtered_counts
+        kernel = cascfluor.cascade._filter
 
-        def counted(stack, *args):
-            rows.append(len(stack.elastic))
-            return kernel(stack, *args)
+        def counted(axis, steps, density, elastic, centers, *args):
+            rows.append(len(centers))
+            return kernel(axis, steps, density, elastic, centers, *args)
 
-        monkeypatch.setattr(cascfluor.cascade, "filtered_counts", counted)
+        monkeypatch.setattr(cascfluor.cascade, "_filter", counted)
         np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
         assert rows == [8, 2, 3]  # 8 x 2001 <= STACK_VALUES < 9 x 2001
+
+
+def pointwise_counts(drives, counts, prof):
+    """Each drive's count from its own one-point spectrum and filter."""
+    return [one_point_count(one_point_spectrum(d, n), prof, d.delta)
+            for d, n in zip(drives, counts)]
+
+
+class TestCascadedCountsSharedWork:
+    """cascaded_counts builds one grid and one set of work arrays per call,
+    samples one row for drives that differ only in the sign of the
+    detuning, and filters a shared detuning as one row: bit for bit the
+    per-point path of pointwise.py either way."""
+
+    SCAN = np.linspace(-30.0, 30.0, 121)
+    SHIFTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=-1.5, path_efficiency=0.9)
+
+    @staticmethod
+    def sampled_rows(monkeypatch):
+        rows = []
+        sampler = cascfluor.cascade._sample
+
+        def counted(grid, drives, *args):
+            rows.append(len(drives))
+            return sampler(grid, drives, *args)
+
+        monkeypatch.setattr(cascfluor.cascade, "_sample", counted)
+        return rows
+
+    @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
+    @pytest.mark.parametrize("s0", [0.4, 2.5, 8.0])
+    def test_symmetric_scan(self, s0, prof):
+        drives = [DriveParams(s0, d) for d in self.SCAN]
+        counts = 1000.0 + self.SCAN ** 2  # even in the detuning, so pairs share
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                      pointwise_counts(drives, counts, prof))
+        np.testing.assert_array_equal(ratio_curve(self.SCAN, s0, prof, counts),
+                                      np.divide(pointwise_counts(drives, counts, prof), counts))
+
+    @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
+    def test_asymmetric_scan(self, prof):
+        drives = [DriveParams(2.5, d) for d in np.linspace(-20.0, 35.0, 97)]
+        counts = np.linspace(300.0, 2000.0, len(drives))
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                      pointwise_counts(drives, counts, prof))
+
+    def test_signed_zero_detunings_share_a_row(self, monkeypatch):
+        rows = self.sampled_rows(monkeypatch)
+        drives = [DriveParams(2.5, 0.0), DriveParams(2.5, -0.0), DriveParams(0.4, -0.0)]
+        counts = [700.0, 700.0, 700.0]
+        for prof in (FITTED, self.SHIFTED):
+            np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                          pointwise_counts(drives, counts, prof))
+        assert rows == [2, 2]
+
+    @pytest.mark.parametrize("other", [DriveParams(2.5, -3.0, 6.0), DriveParams(0.4, -3.0)],
+                             ids=["gamma", "s0"])
+    def test_equal_abs_detuning_with_other_drive_or_count_not_shared(self, monkeypatch,
+                                                                     other):
+        rows = self.sampled_rows(monkeypatch)
+        drives = [DriveParams(2.5, 3.0), DriveParams(2.5, -3.0), other]
+        counts = [700.0, 900.0, 700.0]  # the first two differ in count only
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, self.SHIFTED),
+                                      pointwise_counts(drives, counts, self.SHIFTED))
+        assert sum(rows) == 3
+
+    def test_groups_of_any_size_in_one_stack(self, monkeypatch):
+        # a single drive first, then groups of three, two and twenty drives
+        # (more than one stack holds) that share one row each
+        rows = self.sampled_rows(monkeypatch)
+        deltas = [7.0, -3.0, 1.0, 3.0, 3.0, -7.5, 1.0, -1.0, 9.0, -9.0] + [4.0, -4.0] * 10
+        drives = [DriveParams(2.5, d) for d in deltas]
+        counts = [800.0] * len(drives)
+        for prof in (FITTED, self.SHIFTED):
+            np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                          pointwise_counts(drives, counts, prof))
+        assert rows == [6, 6]
+
+    @pytest.mark.parametrize("delta", [0.0, 3.0])
+    @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
+    def test_power_scan(self, prof, delta):
+        drives = [DriveParams(s0, delta) for s0 in np.linspace(0.05, 10.0, 121)]
+        counts = np.linspace(100.0, 3000.0, len(drives))
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                      pointwise_counts(drives, counts, prof))
+
+    def test_mixed_linewidths(self):
+        drives = [DriveParams(s0, d, gamma) for s0 in (0.4, 8.0)
+                  for d in (-12.0, -3.0, 0.0, 3.0, 12.0) for gamma in (5.2, 6.0, 4.1)]
+        counts = [1000.0] * len(drives)
+        for prof in (FITTED, self.SHIFTED):
+            np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                          pointwise_counts(drives, counts, prof))
+
+    def test_symmetric_scan_samples_61_rows_and_power_scan_121(self, monkeypatch):
+        rows = self.sampled_rows(monkeypatch)
+        ratio_curve(self.SCAN, 2.5, FITTED, np.ones(121))
+        assert sum(rows) == 61 and max(rows) == 8
+        rows.clear()
+        cascaded_counts([DriveParams(s0) for s0 in np.linspace(0.05, 10.0, 121)],
+                        np.ones(121), FITTED)
+        assert sum(rows) == 121 and max(rows) == 8
+
+    def test_sampled_stack_shares_no_memory_with_later_calls(self):
+        drives = [DriveParams(2.5, d) for d in (-3.0, 0.0, 3.0)]
+        stack = sample_spectrum(drives, [700.0, 1000.0, 700.0])
+        kept = [a.copy() for a in stack]
+        later = sample_spectrum(drives[:2], [1.0, 1.0])
+        cascaded_counts(drives, [700.0, 1000.0, 700.0], FITTED)
+        for got, expected in zip(stack, kept):
+            np.testing.assert_array_equal(got, expected)
+            assert not any(np.shares_memory(got, a) for a in later)
+
+    def test_calls_of_different_sizes_each_equal_a_fresh_call(self):
+        big = [DriveParams(2.5, d) for d in self.SCAN]
+        small = [DriveParams(8.0, d, 6.0) for d in (-3.0, 3.0, 7.0)]
+        big_counts, small_counts = np.ones(len(big)), [500.0, 500.0, 900.0]
+        for drives, counts in ((big, big_counts), (small, small_counts), (big, big_counts)):
+            np.testing.assert_array_equal(cascaded_counts(drives, counts, self.SHIFTED),
+                                          pointwise_counts(drives, counts, self.SHIFTED))
 
 
 class TestInPlaceKernel:
@@ -377,6 +497,15 @@ class TestFilteredCounts:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="detunings"):
             filtered_counts(stack_of(self.spectra(0.4)), self.DELTAS[:-1], FITTED)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_non_finite_detuning_rejected(self, bad, gradient):
+        # a NaN detuning gave a NaN count and an infinite one the count of
+        # an absent filter (path_efficiency x count)
+        deltas = [0.0, bad, 3.0, math.nan, 7.0]
+        with pytest.raises(ValueError, match=f"detuning must be finite, got {bad}$"):
+            filtered_counts(stack_of(self.spectra(0.4)), deltas, FITTED, gradient=gradient)
 
 
 def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):

@@ -9,6 +9,7 @@ from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
     NormalizationError,
+    _check_offsets,
     _check_spectrum,
     _trapezoid,
     detuned_saturation,
@@ -217,15 +218,16 @@ class TestSampleSpectrum:
 
 
 class TestSpectrumValidation:
-    """The value checks sample_spectrum runs on every stack it returns."""
+    """The value checks sample_spectrum runs on every grid it builds and
+    every stack it returns."""
 
     def test_rejects_bad_arrays(self):
         with pytest.raises(ValueError):
-            _check_spectrum(np.array([0.0, 1.0, 1.0]), np.zeros(3), 0.0)
+            _check_offsets(np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            _check_spectrum(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 0.0)
+            _check_spectrum(np.array([-1.0, 0.0]), 0.0)
         with pytest.raises(ValueError):
-            _check_spectrum(np.array([0.0, 1.0]), np.zeros(2), -0.5)
+            _check_spectrum(np.zeros(2), -0.5)
 
     @pytest.mark.parametrize("field, bad", [
         ("density", np.nan), ("density", np.inf), ("offsets", np.inf),
@@ -238,7 +240,9 @@ class TestSpectrumValidation:
             fields[field] = bad
         else:
             fields[field][-1] = bad
+        offsets = fields.pop("offsets")
         with pytest.raises(ValueError, match="finite"):
+            _check_offsets(offsets)
             _check_spectrum(**fields)
 
 
@@ -271,7 +275,7 @@ class TestNormalization:
         drive = [DriveParams(s0, delta)]
         raw = sample_spectrum(drive, grid_step=step)
         total = float(np.trapezoid(raw.density[0], raw.offsets) + raw.elastic[0])
-        assert _trapezoid(raw.offsets, raw.density[0]) + raw.elastic[0] == total
+        assert _trapezoid(np.diff(raw.offsets), raw.density[0]) + raw.elastic[0] == total
         scaled = sample_spectrum(drive, [1234.5], step)
         np.testing.assert_array_equal(scaled.density[0], raw.density[0] * (1234.5 / total))
         assert scaled.elastic[0] == raw.elastic[0] * (1234.5 / total)
