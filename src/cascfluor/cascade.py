@@ -20,15 +20,22 @@ from .spectrum import DriveParams, SpectrumStack, _sample, _sampling_grid, _trap
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
 DEFAULT_PATH_EFFICIENCY = 0.9
-# cascaded_counts filters at most this many grid values (points x grid) at a
-# time, and each of its work arrays holds at most this many: eight points of
-# the default grid. The bound is set by the allocator: an 8-row (n, grid + 1)
-# array of the default grid is 128,128 bytes, just under glibc's default
-# 128 KiB mmap threshold, so it and the temporaries numpy still makes come
-# from the heap and are reused. At 16 rows each is a fresh mmap: a 121-point
-# scan took 717 minor page faults (getrusage ru_minflt) with the allocating
-# stack kernel, against 0 at 8 rows.
-STACK_VALUES = 16384
+# cascaded_counts samples and filters at most this many grid values (points x
+# grid) at a time, and each of its three work arrays holds at most this many:
+# 16 points of the default grid. Each stack has a fixed cost (the sampler's
+# and the filter's few dozen numpy calls), so larger stacks run faster while
+# the work arrays are reused from the heap. With glibc's trim and mmap
+# thresholds raised in the measuring process (2-vCPU Xeon, glibc 2.36, numpy
+# 2.4), a 121-point power scan took 5.6, 4.5 and 4.0 ms at 8, 16 and 32 rows
+# (medians); a 32-row stack's arrays, 1.5 MiB, still fit the 2 MiB L2. The
+# bound is set by the allocator. A 16-row array is 256 KiB, over glibc's
+# initial 128 KiB mmap threshold, so a process whose threshold has not risen
+# (it rises to the largest mapped block freed) maps the arrays afresh on every
+# call: 218 minor faults per 121-point detuning scan and 93 per power scan,
+# against 0 at 8 rows (getrusage ru_minflt). The scan benchmark's process has
+# raised it past 256 KiB: 0 faults per op at 8 and 16 rows, but 1404 at 32
+# rows, whose 512 KiB arrays lie above it.
+STACK_VALUES = 32768
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,11 @@ def _transmission(u, prof: AbsorptionProfile, work=None):
 def _filter(axis, steps, density, elastic, centers, prof: AbsorptionProfile, work, terms):
     """filtered_counts' value path in place: the count of row i of density
     and elastic seen through the filter at centers[i], on the axis (the
-    grid, then 0.0 for the elastic line). work and terms are flat work
-    arrays of at least len(centers) * len(axis) values. When every center
-    is the same, L and T are one row, broadcast."""
+    grid, then 0.0 for the elastic line), and its attenuated elastic
+    weight. work and terms are flat work arrays of at least
+    len(centers) * len(axis) values; row i's trapezoid terms are left in
+    row i of terms' first len(centers) * (len(axis) - 2) values. When
+    every center is the same, L and T are one row, broadcast."""
     n, size = len(centers), len(axis)
     if (centers == centers[0]).all():
         u = terms[:size].reshape(1, size)
@@ -108,7 +117,7 @@ def _filter(axis, steps, density, elastic, centers, prof: AbsorptionProfile, wor
     np.multiply(density, trans[:, :-1], out=inelastic)
     # taken before the trapezoid, whose terms overwrite a broadcast row
     tail = elastic * trans[:, -1]
-    return _trapezoid(steps, inelastic, terms[:n * (size - 2)].reshape(n, -1)) + tail
+    return _trapezoid(steps, inelastic, terms[:n * (size - 2)].reshape(n, -1)) + tail, tail
 
 
 def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
@@ -144,7 +153,7 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     if not gradient:
         n = len(centers)
         return _filter(axis, steps, density, elastic, centers, prof,
-                       np.empty(n * len(axis)), np.empty(n * len(axis)))
+                       np.empty(n * len(axis)), np.empty(n * len(axis)))[0]
     u = np.subtract(axis, centers[:, None])
     lor, trans = _transmission(u, prof)
     counts = _trapezoid(steps, density * trans[:, :-1]) + elastic * trans[:, -1]
@@ -164,26 +173,31 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     return counts, np.column_stack((d_width, d_alpha, d_shift, counts / prof.path_efficiency))
 
 
-def _stacks(drives, counts, limits):
+def _stacks(drives, counts, centers, limits):
     """The stacks of cascaded_counts, as lists of groups of drive indices.
 
     Drives with equal (gamma, s0, abs(delta), count) form one group and
     share one sampled row: their spectra are the same to the last bit, as
     the density and the elastic weight depend on delta only through
-    (delta/gamma)^2. The groups of one linewidth fill stacks of at most
+    (delta/gamma)^2. A group is (first, mirrors, others): its first drive,
+    the later ones whose filter center is the negation of the first's, and
+    the rest. The groups of one linewidth fill stacks of at most
     limits[gamma] groups in order of first appearance. Within a stack the
-    groups are ordered by falling size."""
+    groups are ordered by falling len(others)."""
     groups = {}
     for k, (p, n) in enumerate(zip(drives, counts.tolist())):
-        groups.setdefault((p.gamma, p.s0, abs(p.delta), n), []).append(k)
+        first, mirrors, others = groups.setdefault((p.gamma, p.s0, abs(p.delta), n),
+                                                   (k, [], []))
+        if k != first:
+            (mirrors if centers[k] == -centers[first] else others).append(k)
     filling = {}
     for (gamma, *_), group in groups.items():
         stack = filling.setdefault(gamma, [])
         stack.append(group)
         if len(stack) == limits[gamma]:
-            yield sorted(filling.pop(gamma), key=len, reverse=True)
+            yield sorted(filling.pop(gamma), key=lambda g: len(g[2]), reverse=True)
     for stack in filling.values():
-        yield sorted(stack, key=len, reverse=True)
+        yield sorted(stack, key=lambda g: len(g[2]), reverse=True)
 
 
 def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndarray:
@@ -196,9 +210,15 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     one grid per linewidth and one set of work arrays, each of at most
     STACK_VALUES values, in which a stack of a few spectra is sampled and
     filtered in place. Drives that differ at most in the sign of the
-    detuning (a scan symmetric about resonance) share one sampled row, and
-    each row is filtered once per drive, at most STACK_VALUES grid values
-    at a time. When those drives share one detuning (a power scan), the
+    detuning (a scan symmetric about resonance) share one sampled row.
+    Of those, a drive whose filter center shift - delta is the negation of
+    the first one's (the mirrored drive of a symmetric scan with the filter
+    on the line, shift 0) sees the mirrored filter on the mirrored grid, so
+    its integrand is the first one's reversed to the last bit: its count is
+    the first one's trapezoid terms, reversed into a contiguous copy and
+    summed in the order its own would be, plus the same attenuated elastic
+    weight. Every other drive is filtered, at most STACK_VALUES grid values
+    at a time, and when those drives share one detuning (a power scan) the
     filter is evaluated as one row.
     """
     drives = list(drives)
@@ -218,18 +238,34 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     density, work, terms = np.empty(capacity), np.empty(capacity), np.empty(capacity)
     elastic = np.empty(max(limits.values()))
     centers = np.subtract(prof.shift, [p.delta for p in drives])
-    for stack in _stacks(drives, counts, limits):
-        grid, axis = grids[drives[stack[0][0]].gamma]
-        firsts = [group[0] for group in stack]
-        rows = density[:len(firsts) * len(grid.offsets)].reshape(len(firsts), -1)
-        _sample(grid, [drives[k] for k in firsts], counts[firsts], rows,
-                elastic[:len(firsts)], work, terms)
-        # the j-th drives of the groups that have one; the largest come first
-        for block in zip_longest(*stack):
+    for stack in _stacks(drives, counts, centers, limits):
+        firsts, mirrors, others = (list(part) for part in zip(*stack))
+        grid, axis = grids[drives[firsts[0]].gamma]
+        n, size = len(firsts), len(grid.steps)
+        rows = density[:n * len(grid.offsets)].reshape(n, -1)
+        _sample(grid, [drives[k] for k in firsts], counts[firsts], rows, elastic[:n],
+                work, terms)
+        out[firsts], tails = _filter(axis, grid.steps, rows, elastic[:n], centers[firsts],
+                                     prof, work, terms)
+        # the mirrored drives' count from their first's terms, reversed,
+        # before the next filter call overwrites them; one row per group, as
+        # its mirrors share one center. Every index is valid, and take with
+        # out under the default mode="raise" copies through a buffer, 7x
+        # slower on 15 default-grid rows
+        source = [i for i, group in enumerate(mirrors) if group]
+        if source:
+            flipped = work[:len(source) * size].reshape(len(source), size)
+            np.take(terms[:n * size].reshape(n, size)[:, ::-1], source, axis=0, out=flipped,
+                    mode="clip")
+            mirrored = np.add.reduce(flipped, axis=-1) + tails[source]
+            out[[k for i in source for k in mirrors[i]]] = np.repeat(
+                mirrored, [len(mirrors[i]) for i in source])
+        # the j-th others of the groups that have one; the most come first
+        for block in zip_longest(*others):
             block = [k for k in block if k is not None]
             m = len(block)
             out[block] = _filter(axis, grid.steps, rows[:m], elastic[:m], centers[block],
-                                 prof, work, terms)
+                                 prof, work, terms)[0]
     return out
 
 
@@ -245,8 +281,10 @@ def ratio_curve(
     (DriveParams' DEFAULT_GAMMA_MHZ). The emission spectrum is recomputed
     per detuning, normalized to the measured original count there, and sent
     through the filter, all through cascaded_counts: a few detunings share
-    one stack, and a detuning and its mirror -detuning one sampled spectrum,
-    bit for bit the per-point result. The curve dips where the drive sits on
+    one stack, and a detuning and its mirror -detuning (with equal counts)
+    one sampled spectrum; with the filter on the line (shift 0) the mirror
+    also reuses the detuning's filtered row, reversed. Each ratio is bit
+    for bit the per-point result. The curve dips where the drive sits on
     the filter center and the dip gets shallower with increasing s0 as the
     sidebands escape the filter.
     """

@@ -105,16 +105,19 @@ def cmd_cascade(args) -> int:
 def cmd_ratio(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    for name in ("start", "stop"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
     prof = _profile_from_args(args)
     grid = np.linspace(args.start, args.stop, args.points)
     if args.scan == "detuning":
         s0 = 0.4 if args.s0 is None else args.s0
-        drives = [spectrum.DriveParams(s0, d, args.gamma) for d in grid]
+        drives = [spectrum.DriveParams(s0, d, args.gamma) for d in grid.tolist()]
         key = "delta_mhz"
     elif args.s0 is not None:
         raise ValueError("--s0 is only for --scan detuning")
     else:
-        drives = [spectrum.DriveParams(s0, 0.0, args.gamma) for s0 in grid]
+        drives = [spectrum.DriveParams(s0, 0.0, args.gamma) for s0 in grid.tolist()]
         key = "s0"
     ratios = cascade.cascaded_counts(drives, np.ones_like(grid), prof)
     out = _out_dir(args)

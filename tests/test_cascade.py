@@ -139,6 +139,19 @@ class TestCascadedCount:
         assert got == pytest.approx(expected, abs=slack)
 
 
+def filtered_rows(monkeypatch):
+    """The number of rows of each call of cascaded_counts' filter kernel."""
+    rows = []
+    kernel = cascfluor.cascade._filter
+
+    def counted(axis, steps, density, elastic, centers, *args):
+        rows.append(len(centers))
+        return kernel(axis, steps, density, elastic, centers, *args)
+
+    monkeypatch.setattr(cascfluor.cascade, "_filter", counted)
+    return rows
+
+
 class TestCascadedCounts:
     def test_each_point_is_its_normalized_spectrum_filtered(self):
         drives = [DriveParams(0.4, -5.0), DriveParams(2.5), DriveParams(8.0, 12.0)]
@@ -160,16 +173,9 @@ class TestCascadedCounts:
         counts = np.linspace(500.0, 1300.0, len(drives))
         expected = [one_point_count(one_point_spectrum(d, n), FITTED, d.delta)
                     for d, n in zip(drives, counts)]
-        rows = []
-        kernel = cascfluor.cascade._filter
-
-        def counted(axis, steps, density, elastic, centers, *args):
-            rows.append(len(centers))
-            return kernel(axis, steps, density, elastic, centers, *args)
-
-        monkeypatch.setattr(cascfluor.cascade, "_filter", counted)
+        rows = filtered_rows(monkeypatch)
         np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
-        assert rows == [8, 2, 3]  # 8 x 2001 <= STACK_VALUES < 9 x 2001
+        assert rows == [10, 3]  # 16 x 2001 <= STACK_VALUES < 17 x 2001
 
 
 def pointwise_counts(drives, counts, prof):
@@ -199,15 +205,26 @@ class TestCascadedCountsSharedWork:
         monkeypatch.setattr(cascfluor.cascade, "_sample", counted)
         return rows
 
+    @staticmethod
+    def check_scan(scan, s0, prof):
+        drives = [DriveParams(s0, d) for d in scan]
+        counts = 1000.0 + scan ** 2  # even in the detuning, so pairs share
+        expected = pointwise_counts(drives, counts, prof)
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, prof), expected)
+        np.testing.assert_array_equal(ratio_curve(scan, s0, prof, counts),
+                                      np.divide(expected, counts))
+
     @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
-    @pytest.mark.parametrize("s0", [0.4, 2.5, 8.0])
+    @pytest.mark.parametrize("s0", [0.05, 0.4, 2.5, 8.0])
     def test_symmetric_scan(self, s0, prof):
-        drives = [DriveParams(s0, d) for d in self.SCAN]
-        counts = 1000.0 + self.SCAN ** 2  # even in the detuning, so pairs share
-        np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
-                                      pointwise_counts(drives, counts, prof))
-        np.testing.assert_array_equal(ratio_curve(self.SCAN, s0, prof, counts),
-                                      np.divide(pointwise_counts(drives, counts, prof), counts))
+        self.check_scan(self.SCAN, s0, prof)
+
+    @pytest.mark.parametrize("points", [21, 120], ids=["21", "120_not_mirrored"])
+    @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
+    @pytest.mark.parametrize("s0", [0.05, 0.4, 2.5, 8.0])
+    def test_other_scan_lengths(self, s0, prof, points):
+        # linspace(-30, 30, 120)'s points are not exact negations of each other
+        self.check_scan(np.linspace(-30.0, 30.0, points), s0, prof)
 
     @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
     def test_asymmetric_scan(self, prof):
@@ -215,6 +232,36 @@ class TestCascadedCountsSharedWork:
         counts = np.linspace(300.0, 2000.0, len(drives))
         np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                       pointwise_counts(drives, counts, prof))
+
+    def test_mirrored_drives_are_not_filtered_again(self, monkeypatch):
+        # at shift 0 each -delta reuses its +delta's terms; at -1.5 no
+        # center is another's negation, so all 121 drives are filtered
+        rows = filtered_rows(monkeypatch)
+        ratio_curve(self.SCAN, 2.5, FITTED, np.ones(121))
+        assert sum(rows) == 61
+        rows.clear()
+        ratio_curve(self.SCAN, 2.5, self.SHIFTED, np.ones(121))
+        assert sum(rows) == 121
+
+    def test_mirror_is_decided_by_the_filter_centers(self, monkeypatch):
+        # shift 1e-20 rounds away: the centers of +-3 are -3.0 and 3.0, so
+        # the -3 drive is mirrored although the shift is not 0
+        rows = filtered_rows(monkeypatch)
+        drives = [DriveParams(2.5, 3.0), DriveParams(2.5, -3.0), DriveParams(2.5, 3.0)]
+        counts = [700.0, 700.0, 700.0]
+        prof = AbsorptionProfile(alpha=0.85, width=6.7, shift=1e-20, path_efficiency=0.9)
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
+                                      pointwise_counts(drives, counts, prof))
+        assert rows == [1, 1]
+
+    def test_many_mirrors_of_one_drive(self, monkeypatch):
+        # 40 drives at -3 mirror one at +3, more than a stack has rows
+        rows = filtered_rows(monkeypatch)
+        drives = [DriveParams(2.5, d) for d in [3.0, -3.0] * 40 + [5.0, -5.0, -5.0]]
+        counts = [700.0] * len(drives)
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED),
+                                      pointwise_counts(drives, counts, FITTED))
+        assert sum(rows) == 2 + 39
 
     def test_signed_zero_detunings_share_a_row(self, monkeypatch):
         rows = self.sampled_rows(monkeypatch)
@@ -267,11 +314,11 @@ class TestCascadedCountsSharedWork:
     def test_symmetric_scan_samples_61_rows_and_power_scan_121(self, monkeypatch):
         rows = self.sampled_rows(monkeypatch)
         ratio_curve(self.SCAN, 2.5, FITTED, np.ones(121))
-        assert sum(rows) == 61 and max(rows) == 8
+        assert sum(rows) == 61 and max(rows) == 16
         rows.clear()
         cascaded_counts([DriveParams(s0) for s0 in np.linspace(0.05, 10.0, 121)],
                         np.ones(121), FITTED)
-        assert sum(rows) == 121 and max(rows) == 8
+        assert sum(rows) == 121 and max(rows) == 16
 
     def test_sampled_stack_shares_no_memory_with_later_calls(self):
         drives = [DriveParams(2.5, d) for d in (-3.0, 0.0, 3.0)]

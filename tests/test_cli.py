@@ -270,6 +270,15 @@ class TestRatioCommand:
         assert "--points" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [["--start", "nan"], ["--stop", "nan"],
+                                      ["--scan", "power", "--stop", "inf"]],
+                             ids=["start_nan", "stop_nan", "power_stop_inf"])
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys, args):
+        assert run(["ratio", *args, "--out", tmp_path]) == 2
+        option, value = args[-2:]
+        assert capsys.readouterr().err == f"error: {option} must be finite, got {value}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_power_scan_monotone(self, tmp_path):
         assert run([
             "ratio", "--scan", "power", "--start", 0.25, "--stop", 8,

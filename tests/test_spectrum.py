@@ -11,6 +11,7 @@ from cascfluor.spectrum import (
     NormalizationError,
     _check_offsets,
     _check_spectrum,
+    _sampling_grid,
     _trapezoid,
     detuned_saturation,
     elastic_weight,
@@ -324,6 +325,16 @@ class TestSampleStack:
             assert stack.elastic[k] == ref.elastic_weight
             # the mirrored half is exact: every row is its own reverse
             np.testing.assert_array_equal(stack.density[k], stack.density[k, ::-1])
+
+    @pytest.mark.parametrize("gamma, step", [
+        (GAMMA, None), (GAMMA, GAMMA / FIT_GRID_PER_GAMMA), (6.0, None), (6.0, 0.05),
+        (4.1, None), (1.0, None), (37.3, None)])
+    def test_grid_is_mirrored_to_the_last_bit(self, gamma, step):
+        # cascaded_counts reverses a drive's trapezoid terms for its mirrored
+        # drive; that needs mirrored offsets and palindromic steps
+        grid = _sampling_grid(gamma, 10.0, step)
+        np.testing.assert_array_equal(grid.offsets, -grid.offsets[::-1])
+        np.testing.assert_array_equal(grid.steps, grid.steps[::-1])
 
     def test_one_row_is_a_stack(self):
         drive = DriveParams(2.5, 3.0)
