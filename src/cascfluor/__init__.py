@@ -24,9 +24,7 @@ from .cascade import (
     AbsorptionProfile,
     cascaded_counts,
     filtered_counts,
-    lorentzian_profile,
     ratio_curve,
-    transmission,
 )
 from .timetag import (
     CS_LIFETIME_NS,

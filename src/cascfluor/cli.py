@@ -74,7 +74,7 @@ def cmd_spectrum(args) -> int:
         meta={"elastic_weight": elastic, "s0": args.s0,
               "delta_mhz": args.delta, "gamma_mhz": args.gamma},
     )
-    total = spectrum._trapezoid(np.diff(offsets), density) + elastic
+    total = np.add.reduce(density * spectrum._weights(offsets)) + elastic
     print(f"grid points: {len(offsets)}  elastic weight: "
           f"{elastic:.6g}  total weight: {total:.6g}")
     return 0

@@ -79,22 +79,26 @@ def _check_spectrum(density, elastic) -> None:
         raise ValueError("elastic weight must be finite and non-negative")
 
 
-def _trapezoid(steps, y, out=None):
-    """np.trapezoid(y, offsets) along the last axis, for one row or many,
-    given the steps offsets[1:] - offsets[:-1]: its arithmetic, so each row
-    comes out bit for bit as it would alone (* 0.5 is its / 2.0 to the last
-    bit). The terms go into out when it is given."""
-    terms = np.add(y[..., 1:], y[..., :-1], out=out)
-    terms *= steps
-    terms *= 0.5
-    return np.add.reduce(terms, axis=-1)
+def _weights(offsets):
+    """Quadrature weights of the uniform grid offsets: Gregory's end-corrected
+    trapezoid, h * [3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8] with h the
+    step (at least 6 points; every grid of _grid's rule has 201 or more).
+    It keeps the trapezoid's interior weights and cancels the h^2 end term
+    of its Euler-Maclaurin error. An integral is np.add.reduce(y * weights,
+    axis=-1): each row sums to the same bits alone as in a stack, which
+    y @ weights does not (its BLAS kernel depends on the stack's shape)."""
+    h = offsets[1] - offsets[0]
+    ends = h * np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+    weights = np.full(len(offsets), h)
+    weights[:3] = ends
+    weights[-3:] = ends[::-1]
+    return weights
 
 
-def _normalize(steps, density, elastic, original_counts, work=None):
-    """Density rows and elastic weights rescaled by one factor per row so
-    that each row's trapezoid plus its elastic weight equals its count.
-    Rescales density and elastic in place, with work for the trapezoid's
-    terms when it is given."""
+def _normalize(weights, density, elastic, original_counts):
+    """Density rows and elastic weights rescaled in place by one factor per
+    row so that each row's integral plus its elastic weight equals its
+    count."""
     counts = np.asarray(original_counts, dtype=float)
     if counts.shape != elastic.shape:
         raise ValueError(f"{len(elastic)} drives need as many counts, "
@@ -102,7 +106,7 @@ def _normalize(steps, density, elastic, original_counts, work=None):
     bad = ~(np.isfinite(counts) & (counts > 0))
     if bad.any():
         raise ValueError(f"photon count must be finite and > 0, got {counts[bad][0]}")
-    total = _trapezoid(steps, density, work) + elastic
+    total = np.add.reduce(density * weights, axis=-1) + elastic
     if np.any(total <= 0.0):
         raise NormalizationError("spectrum has zero total weight")
     factor = counts / total
@@ -150,21 +154,12 @@ def _mollow_terms(p: DriveParams) -> tuple[float, float, float]:
     return p.s0, d * d, (p.s0 / (8.0 * math.pi * p.gamma)) * (s / (1.0 + s))
 
 
-def _mollow(x2, s0, d2, scale, out=None, b1=None, b2=None):
+def _mollow(x2, s0, d2, scale):
     """The Mollow density at x2 = (omega/gamma)^2 from _mollow_terms; the
-    terms broadcast against x2, as scalars or as (n, 1) columns. Computes
-    scale * numer / (b1 * b1 + x2 * b2 * b2) in that order, in place: into
-    out, with b1 and b2 as work arrays, when they are given."""
-    b1 = np.subtract(0.25 + s0 / 4.0 + d2, 2.0 * x2, out=b1)
-    b2 = np.subtract(1.25 + s0 / 2.0 + d2, x2, out=b2)
-    b1 *= b1
-    x2b2 = np.multiply(x2, b2, out=out)
-    x2b2 *= b2
-    b1 += x2b2
-    numer = np.add(1.0 + s0 / 4.0, x2, out=out)
-    numer *= scale
-    numer /= b1
-    return numer
+    terms broadcast against x2, as scalars or as (n, 1) columns."""
+    b1 = 0.25 + s0 / 4.0 + d2 - 2.0 * x2
+    b2 = 1.25 + s0 / 2.0 + d2 - x2
+    return (1.0 + s0 / 4.0 + x2) * scale / (b1 * b1 + x2 * b2 * b2)
 
 
 def mollow_density(omega, p: DriveParams):
@@ -195,7 +190,7 @@ def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[floa
     if not (math.isfinite(grid_span) and grid_span >= 10.0):
         raise ValueError(f"grid span must be finite and >= 10 linewidths, "
                          f"got {grid_span}")
-    step = gamma / 100.0 if grid_step is None else float(grid_step)
+    step = gamma / 40.0 if grid_step is None else float(grid_step)
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"grid step must be finite and > 0, got {step}")
     if step > gamma / 10.0:
@@ -205,46 +200,6 @@ def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[floa
     return step, math.ceil(grid_span * gamma / step - 1e-9)
 
 
-class _Grid(NamedTuple):
-    """A sampling grid and what every stack on it reuses: the offsets,
-    (omega/gamma)^2 on the omega >= 0 half and the trapezoid steps."""
-
-    offsets: np.ndarray
-    x2: np.ndarray
-    steps: np.ndarray
-
-
-def _sampling_grid(gamma: float, grid_span: float = 10.0,
-                   grid_step: float | None = None) -> _Grid:
-    """The checked grid of _grid's rule, with its half-grid x2 and steps."""
-    step, half = _grid(gamma, grid_span, grid_step)
-    offsets = step * np.arange(-half, half + 1)
-    _check_offsets(offsets)
-    x = offsets[half:] / gamma
-    return _Grid(offsets, x * x, offsets[1:] - offsets[:-1])
-
-
-def _sample(grid: _Grid, drives, original_counts, density, elastic, work1, work2):
-    """sample_spectrum's rows of drives on grid, computed in place: density
-    (n, grid) and elastic (n,) receive them, and work1 and work2 are flat
-    work arrays of at least n * (grid + 1) and n * grid values. The
-    density is broadcast over the omega >= 0 half in work1 and mirrored."""
-    n, size = density.shape
-    half = len(grid.x2) - 1
-    terms = np.array([_mollow_terms(p) for p in drives])
-    cols = n * (half + 1)
-    right = _mollow(grid.x2, *terms.T[:, :, None], out=work1[cols:2 * cols].reshape(n, -1),
-                    b1=work1[:cols].reshape(n, -1), b2=work2[:cols].reshape(n, -1))
-    density[:, half:] = right
-    density[:, :half] = right[:, :0:-1]
-    elastic[:] = [elastic_weight(detuned_saturation(p)) for p in drives]
-    if original_counts is not None:
-        _normalize(grid.steps, density, elastic, original_counts,
-                   work1[:n * (size - 1)].reshape(n, -1))
-    # rescaling keeps a raw value non-finite; the left half mirrors the right
-    _check_spectrum(density[:, half:], elastic)
-
-
 def sample_spectrum(drives, original_counts=None, grid_step: float | None = None,
                     grid_span: float = 10.0) -> SpectrumStack:
     """Emission spectra of drives that share one linewidth, as one stack.
@@ -252,24 +207,32 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
     The grid is uniform and symmetric about zero and always contains
     omega = 0 exactly. grid_span is in multiples of gamma and must cover
     at least +-10 gamma so the triplet tails are carried by downstream
-    integrals; grid_step is in MHz (default gamma/100) and is rejected
+    integrals; grid_step is in MHz (default gamma/40) and is rejected
     above gamma/10, which would undersample the triplet. Row i is
     mollow_density on the grid with elastic weight
     elastic_weight(detuned_saturation(drives[i])). Given original_counts,
-    row i is rescaled by one factor so that its trapezoid plus its elastic
-    weight equals original_counts[i]. The density of every row comes from
-    one broadcast over the omega >= 0 half of the grid, mirrored: the grid
-    is symmetric to the last bit and the density depends on omega only
-    through (omega/gamma)^2. The arrays are fresh on every call.
+    row i is rescaled by one factor so that its integral (_weights'
+    end-corrected trapezoid) plus its elastic weight equals
+    original_counts[i]. The density of every row comes from one broadcast
+    over the omega >= 0 half of the grid, mirrored: the grid is symmetric
+    to the last bit and the density depends on omega only through
+    (omega/gamma)^2. The arrays are fresh on every call.
     """
     if not drives:
         raise ValueError("a spectrum stack needs at least one drive")
     gamma = drives[0].gamma
     if any(p.gamma != gamma for p in drives):
         raise ValueError("the drives of one spectrum stack must share one linewidth")
-    grid = _sampling_grid(gamma, grid_span, grid_step)
-    n, size = len(drives), len(grid.offsets)
-    density, elastic = np.empty((n, size)), np.empty(n)
-    _sample(grid, drives, original_counts, density, elastic,
-            np.empty(n * (size + 1)), np.empty(n * size))
-    return SpectrumStack(grid.offsets, density, elastic)
+    step, half = _grid(gamma, grid_span, grid_step)
+    offsets = step * np.arange(-half, half + 1)
+    _check_offsets(offsets)
+    x = offsets[half:] / gamma
+    terms = np.array([_mollow_terms(p) for p in drives])
+    right = _mollow(x * x, *terms.T[:, :, None])
+    density = np.concatenate((right[:, :0:-1], right), axis=1)
+    elastic = np.array([elastic_weight(detuned_saturation(p)) for p in drives])
+    if original_counts is not None:
+        _normalize(_weights(offsets), density, elastic, original_counts)
+    # rescaling keeps a raw value non-finite; the left half mirrors the right
+    _check_spectrum(density[:, half:], elastic)
+    return SpectrumStack(offsets, density, elastic)

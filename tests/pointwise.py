@@ -2,13 +2,14 @@
 
 one_point_spectrum builds one spectrum the way the formulas read:
 mollow_density on the full grid, elastic_weight, and a normalization by
-np.trapezoid. stack_of puts such spectra into a SpectrumStack by hand,
-reference_stack builds a whole stack from fresh arrays, and
-reference_counts filters a stack: the arithmetic of sample_spectrum and
-filtered_counts written out with a fresh array for every step. The
-package computes the same operations in the same order in place, and
-broadcasts over the omega >= 0 half of the grid, so it must match bit for
-bit.
+the end-corrected trapezoid, whose weights gregory_weights writes out.
+stack_of puts such spectra into a SpectrumStack by hand, reference_stack
+builds a whole stack from fresh arrays, and reference_counts filters a
+stack: the arithmetic of sample_spectrum and filtered_counts written out
+on the whole grid. The package computes the same operations in the same
+order, and broadcasts over the omega >= 0 half of the grid, so it must
+match bit for bit. lorentzian_profile and transmission are the filter
+written out on its own, as the formulas read.
 """
 
 import math
@@ -20,6 +21,35 @@ from cascfluor.spectrum import (SpectrumStack, _grid, detuned_saturation, elasti
                                 mollow_density)
 
 
+def gregory_weights(offsets):
+    """Gregory's end-corrected trapezoid weights of a uniform grid:
+    h * [3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8]."""
+    h = offsets[1] - offsets[0]
+    ends = [h * (3.0 / 8.0), h * (7.0 / 6.0), h * (23.0 / 24.0)]
+    return np.array(ends + [h] * (len(offsets) - 6) + ends[::-1])
+
+
+def integral(y, offsets):
+    """Integral of y (one row or many) over the grid offsets."""
+    return np.sum(y * gregory_weights(offsets), axis=-1)
+
+
+def lorentzian_profile(omega, prof, drive_detuning=0.0):
+    """Unit-peak Lorentzian L(omega) = 1 / (1 + 4 ((omega - center)/width)^2).
+
+    center = shift - drive_detuning: the lab-frame filter on the axis of a
+    detuned drive. Equals 1 at the center and 1/2 one half-width away.
+    """
+    center = prof.shift - drive_detuning
+    return 1.0 / (1.0 + 4.0 * ((np.asarray(omega, dtype=float) - center) / prof.width) ** 2)
+
+
+def transmission(omega, prof, drive_detuning=0.0):
+    """Beer-Lambert transmission path_efficiency * exp(-alpha * L(omega))."""
+    lor = lorentzian_profile(omega, prof, drive_detuning)
+    return prof.path_efficiency * np.exp(-prof.alpha * lor)
+
+
 class OnePointSpectrum(NamedTuple):
     """One spectrum: the grid, its inelastic density and the elastic weight."""
 
@@ -28,14 +58,14 @@ class OnePointSpectrum(NamedTuple):
     elastic_weight: float
 
     def total_weight(self):
-        """Trapezoidal integral of the density plus the elastic weight."""
-        return float(np.trapezoid(self.density, self.offsets) + self.elastic_weight)
+        """Integral of the density plus the elastic weight."""
+        return float(integral(self.density, self.offsets) + self.elastic_weight)
 
 
 def one_point_spectrum(drive, count=None, grid_span=10.0, grid_step=None):
     """sample_spectrum([drive], [count], grid_step, grid_span) as one
     spectrum from fresh arrays: the Mollow density on the whole grid and,
-    given a count, one factor that makes the trapezoid plus the elastic
+    given a count, one factor that makes the integral plus the elastic
     weight equal it."""
     step, half = _grid(drive.gamma, grid_span, grid_step)
     offsets = step * np.arange(-half, half + 1)
@@ -55,7 +85,7 @@ def stack_of(specs):
 
 def reference_stack(drives, counts, grid_step=None):
     """sample_spectrum(drives, counts, grid_step) from fresh arrays: the Mollow
-    density on the omega >= 0 half, mirrored, normalized by np.trapezoid."""
+    density on the omega >= 0 half, mirrored, normalized by its integral."""
     gamma = drives[0].gamma
     step, half = _grid(gamma, 10.0, grid_step)
     offsets = step * np.arange(-half, half + 1)
@@ -73,7 +103,7 @@ def reference_stack(drives, counts, grid_step=None):
     b2 = 1.25 + s0 / 2.0 + d2 - x2
     right = (1.0 + s0 / 4.0 + x2) * scale / (b1 * b1 + x2 * b2 * b2)
     density = np.concatenate((right[:, :0:-1], right), axis=1)
-    factor = np.asarray(counts, dtype=float) / (np.trapezoid(density, offsets) + elastic)
+    factor = np.asarray(counts, dtype=float) / (integral(density, offsets) + elastic)
     return SpectrumStack(offsets, density * factor[:, None], elastic * factor)
 
 
@@ -84,12 +114,10 @@ def reference_counts(stack, detunings, prof, gradient=False):
     u = (omega - np.subtract(prof.shift, detunings)[:, None]) / prof.width
     lor = 1.0 / (1.0 + 4.0 * u ** 2)
     trans = prof.path_efficiency * np.exp(-prof.alpha * lor)
-    counts = np.trapezoid(density * trans[:, :-1], offsets) + elastic * trans[:, -1]
+    counts = integral(density * trans[:, :-1], offsets) + elastic * trans[:, -1]
     if not gradient:
         return counts
-    half = np.diff(offsets) / 2.0
-    weights = np.concatenate((half, [0.0, 1.0]))
-    weights[1:-1] += half
+    weights = np.concatenate((gregory_weights(offsets), [1.0]))
     g = trans * lor
     g[:, :-1] *= density
     g[:, -1] *= elastic

@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-import cascfluor.cascade
 from cascfluor.cascade import (
     AbsorptionProfile,
     cascaded_counts,
     filtered_counts,
-    lorentzian_profile,
     ratio_curve,
-    transmission,
 )
 from cascfluor.fit import FIT_GRID_PER_GAMMA
 from cascfluor.spectrum import (
@@ -22,8 +19,8 @@ from cascfluor.spectrum import (
     sample_spectrum,
 )
 from fd_oracle import DEFAULT_FD_STEP, _jacobian
-from pointwise import (one_point_count, one_point_spectrum, reference_counts, reference_stack,
-                       stack_of)
+from pointwise import (integral, lorentzian_profile, one_point_count, one_point_spectrum,
+                       reference_counts, reference_stack, stack_of, transmission)
 
 GAMMA = DEFAULT_GAMMA_MHZ
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)
@@ -139,19 +136,6 @@ class TestCascadedCount:
         assert got == pytest.approx(expected, abs=slack)
 
 
-def filtered_rows(monkeypatch):
-    """The number of rows of each call of cascaded_counts' filter kernel."""
-    rows = []
-    kernel = cascfluor.cascade._filter
-
-    def counted(axis, steps, density, elastic, centers, *args):
-        rows.append(len(centers))
-        return kernel(axis, steps, density, elastic, centers, *args)
-
-    monkeypatch.setattr(cascfluor.cascade, "_filter", counted)
-    return rows
-
-
 class TestCascadedCounts:
     def test_each_point_is_its_normalized_spectrum_filtered(self):
         drives = [DriveParams(0.4, -5.0), DriveParams(2.5), DriveParams(8.0, 12.0)]
@@ -164,18 +148,15 @@ class TestCascadedCounts:
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, expected)
 
-    def test_stacks_split_at_grid_changes_and_size(self, monkeypatch):
-        # at most STACK_VALUES grid values per kernel call, and a new stack
-        # where the grid changes (here the linewidth); bit for bit the
-        # one-point counts either way
+    def test_stacks_split_at_grid_changes_and_size(self):
+        # a new stack where the grid changes (here the linewidth); bit for
+        # bit the one-point counts either way
         drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(10)]
                   + [DriveParams(2.5, d, 6.0) for d in (-3.0, 0.0, 3.0)])
         counts = np.linspace(500.0, 1300.0, len(drives))
         expected = [one_point_count(one_point_spectrum(d, n), FITTED, d.delta)
                     for d, n in zip(drives, counts)]
-        rows = filtered_rows(monkeypatch)
         np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
-        assert rows == [10, 3]  # 16 x 2001 <= STACK_VALUES < 17 x 2001
 
 
 def pointwise_counts(drives, counts, prof):
@@ -185,30 +166,33 @@ def pointwise_counts(drives, counts, prof):
 
 
 class TestCascadedCountsSharedWork:
-    """cascaded_counts builds one grid and one set of work arrays per call,
-    samples one row for drives that differ only in the sign of the
-    detuning, and filters a shared detuning as one row: bit for bit the
-    per-point path of pointwise.py either way."""
+    """cascaded_counts samples and filters consecutive runs of drives of one
+    linewidth as shared stacks of at most 16 default-grid rows: bit for bit
+    the per-point path of pointwise.py, and the one-row path of the
+    package, whatever stack a drive lands in."""
 
     SCAN = np.linspace(-30.0, 30.0, 121)
     SHIFTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=-1.5, path_efficiency=0.9)
-
-    @staticmethod
-    def sampled_rows(monkeypatch):
-        rows = []
-        sampler = cascfluor.cascade._sample
-
-        def counted(grid, drives, *args):
-            rows.append(len(drives))
-            return sampler(grid, drives, *args)
-
-        monkeypatch.setattr(cascfluor.cascade, "_sample", counted)
-        return rows
+    # shift 1e-20 rounds away: the filter centers of +-3 are -3.0 and 3.0
+    TINY_SHIFT = AbsorptionProfile(alpha=0.85, width=6.7, shift=1e-20, path_efficiency=0.9)
+    # drive lists with equal and mirrored detunings, signed zeros, and
+    # neighbours that differ only in s0, linewidth or count
+    DRIVE_LISTS = {
+        "plus_minus_3": ([(2.5, 3.0), (2.5, -3.0), (2.5, 3.0)], [700.0] * 3),
+        "many_of_one_detuning": ([(2.5, d) for d in [3.0, -3.0] * 40 + [5.0, -5.0, -5.0]],
+                                 [700.0] * 83),
+        "signed_zeros": ([(2.5, 0.0), (2.5, -0.0), (0.4, -0.0)], [700.0] * 3),
+        "other_linewidth": ([(2.5, 3.0), (2.5, -3.0), (2.5, -3.0, 6.0)], [700.0, 900.0, 700.0]),
+        "other_s0": ([(2.5, 3.0), (2.5, -3.0), (0.4, -3.0)], [700.0, 900.0, 700.0]),
+        "repeated_detunings": (
+            [(2.5, d) for d in [7.0, -3.0, 1.0, 3.0, 3.0, -7.5, 1.0, -1.0, 9.0, -9.0]
+             + [4.0, -4.0] * 10], [800.0] * 30),
+    }
 
     @staticmethod
     def check_scan(scan, s0, prof):
         drives = [DriveParams(s0, d) for d in scan]
-        counts = 1000.0 + scan ** 2  # even in the detuning, so pairs share
+        counts = 1000.0 + scan ** 2  # even in the detuning
         expected = pointwise_counts(drives, counts, prof)
         np.testing.assert_array_equal(cascaded_counts(drives, counts, prof), expected)
         np.testing.assert_array_equal(ratio_curve(scan, s0, prof, counts),
@@ -233,67 +217,14 @@ class TestCascadedCountsSharedWork:
         np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                       pointwise_counts(drives, counts, prof))
 
-    def test_mirrored_drives_are_not_filtered_again(self, monkeypatch):
-        # at shift 0 each -delta reuses its +delta's terms; at -1.5 no
-        # center is another's negation, so all 121 drives are filtered
-        rows = filtered_rows(monkeypatch)
-        ratio_curve(self.SCAN, 2.5, FITTED, np.ones(121))
-        assert sum(rows) == 61
-        rows.clear()
-        ratio_curve(self.SCAN, 2.5, self.SHIFTED, np.ones(121))
-        assert sum(rows) == 121
-
-    def test_mirror_is_decided_by_the_filter_centers(self, monkeypatch):
-        # shift 1e-20 rounds away: the centers of +-3 are -3.0 and 3.0, so
-        # the -3 drive is mirrored although the shift is not 0
-        rows = filtered_rows(monkeypatch)
-        drives = [DriveParams(2.5, 3.0), DriveParams(2.5, -3.0), DriveParams(2.5, 3.0)]
-        counts = [700.0, 700.0, 700.0]
-        prof = AbsorptionProfile(alpha=0.85, width=6.7, shift=1e-20, path_efficiency=0.9)
+    @pytest.mark.parametrize("prof", [FITTED, SHIFTED, TINY_SHIFT],
+                             ids=["shift_0", "shift_-1.5", "shift_1e-20"])
+    @pytest.mark.parametrize("name", DRIVE_LISTS)
+    def test_drive_lists(self, name, prof):
+        params, counts = self.DRIVE_LISTS[name]
+        drives = [DriveParams(*p) for p in params]
         np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                       pointwise_counts(drives, counts, prof))
-        assert rows == [1, 1]
-
-    def test_many_mirrors_of_one_drive(self, monkeypatch):
-        # 40 drives at -3 mirror one at +3, more than a stack has rows
-        rows = filtered_rows(monkeypatch)
-        drives = [DriveParams(2.5, d) for d in [3.0, -3.0] * 40 + [5.0, -5.0, -5.0]]
-        counts = [700.0] * len(drives)
-        np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED),
-                                      pointwise_counts(drives, counts, FITTED))
-        assert sum(rows) == 2 + 39
-
-    def test_signed_zero_detunings_share_a_row(self, monkeypatch):
-        rows = self.sampled_rows(monkeypatch)
-        drives = [DriveParams(2.5, 0.0), DriveParams(2.5, -0.0), DriveParams(0.4, -0.0)]
-        counts = [700.0, 700.0, 700.0]
-        for prof in (FITTED, self.SHIFTED):
-            np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
-                                          pointwise_counts(drives, counts, prof))
-        assert rows == [2, 2]
-
-    @pytest.mark.parametrize("other", [DriveParams(2.5, -3.0, 6.0), DriveParams(0.4, -3.0)],
-                             ids=["gamma", "s0"])
-    def test_equal_abs_detuning_with_other_drive_or_count_not_shared(self, monkeypatch,
-                                                                     other):
-        rows = self.sampled_rows(monkeypatch)
-        drives = [DriveParams(2.5, 3.0), DriveParams(2.5, -3.0), other]
-        counts = [700.0, 900.0, 700.0]  # the first two differ in count only
-        np.testing.assert_array_equal(cascaded_counts(drives, counts, self.SHIFTED),
-                                      pointwise_counts(drives, counts, self.SHIFTED))
-        assert sum(rows) == 3
-
-    def test_groups_of_any_size_in_one_stack(self, monkeypatch):
-        # a single drive first, then groups of three, two and twenty drives
-        # (more than one stack holds) that share one row each
-        rows = self.sampled_rows(monkeypatch)
-        deltas = [7.0, -3.0, 1.0, 3.0, 3.0, -7.5, 1.0, -1.0, 9.0, -9.0] + [4.0, -4.0] * 10
-        drives = [DriveParams(2.5, d) for d in deltas]
-        counts = [800.0] * len(drives)
-        for prof in (FITTED, self.SHIFTED):
-            np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
-                                          pointwise_counts(drives, counts, prof))
-        assert rows == [6, 6]
 
     @pytest.mark.parametrize("delta", [0.0, 3.0])
     @pytest.mark.parametrize("prof", [FITTED, SHIFTED], ids=["shift_0", "shift_-1.5"])
@@ -311,14 +242,21 @@ class TestCascadedCountsSharedWork:
             np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                           pointwise_counts(drives, counts, prof))
 
-    def test_symmetric_scan_samples_61_rows_and_power_scan_121(self, monkeypatch):
-        rows = self.sampled_rows(monkeypatch)
-        ratio_curve(self.SCAN, 2.5, FITTED, np.ones(121))
-        assert sum(rows) == 61 and max(rows) == 16
-        rows.clear()
-        cascaded_counts([DriveParams(s0) for s0 in np.linspace(0.05, 10.0, 121)],
-                        np.ones(121), FITTED)
-        assert sum(rows) == 121 and max(rows) == 16
+    @pytest.mark.parametrize("gammas", [
+        [GAMMA] * 81,  # six stacks: five of 16 rows and one of 1
+        [GAMMA] * 45 + [6.0] * 3 + [GAMMA] * 41 + [4.1] * 2,
+    ], ids=["81_drives", "runs_of_mixed_linewidths"])
+    def test_each_count_is_the_one_row_count(self, gammas):
+        rng = np.random.default_rng(len(gammas))
+        drives = [DriveParams(s0, d, g) for s0, d, g in
+                  zip(rng.uniform(0.05, 8.0, len(gammas)),
+                      rng.uniform(-30.0, 30.0, len(gammas)), gammas)]
+        counts = rng.uniform(1.0, 3000.0, len(drives))
+        for prof in (FITTED, self.SHIFTED):
+            alone = [filtered_counts(sample_spectrum([d], [n]), [d.delta], prof)[0]
+                     for d, n in zip(drives, counts)]
+            np.testing.assert_array_equal(cascaded_counts(drives, counts, prof), alone)
+            np.testing.assert_array_equal(alone, pointwise_counts(drives, counts, prof))
 
     def test_sampled_stack_shares_no_memory_with_later_calls(self):
         drives = [DriveParams(2.5, d) for d in (-3.0, 0.0, 3.0)]
@@ -339,9 +277,9 @@ class TestCascadedCountsSharedWork:
                                           pointwise_counts(drives, counts, self.SHIFTED))
 
 
-class TestInPlaceKernel:
+class TestReferenceArithmetic:
     """sample_spectrum and filtered_counts against the reference arithmetic of
-    pointwise.py, which allocates a fresh array for every step."""
+    pointwise.py, which writes each formula out on the whole grid."""
 
     @pytest.mark.parametrize("step", [None, GAMMA / FIT_GRID_PER_GAMMA],
                              ids=["model_grid", "fit_grid"])
@@ -443,7 +381,7 @@ class TestFilteredCounts:
             def trans(omega):
                 u = (omega - (shift - delta)) / width
                 return eff * np.exp(-alpha / (1.0 + 4.0 * u ** 2))
-            out.append(np.trapezoid(spec.density * trans(spec.offsets), spec.offsets)
+            out.append(integral(spec.density * trans(spec.offsets), spec.offsets)
                        + spec.elastic_weight * trans(0.0))
         return np.array(out)
 
@@ -453,8 +391,8 @@ class TestFilteredCounts:
         width, alpha, shift, eff = self.FILTERS[name]
         prof = AbsorptionProfile(alpha, width, shift, eff)
         for spec, delta in zip(self.spectra(s0), self.DELTAS):
-            old = float(np.trapezoid(spec.density * transmission(spec.offsets, prof, delta),
-                                     spec.offsets)
+            old = float(integral(spec.density * transmission(spec.offsets, prof, delta),
+                                 spec.offsets)
                         + spec.elastic_weight * transmission(0.0, prof, delta))
             assert one_point_count(spec, prof, delta) == old
 
@@ -584,7 +522,8 @@ def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):
 
 
 class TestFitGridAccuracy:
-    """The fit's coarse grid against an adaptive-quadrature oracle."""
+    """The model grid and the fit's coarse grid against an adaptive-quadrature
+    oracle."""
 
     @pytest.mark.parametrize("s0", TestFilteredCounts.S0)
     def test_fit_grid_ratio_within_1e_8_of_quadrature(self, s0):
@@ -597,6 +536,34 @@ class TestFitGridAccuracy:
             got = filtered_counts(stack, deltas, prof)
             expected = [quad_ratio(s0, d, prof) for d in deltas]
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-8)
+
+    # (alpha, width, shift): (largest relative ratio error on the model
+    # grid, on the fit grid), each about 5x the worst case measured over
+    # s0 in {0.05, 0.4, 2.5, 8} and detunings in {0, 3, -7.5, 30} MHz
+    # (measured in the comments as model; fit)
+    BOUNDS = {
+        (0.85, 6.7, 0.0): (5e-13, 8e-12),  # 9.8e-14; 1.6e-12
+        (2.0, 4.0, -1.5): (7e-13, 1.2e-11),  # 1.4e-13; 2.3e-12
+        (20.0, 3.0, 0.5): (3.5e-12, 5.5e-11),  # 7.1e-13; 1.1e-11
+        (5.0, 2.0, -1.0): (8e-13, 1.5e-11),  # 1.7e-13; 2.9e-12
+        (5.0, 1.0, 0.0): (9e-12, 1.4e-6),  # 1.8e-12; 2.7e-7
+        # a filter a tenth of the linewidth wide is not resolved on either grid
+        (5.0, 0.5, 0.0): (5e-7, 3e-4),  # 1.0e-7; 6.0e-5
+    }
+
+    @pytest.mark.parametrize("filt", BOUNDS, ids=lambda f: "_".join(map(str, f)))
+    def test_model_and_fit_grid_errors(self, filt):
+        model_bound, fit_bound = self.BOUNDS[filt]
+        prof = AbsorptionProfile(*filt, path_efficiency=0.9)
+        deltas = [0.0, 3.0, -7.5, 30.0]
+        for s0 in TestFilteredCounts.S0:
+            expected = np.array([quad_ratio(s0, d, prof) for d in deltas])
+            model = ratio_curve(deltas, s0, prof, np.ones(4))
+            stack = sample_spectrum([DriveParams(s0, d) for d in deltas], np.ones(4),
+                                    GAMMA / FIT_GRID_PER_GAMMA)
+            fit = filtered_counts(stack, deltas, prof)
+            np.testing.assert_allclose(model, expected, rtol=model_bound, atol=0.0)
+            np.testing.assert_allclose(fit, expected, rtol=fit_bound, atol=0.0)
 
 
 class TestRatioCurve:
@@ -642,9 +609,10 @@ class TestRatioCurve:
         center = FITTED.shift - delta
         lor = 1.0 / (1.0 + 4.0 * ((spec.offsets - center) / FITTED.width) ** 2)
         trans = 0.9 * np.exp(-FITTED.alpha * lor)
-        dx = np.diff(spec.offsets)
-        integrand = spec.density * trans
-        manual = float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * dx))
+        h = spec.offsets[1] - spec.offsets[0]
+        ends = [3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0]
+        weights = h * np.array(ends + [1.0] * (len(spec.offsets) - 6) + ends[::-1])
+        manual = float(np.sum(spec.density * trans * weights))
         manual += spec.elastic_weight * 0.9 * math.exp(
             -FITTED.alpha / (1.0 + 4.0 * (center / FITTED.width) ** 2)
         )

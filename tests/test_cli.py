@@ -202,7 +202,7 @@ class TestSpectrumCommand:
     def test_grid_and_metadata(self, tmp_path):
         assert run(["spectrum", "--s0", 0.4, "--counts", 1500, "--out", tmp_path]) == 0
         meta, cols = read_table(tmp_path / "spectrum.csv")
-        assert len(cols["omega_mhz"]) == 2001
+        assert len(cols["omega_mhz"]) == 801
         total = np.trapezoid(cols["density_per_mhz"], cols["omega_mhz"])
         assert total + meta["elastic_weight"] == pytest.approx(1500.0, rel=1e-9)
 
@@ -254,6 +254,17 @@ class TestCascadeCommand:
         _, cols = read_table(tmp_path / "cascade.csv")
         assert cols["ratio"][0] == pytest.approx(0.9, abs=0.03)
         assert "ratio" in capsys.readouterr().out
+
+    def test_is_its_row_of_a_ratio_scan(self, tmp_path):
+        # a point computed alone equals its row of the default 121-point
+        # scan (s0 0.4), whatever stack the scan puts it in
+        assert run(["cascade", "--s0", 0.4, "--delta", 3, "--counts", 1,
+                    "--out", tmp_path / "one"]) == 0
+        assert run(["ratio", "--points", 121, "--out", tmp_path / "scan"]) == 0
+        _, one = read_table(tmp_path / "one" / "cascade.csv")
+        _, scan = read_table(tmp_path / "scan" / "ratio.csv")
+        row = list(scan["delta_mhz"]).index(3.0)
+        assert one["ratio"][0] == scan["ratio"][row]
 
 
 class TestRatioCommand:

@@ -569,7 +569,7 @@ class TestFitCascade:
         # samples and normalizes its spectra once, in one stack build, and
         # never again through the cascade model's own sampling
         original, cascaded = self.synth_power_scan(alpha=alpha)
-        calls = {"fit.sample_spectrum": 0, "cascade._sample": 0}
+        calls = {"fit.sample_spectrum": 0, "cascade.sample_spectrum": 0}
         for key in calls:
             module, name = key.split(".")
             module = getattr(cascfluor, module)
@@ -582,7 +582,7 @@ class TestFitCascade:
         res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
                           fix_efficiency=0.9)
         assert res.converged
-        assert calls == {"fit.sample_spectrum": 1, "cascade._sample": 0}
+        assert calls == {"fit.sample_spectrum": 1, "cascade.sample_spectrum": 0}
 
     def test_detuning_fit_filters_once_per_evaluation(self, monkeypatch):
         # each candidate the engine evaluates is one filtered_counts call

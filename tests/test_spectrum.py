@@ -11,8 +11,7 @@ from cascfluor.spectrum import (
     NormalizationError,
     _check_offsets,
     _check_spectrum,
-    _sampling_grid,
-    _trapezoid,
+    _weights,
     detuned_saturation,
     elastic_weight,
     excited_state_population,
@@ -21,7 +20,7 @@ from cascfluor.spectrum import (
     sample_spectrum,
 )
 from cascfluor.fit import FIT_GRID_PER_GAMMA
-from pointwise import one_point_spectrum
+from pointwise import gregory_weights, integral, one_point_spectrum
 
 GAMMA = DEFAULT_GAMMA_MHZ
 
@@ -271,12 +270,14 @@ class TestNormalization:
 
     @pytest.mark.parametrize("s0, delta, step", [(0.05, -30.0, None), (2.5, 3.0, None),
                                                  (8.0, 0.0, GAMMA / FIT_GRID_PER_GAMMA)])
-    def test_is_numpy_trapezoid_bit_for_bit(self, s0, delta, step):
-        # the one normalization arithmetic is np.trapezoid's, to the last bit
+    def test_is_the_end_corrected_sum_bit_for_bit(self, s0, delta, step):
+        # the one normalization arithmetic is the sum of density times
+        # Gregory's weights, to the last bit
         drive = [DriveParams(s0, delta)]
         raw = sample_spectrum(drive, grid_step=step)
-        total = float(np.trapezoid(raw.density[0], raw.offsets) + raw.elastic[0])
-        assert _trapezoid(np.diff(raw.offsets), raw.density[0]) + raw.elastic[0] == total
+        total = float(integral(raw.density[0], raw.offsets) + raw.elastic[0])
+        np.testing.assert_array_equal(_weights(raw.offsets), gregory_weights(raw.offsets))
+        assert np.add.reduce(raw.density[0] * _weights(raw.offsets)) + raw.elastic[0] == total
         scaled = sample_spectrum(drive, [1234.5], step)
         np.testing.assert_array_equal(scaled.density[0], raw.density[0] * (1234.5 / total))
         assert scaled.elastic[0] == raw.elastic[0] * (1234.5 / total)
@@ -330,11 +331,10 @@ class TestSampleStack:
         (GAMMA, None), (GAMMA, GAMMA / FIT_GRID_PER_GAMMA), (6.0, None), (6.0, 0.05),
         (4.1, None), (1.0, None), (37.3, None)])
     def test_grid_is_mirrored_to_the_last_bit(self, gamma, step):
-        # cascaded_counts reverses a drive's trapezoid terms for its mirrored
-        # drive; that needs mirrored offsets and palindromic steps
-        grid = _sampling_grid(gamma, 10.0, step)
-        np.testing.assert_array_equal(grid.offsets, -grid.offsets[::-1])
-        np.testing.assert_array_equal(grid.steps, grid.steps[::-1])
+        # sample_spectrum mirrors the omega >= 0 half of each row, which
+        # needs mirrored offsets
+        offsets = sample_spectrum([DriveParams(2.5, 0.0, gamma)], grid_step=step).offsets
+        np.testing.assert_array_equal(offsets, -offsets[::-1])
 
     def test_one_row_is_a_stack(self):
         drive = DriveParams(2.5, 3.0)
