@@ -47,7 +47,9 @@ def cmd_simulate(args) -> int:
     cfg = timetag.read_config(args.config) if args.config else timetag.RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    tags = np.concatenate([timetag.simulate_run(cfg, run_id) for run_id in range(cfg.runs)])
+    # joined as int64 words: np.concatenate of structured arrays is far slower
+    tags = np.concatenate([timetag.simulate_run(cfg, run_id).view(np.int64)
+                           for run_id in range(cfg.runs)]).view(timetag.TIMETAG_DTYPE)
     bin_ns = args.bin if args.bin is not None else cfg.tick
     hist = timetag.histogram(tags, bin_ns, cfg)
     original, cascaded_n = timetag.window_counts(hist, cfg)

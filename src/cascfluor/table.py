@@ -7,7 +7,8 @@ written with %d and read as int64, other tables with %.17g, so every float
 reads back bit for bit. Every number read obeys np.loadtxt's field rule:
 ASCII digits with optional padding and sign, and for a float also a point,
 an exponent, or nan or inf spelled out. A float must be finite unless the
-caller allows infinity; an integer must fit int64.
+caller allows infinity; an integer must fit int64. Every file the
+package reads or writes is opened here, the run configuration too.
 """
 
 from __future__ import annotations
@@ -136,11 +137,16 @@ def read_table(path, headers: tuple[str, ...] | None = None) -> tuple[dict, dict
     return meta, {k: rows[k] for k in rows.dtype.names}
 
 
+def write_lines(path, lines) -> None:
+    """Write lines of text as UTF-8, each ended by a newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in lines))
+
+
 def write_rows(path, columns, rows) -> None:
     """Write the header, then rows of str or numeric fields."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
-                        + "\n" for row in [columns, *rows]))
+    write_lines(path, (",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+                       for row in [columns, *rows]))
 
 
 def write_table(path, columns: dict, meta: dict | None = None) -> None:

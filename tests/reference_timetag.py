@@ -1,8 +1,11 @@
 """Plain references for the time-tag generator and the integer table writer.
 
-reference_run draws what simulate_run draws, in the same order, and builds
-the arrivals with fresh arrays as the model reads: it floors every photon
-to the tick as a float, sorts them all and keeps the first cap.
+reference_run draws the whole stream, every value of every photon in the
+order simulate_run takes them, and builds the arrivals with fresh arrays as
+the model reads: it floors every photon to the tick as a float, sorts them
+all and keeps the first cap. simulate_run draws only the photons of the
+pulses that can hold the cap earliest arrivals and advances the generator
+past the values of the rest, which the cap discards.
 reference_write formats every field of every row with %d, one block of
 rows at a time. The package floors only the cap earliest arrivals, in
 int64, and writes each stretch of equal first-column values with that value

@@ -40,7 +40,7 @@ def test_one_parse_error_class():
     assert classes == ["table.py:ParseError"]
 
 
-def test_only_the_table_codec_and_timetag_open_files():
+def test_only_the_table_codec_opens_files():
     openers = set()
     for name, tree in _parsed_sources().items():
         for node in ast.walk(tree):
@@ -51,7 +51,7 @@ def test_only_the_table_codec_and_timetag_open_files():
                     or (isinstance(func, ast.Attribute)
                         and func.attr in ("open", "read_text", "write_text"))):
                 openers.add(name)
-    assert openers == {"table.py", "timetag.py"}
+    assert openers == {"table.py"}
 
 
 def test_only_the_table_codec_parses_rows_in_bulk():

@@ -1,10 +1,12 @@
 """Time-tag Monte Carlo, histogramming, windows, rates and file formats."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from cascfluor import timetag
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.timetag import (
     ParseError,
@@ -22,6 +24,19 @@ from cascfluor.timetag import (
 )
 from cascfluor.cascade import ratio_curve
 from reference_timetag import reference_run
+
+
+def record_passes(monkeypatch):
+    """The prefix flag of each pass simulate_run makes from now on."""
+    passes = []
+    draw = timetag._cap_earliest
+
+    def recorded(cfg, run_id, prefix):
+        passes.append(prefix)
+        return draw(cfg, run_id, prefix)
+
+    monkeypatch.setattr(timetag, "_cap_earliest", recorded)
+    return passes
 
 
 def run0(arrivals):
@@ -142,6 +157,63 @@ class TestSimulateRun:
             expected = reference_run(cfg, run_id)
             assert tags.dtype == expected.dtype
             assert tags.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("settings", [
+        pytest.param({}, id="default"),
+        pytest.param({"background_rate": 50.0}, id="background"),
+        pytest.param({"heating_tau_pulses": 2000.0}, id="heating"),
+        pytest.param({"cap": 1}, id="cap1"),
+    ])
+    def test_full_redraw_is_bit_identical_to_the_reference(self, settings, monkeypatch):
+        # an empty prefix never holds the cap, so every run is drawn twice
+        monkeypatch.setattr(timetag, "PREFIX_MARGIN", -math.inf)
+        passes = record_passes(monkeypatch)
+        cfg = RunConfig(seed=5, **settings)
+        for run_id in (0, 7, 119):
+            assert simulate_run(cfg, run_id).tobytes() == reference_run(cfg, run_id).tobytes()
+        assert passes == [True, False] * 3
+
+    @pytest.mark.parametrize("settings", [
+        pytest.param({}, id="default"),
+        # mirror photons of the prefix's last pulses arrive after later pulses start
+        pytest.param({"delay": 700, "ratio_model": 1.0}, id="delay_past_period"),
+    ])
+    def test_prefix_at_the_edge_is_bit_identical_to_the_reference(self, settings,
+                                                                  monkeypatch):
+        # at margin 0 the prefix's expected detections are the cap, so
+        # many runs keep the prefix and many are drawn again
+        monkeypatch.setattr(timetag, "PREFIX_MARGIN", 0.0)
+        passes = record_passes(monkeypatch)
+        cfg = RunConfig(seed=2, **settings)
+        for run_id in range(24):
+            assert simulate_run(cfg, run_id).tobytes() == reference_run(cfg, run_id).tobytes()
+        assert 0 < passes.count(False) < 24
+
+    def test_default_runs_keep_their_prefix(self):
+        cfg = RunConfig()
+        assert all(timetag._cap_earliest(cfg, run_id, prefix=True) is not None
+                   for run_id in range(cfg.runs))
+
+    def test_bit_identical_to_the_reference_for_random_configs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ticks = [d for d in range(1, 601) if 600 % d == 0]
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**63), run_id=st.integers(0, 10**6),
+            mean=st.floats(0.0, 3.0), ratio=st.floats(0.0, 1.0),
+            cap=st.integers(1, 5000), tick=st.sampled_from(ticks),
+            delay=st.integers(180, 3000),
+            background=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+            heating=st.one_of(st.just(0.0), st.floats(1.0, 5000.0)))
+        def check(seed, run_id, mean, ratio, cap, tick, delay, background, heating):
+            cfg = RunConfig(seed=seed, mean_photons_per_pulse=mean, ratio_model=ratio,
+                            cap=cap, tick=tick, delay=delay, background_rate=background,
+                            heating_tau_pulses=heating)
+            assert simulate_run(cfg, run_id).tobytes() == reference_run(cfg, run_id).tobytes()
+
+        check()
 
 
 class TestHistogram:
