@@ -20,14 +20,18 @@ from .spectrum import DriveParams, SpectrumStack, _grid, _weights, sample_spectr
 # imperfect mirror reflection into one number.
 DEFAULT_PATH_EFFICIENCY = 0.9
 # cascaded_counts samples and filters at most this many grid values (points x
-# grid) at a time: 16 rows of the default grid's 801 points, whose (16, 802)
-# arrays of 100 KiB stay under glibc's initial 128 KiB mmap threshold. Larger
-# arrays are mapped and faulted in afresh while a process has not raised it:
+# grid) at a time: from 45 rows of the 281-point grid of filters at least a
+# linewidth wide to 16 rows of the 801-point grid of filters narrower than
+# about 1.8 MHz. Their (rows, grid + 1) arrays of about 100 KiB stay under
+# glibc's initial 128 KiB mmap threshold. Larger arrays are mapped and
+# faulted in afresh while a process has not raised it: on the 801-point grid
 # a 121-point detuning scan in a fresh process took 3.1 ms and 0 minor
 # faults at 16 rows, 4.1 ms at 8, 4.7 ms and 1032 faults at 40 and 5.1 ms
 # and 1452 faults at 121 (medians of four processes' medians of 200 calls,
-# 2-vCPU Xeon, numpy 2.4).
-STACK_VALUES = 16 * 801
+# 2-vCPU Xeon, numpy 2.4). On the 281-point grid at 45 rows it took 0 or
+# 109-184 faults, varying between processes of the same code, and 1.0-2.1
+# ms either way.
+STACK_VALUES = 12_816
 
 
 @dataclass(frozen=True)
@@ -110,18 +114,33 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     return counts, np.column_stack((d_width, d_alpha, d_shift, counts / prof.path_efficiency))
 
 
+def _model_step(gamma: float, width: float) -> float:
+    """Step (MHz) of cascaded_counts' grid for linewidth gamma and a filter
+    of this FWHM: gamma / N with N = min(40, ceil(14 gamma / min(gamma,
+    width))) steps per linewidth, so that the narrower of the line and the
+    filter spans at least 14 steps, down to gamma/40 for filters narrower
+    than about 0.35 gamma. N is an integer, so the grid ends at +-10 gamma.
+    gamma / width is taken first: 14 gamma / gamma is not 14 for every
+    gamma (5.2 gives 14.000000000000002)."""
+    return gamma / math.ceil(min(40.0, 14.0 * max(1.0, gamma / width)))
+
+
 def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndarray:
     """Cascaded count at each drive point, as an array.
 
-    Each point's spectrum is sampled over +-10 linewidths at gamma/40,
+    Each point's spectrum is sampled over +-10 linewidths at the step
+    _model_step picks from its linewidth and the filter width (gamma/14,
+    281 points, for filters at least a linewidth wide; at most 801 points),
     normalized to its original count and filtered, by the end-corrected
     trapezoid of spectrum._weights: its count is bit for bit
-    filtered_counts(sample_spectrum([drive], [count]), [delta], prof)
+    filtered_counts(sample_spectrum([drive], [count], step), [delta], prof)
     alone. The drives go through sample_spectrum and filtered_counts in
     consecutive runs of one linewidth, each of at most STACK_VALUES grid
-    values. Against adaptive quadrature the largest ratio error is
-    1.8e-12 for filters of 1 MHz or wider; a narrower filter is resolved
-    worse (1e-7 at 0.5 MHz, 1.8e-5 at 0.3 MHz).
+    values. Against adaptive quadrature the largest ratio error is 2.4e-14
+    for filters of 2 MHz or wider (README, "Model grid and fit grid"), the
+    rounding of the float arithmetic rather than the quadrature's; a
+    narrower filter is sampled at gamma/40 and resolved worse (1.7e-12 at
+    1 MHz, 1e-7 at 0.5 MHz).
     """
     drives = list(drives)
     counts = np.fromiter(original_counts, dtype=float)
@@ -132,12 +151,14 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     start = 0
     while start < len(drives):
         gamma = drives[start].gamma
-        rows = STACK_VALUES // (2 * _grid(gamma, 10.0, None)[1] + 1)
+        step = _model_step(gamma, prof.width)
+        rows = STACK_VALUES // (2 * _grid(gamma, 10.0, step)[1] + 1)
         stop = start + 1
         while stop < min(start + rows, len(drives)) and drives[stop].gamma == gamma:
             stop += 1
         run = slice(start, stop)
-        out[run] = filtered_counts(sample_spectrum(drives[run], counts[run]), deltas[run], prof)
+        out[run] = filtered_counts(sample_spectrum(drives[run], counts[run], step),
+                                   deltas[run], prof)
         start = stop
     return out
 
@@ -152,11 +173,13 @@ def ratio_curve(
 
     Each drive has saturation s0 and the default natural linewidth
     (DriveParams' DEFAULT_GAMMA_MHZ). The emission spectrum is recomputed
-    per detuning on the gamma/40 model grid, normalized to the measured
-    original count there, and sent through the filter, all through
-    cascaded_counts, whose end-corrected trapezoid puts each ratio within
-    1.8e-12 of adaptive quadrature for filters of 1 MHz or wider. Each
-    ratio is bit for bit the per-point result. The curve dips where the
+    per detuning on the model grid that cascaded_counts picks for the
+    filter (gamma/14 for filters at least a linewidth wide, up to
+    gamma/40), normalized to the measured original count there, and sent
+    through the filter, all through cascaded_counts, whose end-corrected
+    trapezoid puts each ratio within 2.4e-14 of adaptive quadrature for
+    filters of 2 MHz or wider and 1.7e-12 at 1 MHz. Each ratio is bit for
+    bit the per-point result. The curve dips where the
     drive sits on the filter center and the dip gets shallower with
     increasing s0 as the sidebands escape the filter.
     """

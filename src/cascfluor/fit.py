@@ -32,13 +32,14 @@ N_STARTS = 5
 # a later fit_cascade start wins only if it lowers the residual norm by more
 START_TIE_RTOL = 1e-12
 # fit_cascade samples its spectra at gamma / FIT_GRID_PER_GAMMA; model
-# curves keep sample_spectrum's gamma/40. Both integrate by the end-corrected
-# trapezoid (spectrum._weights). Against a scipy quad oracle the largest
-# ratio error is 1.1e-11 at gamma/20 (7.1e-13 at gamma/40) for filters of
-# 2 MHz or wider, 2.7e-7 for a 1 MHz filter and 6e-5 for a 0.5 MHz one, so
-# the fits' 1e-6 closure holds down to about 1 MHz; refit parameters move by
-# 4e-12 relative against gamma/100. At half the model grid's points the
-# three cascade fits of the benchmark's refit op take 19.5 against 26.9 ms
+# curves take the step cascaded_counts picks from the filter width (gamma/14
+# to gamma/40). Both integrate by the end-corrected trapezoid
+# (spectrum._weights). Against a scipy quad oracle the largest ratio error
+# at gamma/20 is 7e-15 for filters of 3 MHz or wider, 5.7e-13 at 2 MHz,
+# 2.7e-7 for a 1 MHz filter and 6e-5 for a 0.5 MHz one, so the fits' 1e-6
+# closure holds down to about 1 MHz; refit parameters move by 9.3e-15
+# relative against gamma/100. At half the points of gamma/40 the three
+# cascade fits of the benchmark's refit op take 19.5 against 26.9 ms
 # (medians of 30 interleaved runs, 2-vCPU Xeon).
 FIT_GRID_PER_GAMMA = 20
 
@@ -369,7 +370,7 @@ def cascade_model_counts(
 
     Builds the emission spectrum per point, rescales it to the measured
     original count there, and integrates it through the lab-frame filter
-    (cascaded_counts, on the gamma/40 model grid).
+    (cascaded_counts, on the model grid it picks from the filter width).
     """
     prof = AbsorptionProfile(alpha, width, shift, path_efficiency)
     return cascaded_counts(drives, original_counts, prof)
@@ -399,11 +400,11 @@ def fit_cascade(
     minima. All points' spectra are sampled and normalized once per call,
     by one sample_spectrum broadcast on the fit grid
     gamma / FIT_GRID_PER_GAMMA (gamma/20); every start and iteration
-    filters that stack. The fit grid is coarser than the gamma/40 model
-    grid of cascade_model_counts and ratio_curve; both integrate by the
-    end-corrected trapezoid, and on the fit grid ratios are within 1.1e-11
-    of adaptive quadrature for filters of 2 MHz or wider, 2.7e-7 at 1 MHz
-    and 6e-5 at 0.5 MHz.
+    filters that stack. The fit grid is fixed, unlike the model grid of
+    cascade_model_counts and ratio_curve, whose step follows the filter
+    width; both integrate by the end-corrected trapezoid, and on the fit
+    grid ratios are within 7e-15 of adaptive quadrature for filters of
+    3 MHz or wider, 5.7e-13 at 2 MHz, 2.7e-7 at 1 MHz and 6e-5 at 0.5 MHz.
 
     Starting values are data-derived: the efficiency from the largest
     observed ratio, the optical depth from the deepest ratio against that

@@ -79,19 +79,28 @@ def _check_spectrum(density, elastic) -> None:
         raise ValueError("elastic weight must be finite and non-negative")
 
 
+# Gregory's end weights to eighth order, in steps, from Euler-Maclaurin: they
+# cancel the h^2, h^4 and h^6 terms of the trapezoid's error, so polynomials
+# of degree 7 integrate exactly
+_GREGORY_ENDS = np.array([1070017.0, 5537111.0, 103613.0, 261115.0,
+                          298951.0, 515677.0, 3349879.0, 3662753.0]) / np.array(
+    [3628800.0, 3628800.0, 403200.0, 145152.0, 725760.0, 403200.0, 3628800.0, 3628800.0])
+
+
 def _weights(offsets):
     """Quadrature weights of the uniform grid offsets: Gregory's end-corrected
-    trapezoid, h * [3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8] with h the
-    step (at least 6 points; every grid of _grid's rule has 201 or more).
-    It keeps the trapezoid's interior weights and cancels the h^2 end term
-    of its Euler-Maclaurin error. An integral is np.add.reduce(y * weights,
-    axis=-1): each row sums to the same bits alone as in a stack, which
-    y @ weights does not (its BLAS kernel depends on the stack's shape)."""
+    trapezoid, h * [_GREGORY_ENDS, 1, ..., 1, _GREGORY_ENDS reversed] with h
+    the step (at least 16 points; every grid of _grid's rule has 201 or
+    more). It keeps the trapezoid's interior weights and cancels the end
+    terms of its Euler-Maclaurin error through h^6. An integral is
+    np.add.reduce(y * weights, axis=-1): each row sums to the same bits
+    alone as in a stack, which y @ weights does not (its BLAS kernel depends
+    on the stack's shape)."""
     h = offsets[1] - offsets[0]
-    ends = h * np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+    ends = h * _GREGORY_ENDS
     weights = np.full(len(offsets), h)
-    weights[:3] = ends
-    weights[-3:] = ends[::-1]
+    weights[:8] = ends
+    weights[-8:] = ends[::-1]
     return weights
 
 
@@ -207,9 +216,12 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
     The grid is uniform and symmetric about zero and always contains
     omega = 0 exactly. grid_span is in multiples of gamma and must cover
     at least +-10 gamma so the triplet tails are carried by downstream
-    integrals; grid_step is in MHz (default gamma/40) and is rejected
-    above gamma/10, which would undersample the triplet. Row i is
-    mollow_density on the grid with elastic weight
+    integrals; grid_step is in MHz (default gamma/40, the spectrum
+    command's plotting grid; cascaded_counts passes the step it picks
+    from the filter width) and is rejected above gamma/10, which would
+    undersample the triplet, so every grid has at least the 201 points of
+    +-10 gamma at gamma/10 (_weights needs 16). Row i is mollow_density
+    on the grid with elastic weight
     elastic_weight(detuned_saturation(drives[i])). Given original_counts,
     row i is rescaled by one factor so that its integral (_weights'
     end-corrected trapezoid) plus its elastic weight equals

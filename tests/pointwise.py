@@ -22,11 +22,23 @@ from cascfluor.spectrum import (SpectrumStack, _grid, detuned_saturation, elasti
 
 
 def gregory_weights(offsets):
-    """Gregory's end-corrected trapezoid weights of a uniform grid:
-    h * [3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8]."""
+    """Gregory's eighth-order end-corrected trapezoid weights of a uniform
+    grid: h * [e1, ..., e8, 1, ..., 1, e8, ..., e1], the ends from
+    Euler-Maclaurin."""
     h = offsets[1] - offsets[0]
-    ends = [h * (3.0 / 8.0), h * (7.0 / 6.0), h * (23.0 / 24.0)]
-    return np.array(ends + [h] * (len(offsets) - 6) + ends[::-1])
+    ends = [h * (1070017.0 / 3628800.0), h * (5537111.0 / 3628800.0),
+            h * (103613.0 / 403200.0), h * (261115.0 / 145152.0),
+            h * (298951.0 / 725760.0), h * (515677.0 / 403200.0),
+            h * (3349879.0 / 3628800.0), h * (3662753.0 / 3628800.0)]
+    return np.array(ends + [h] * (len(offsets) - 16) + ends[::-1])
+
+
+def model_step(gamma, prof):
+    """cascaded_counts' grid step for linewidth gamma and the filter prof:
+    gamma / N, N = min(40, ceil(14 gamma / min(gamma, width))), with
+    gamma / width taken first so that a filter wider than the line gets
+    exactly N = 14."""
+    return gamma / min(40, math.ceil(14.0 * max(1.0, gamma / prof.width)))
 
 
 def integral(y, offsets):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cascfluor import cascade
 from cascfluor.cascade import (
     AbsorptionProfile,
+    _model_step,
     cascaded_counts,
     filtered_counts,
     ratio_curve,
@@ -19,8 +21,9 @@ from cascfluor.spectrum import (
     sample_spectrum,
 )
 from fd_oracle import DEFAULT_FD_STEP, _jacobian
-from pointwise import (integral, lorentzian_profile, one_point_count, one_point_spectrum,
-                       reference_counts, reference_stack, stack_of, transmission)
+from pointwise import (integral, lorentzian_profile, model_step, one_point_count,
+                       one_point_spectrum, reference_counts, reference_stack, stack_of,
+                       transmission)
 
 GAMMA = DEFAULT_GAMMA_MHZ
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)
@@ -141,8 +144,9 @@ class TestCascadedCounts:
         drives = [DriveParams(0.4, -5.0), DriveParams(2.5), DriveParams(8.0, 12.0)]
         counts = [700.0, 1000.0, 1300.0]
         got = cascaded_counts(drives, counts, FITTED)
+        step = model_step(GAMMA, FITTED)
         expected = [
-            one_point_count(normalized_spectrum(d.s0, d.delta, n), FITTED, d.delta)
+            one_point_count(one_point_spectrum(d, n, grid_step=step), FITTED, d.delta)
             for d, n in zip(drives, counts)
         ]
         assert isinstance(got, np.ndarray)
@@ -154,22 +158,84 @@ class TestCascadedCounts:
         drives = ([DriveParams(0.4 + 0.3 * k, 2.0 * k - 8.0) for k in range(10)]
                   + [DriveParams(2.5, d, 6.0) for d in (-3.0, 0.0, 3.0)])
         counts = np.linspace(500.0, 1300.0, len(drives))
-        expected = [one_point_count(one_point_spectrum(d, n), FITTED, d.delta)
-                    for d, n in zip(drives, counts)]
-        np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED), expected)
+        np.testing.assert_array_equal(cascaded_counts(drives, counts, FITTED),
+                                      pointwise_counts(drives, counts, FITTED))
+
+
+class TestModelGrid:
+    """The grid cascaded_counts samples: gamma / N with N steps per
+    linewidth picked from the filter width, over exactly +-10 gamma, and
+    never more than the 801 points of gamma/40."""
+
+    @staticmethod
+    def sampled_stacks(monkeypatch, drives, prof):
+        """Every stack cascaded_counts filters, and its counts."""
+        stacks = []
+
+        def spy(stack, detunings, prof):
+            stacks.append(stack)
+            return filtered_counts(stack, detunings, prof)
+
+        monkeypatch.setattr(cascade, "filtered_counts", spy)
+        return stacks, cascaded_counts(drives, np.full(len(drives), 1000.0), prof)
+
+    @pytest.mark.parametrize("gamma", [5.2, 6.0])
+    @pytest.mark.parametrize("width", [0.5, 0.8, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.2,
+                                       6.0, 6.7, 10.0, 15.0, 30.0])
+    def test_grid_spans_ten_linewidths(self, monkeypatch, gamma, width):
+        # a step of width / 14 does not divide gamma: its grid would overshoot
+        prof = AbsorptionProfile(20.0, width, 0.5)
+        (stack,), _ = self.sampled_stacks(monkeypatch, [DriveParams(2.5, 3.0, gamma)], prof)
+        offsets = stack.offsets
+        assert offsets[-1] == -offsets[0] == pytest.approx(10.0 * gamma, rel=1e-15, abs=0.0)
+        steps = round(10.0 * gamma / (offsets[1] - offsets[0]))
+        assert len(offsets) == 2 * steps + 1 <= 801
+        assert offsets[1] - offsets[0] <= 1.000001 * max(min(gamma, width) / 14.0, gamma / 40.0)
+
+    @pytest.mark.parametrize("width, points", [(30.0, 281), (6.7, 281), (5.2, 281),
+                                               (4.0, 381), (3.0, 501), (2.0, 741),
+                                               (1.8, 801), (1.0, 801)])
+    def test_points_per_filter(self, monkeypatch, width, points):
+        # the default filter (6.7 MHz) and any filter as wide as the line
+        # get gamma/14; no filter gets more than gamma/40
+        stacks, _ = self.sampled_stacks(monkeypatch, [DriveParams(2.5, 3.0)],
+                                        AbsorptionProfile(5.0, width))
+        assert [len(s.offsets) for s in stacks] == [points]
+
+    @pytest.mark.parametrize("width, rows", [(6.7, [45, 45, 31]), (1.0, [16] * 7 + [9])])
+    def test_stacks_hold_at_most_stack_values(self, monkeypatch, width, rows):
+        # a 121-point scan in stacks of 45 rows of 281 points, or of 16 rows
+        # of 801 points
+        drives = [DriveParams(2.5, d) for d in np.linspace(-30.0, 30.0, 121)]
+        stacks, _ = self.sampled_stacks(monkeypatch, drives, AbsorptionProfile(5.0, width))
+        assert [len(s.elastic) for s in stacks] == rows
+        assert max(s.density.size for s in stacks) <= cascade.STACK_VALUES
+
+    def test_a_needle_filter_costs_no_more_than_gamma_over_40(self, monkeypatch):
+        # without the cap of 40, 14 gamma / width steps per linewidth would
+        # ask for about 1e12 grid points at 1e-9 MHz, and overflow at the
+        # smallest positive width
+        drives = [DriveParams(s0, d) for s0 in (0.4, 8.0) for d in (-30.0, 0.0, 3.0)]
+        stacks, counts = self.sampled_stacks(monkeypatch, drives, AbsorptionProfile(5.0, 1e-9))
+        assert max(len(s.offsets) for s in stacks) <= 801
+        assert np.all(np.isfinite(counts))
+        assert _model_step(GAMMA, 5e-324) == GAMMA / 40.0
 
 
 def pointwise_counts(drives, counts, prof):
-    """Each drive's count from its own one-point spectrum and filter."""
-    return [one_point_count(one_point_spectrum(d, n), prof, d.delta)
+    """Each drive's count from its own one-point spectrum, sampled at the
+    step of cascaded_counts' rule, and filter."""
+    return [one_point_count(one_point_spectrum(d, n, grid_step=model_step(d.gamma, prof)),
+                            prof, d.delta)
             for d, n in zip(drives, counts)]
 
 
 class TestCascadedCountsSharedWork:
     """cascaded_counts samples and filters consecutive runs of drives of one
-    linewidth as shared stacks of at most 16 default-grid rows: bit for bit
-    the per-point path of pointwise.py, and the one-row path of the
-    package, whatever stack a drive lands in."""
+    linewidth as shared stacks of at most STACK_VALUES grid values (45 rows
+    of the 281-point grid of these filters): bit for bit the per-point path
+    of pointwise.py, and the one-row path of the package, whatever stack a
+    drive lands in."""
 
     SCAN = np.linspace(-30.0, 30.0, 121)
     SHIFTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=-1.5, path_efficiency=0.9)
@@ -243,7 +309,7 @@ class TestCascadedCountsSharedWork:
                                           pointwise_counts(drives, counts, prof))
 
     @pytest.mark.parametrize("gammas", [
-        [GAMMA] * 81,  # six stacks: five of 16 rows and one of 1
+        [GAMMA] * 81,  # two stacks: 45 rows and 36
         [GAMMA] * 45 + [6.0] * 3 + [GAMMA] * 41 + [4.1] * 2,
     ], ids=["81_drives", "runs_of_mixed_linewidths"])
     def test_each_count_is_the_one_row_count(self, gammas):
@@ -253,7 +319,8 @@ class TestCascadedCountsSharedWork:
                       rng.uniform(-30.0, 30.0, len(gammas)), gammas)]
         counts = rng.uniform(1.0, 3000.0, len(drives))
         for prof in (FITTED, self.SHIFTED):
-            alone = [filtered_counts(sample_spectrum([d], [n]), [d.delta], prof)[0]
+            alone = [filtered_counts(sample_spectrum([d], [n], model_step(d.gamma, prof)),
+                                     [d.delta], prof)[0]
                      for d, n in zip(drives, counts)]
             np.testing.assert_array_equal(cascaded_counts(drives, counts, prof), alone)
             np.testing.assert_array_equal(alone, pointwise_counts(drives, counts, prof))
@@ -281,8 +348,9 @@ class TestReferenceArithmetic:
     """sample_spectrum and filtered_counts against the reference arithmetic of
     pointwise.py, which writes each formula out on the whole grid."""
 
-    @pytest.mark.parametrize("step", [None, GAMMA / FIT_GRID_PER_GAMMA],
-                             ids=["model_grid", "fit_grid"])
+    @pytest.mark.parametrize("step", [None, model_step(GAMMA, FITTED),
+                                      GAMMA / FIT_GRID_PER_GAMMA],
+                             ids=["spectrum_grid", "model_grid", "fit_grid"])
     @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
     def test_counts_and_jacobian_bit_for_bit(self, rows, step):
         rng = np.random.default_rng(rows)
@@ -292,14 +360,16 @@ class TestReferenceArithmetic:
         deltas = [d.delta for d in drives]
         stack = sample_spectrum(drives, counts, step)
         ref = reference_stack(drives, counts, step)
+        # the model grid of the first three filters, and the gamma/40 grid
+        # of the fourth (1 MHz)
         for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6),
-                     AbsorptionProfile(0.0, 6.7)):
+                     AbsorptionProfile(0.0, 6.7), AbsorptionProfile(5.0, 1.0)):
             value, jac = filtered_counts(stack, deltas, prof, gradient=True)
             ref_value, ref_jac = reference_counts(ref, deltas, prof, gradient=True)
             np.testing.assert_array_equal(value, ref_value)
             np.testing.assert_array_equal(jac, ref_jac)
             np.testing.assert_array_equal(filtered_counts(stack, deltas, prof), ref_value)
-            if step is None:
+            if (GAMMA / 40.0 if step is None else step) == model_step(GAMMA, prof):
                 np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                               ref_value)
         # and the filter leaves the stack as sampled
@@ -362,7 +432,10 @@ class TestFilteredCounts:
         "shift_at_upper_bound": (6.7, 0.85, 52.0, 0.9),
         "shift_at_lower_bound": (6.7, 0.85, -52.0, 0.9),
     }
-    STEPS = {"model_grid": None, "fit_grid": GAMMA / FIT_GRID_PER_GAMMA}
+    # sample_spectrum's default grid, cascaded_counts' grid for these
+    # filters and the fit grid
+    STEPS = {"spectrum_grid": None, "model_grid": model_step(GAMMA, FITTED),
+             "fit_grid": GAMMA / FIT_GRID_PER_GAMMA}
 
     def spectra(self, s0, step=None):
         return [one_point_spectrum(DriveParams(s0, d), 1e3, grid_step=step)
@@ -540,13 +613,18 @@ class TestFitGridAccuracy:
     # (alpha, width, shift): (largest relative ratio error on the model
     # grid, on the fit grid), each about 5x the worst case measured over
     # s0 in {0.05, 0.4, 2.5, 8} and detunings in {0, 3, -7.5, 30} MHz
-    # (measured in the comments as model; fit)
+    # (measured in the comments as model; fit). The model grid is gamma/14,
+    # /19, /25 and /37 for the first four filters and gamma/40 for the last
+    # two. The model-grid errors of the first four are the rounding of the
+    # float arithmetic, mostly of the filter's exp(-alpha L), not the
+    # quadrature's: the same sums in 30-digit arithmetic are within 4e-16 of
+    # the integral.
     BOUNDS = {
-        (0.85, 6.7, 0.0): (5e-13, 8e-12),  # 9.8e-14; 1.6e-12
-        (2.0, 4.0, -1.5): (7e-13, 1.2e-11),  # 1.4e-13; 2.3e-12
-        (20.0, 3.0, 0.5): (3.5e-12, 5.5e-11),  # 7.1e-13; 1.1e-11
-        (5.0, 2.0, -1.0): (8e-13, 1.5e-11),  # 1.7e-13; 2.9e-12
-        (5.0, 1.0, 0.0): (9e-12, 1.4e-6),  # 1.8e-12; 2.7e-7
+        (0.85, 6.7, 0.0): (5.5e-15, 3.5e-15),  # 1.1e-15; 6.7e-16
+        (2.0, 4.0, -1.5): (8e-15, 4.5e-15),  # 1.6e-15; 8.9e-16
+        (20.0, 3.0, 0.5): (1.2e-13, 3.5e-14),  # 2.4e-14; 7.0e-15
+        (5.0, 2.0, -1.0): (7e-14, 3e-12),  # 1.4e-14; 5.7e-13
+        (5.0, 1.0, 0.0): (9e-12, 1.4e-6),  # 1.7e-12; 2.7e-7
         # a filter a tenth of the linewidth wide is not resolved on either grid
         (5.0, 0.5, 0.0): (5e-7, 3e-4),  # 1.0e-7; 6.0e-5
     }

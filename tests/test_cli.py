@@ -11,7 +11,7 @@ from cascfluor.fit import (DataSeries, fit_power_broadening, fit_saturation, fit
                            lorentzian, read_report_csv, read_series, write_series)
 from cascfluor.spectrum import DriveParams
 from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
-from pointwise import one_point_count, one_point_spectrum
+from pointwise import model_step, one_point_count, one_point_spectrum
 from reference_timetag import reference_run, reference_write
 
 
@@ -493,13 +493,16 @@ class TestReproduce:
 
 class TestModelColumnsArePointwise:
     """The model columns the CLI writes, bit for bit against the per-point
-    path: one_point_spectrum(drive, n), filtered as a one-row stack.
+    path: one_point_spectrum(drive, n) at the step of cascaded_counts' rule,
+    filtered as a one-row stack.
     Arrays, not digests: a digest would pin one CPU's last bit of exp."""
 
     @staticmethod
     def pointwise(drives, counts, prof=REFERENCE_FILTER):
-        return np.array([one_point_count(one_point_spectrum(d, n), prof, d.delta)
-                         for d, n in zip(drives, counts)])
+        return np.array([
+            one_point_count(one_point_spectrum(d, n, grid_step=model_step(d.gamma, prof)),
+                            prof, d.delta)
+            for d, n in zip(drives, counts)])
 
     @pytest.mark.parametrize("s0, delta, gamma, counts",
                              [(0.05, -30.0, 5.2, 1.0), (2.5, 3.0, 6.0, 1000.0),

@@ -246,6 +246,20 @@ class TestSpectrumValidation:
             _check_spectrum(**fields)
 
 
+class TestGregoryWeights:
+    """spectrum._weights, the quadrature of every spectrum integral."""
+
+    @pytest.mark.parametrize("points", [16, 201, 801])
+    def test_polynomials_to_degree_7_are_exact(self, points):
+        # the integral of x^k over [0, 1] is 1 / (k + 1); three-point ends
+        # are exact only to degree 3
+        offsets = np.linspace(0.0, 1.0, points)
+        weights = _weights(offsets)
+        for k in range(8):
+            got = np.add.reduce(offsets ** k * weights)
+            assert got == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0.0), k
+
+
 class TestNormalization:
     """sample_spectrum given photon counts."""
 
