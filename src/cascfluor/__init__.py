@@ -10,6 +10,7 @@ parameters back out.
 from .spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
+    Drives,
     NormalizationError,
     SpectrumStack,
     detuned_saturation,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import DriveParams, SpectrumStack, _grid, _weights, sample_spectrum
+from .spectrum import Drives, SpectrumStack, _as_drives, _grid, _weights, sample_spectrum
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
@@ -128,38 +128,41 @@ def _model_step(gamma: float, width: float) -> float:
 def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndarray:
     """Cascaded count at each drive point, as an array.
 
-    Each point's spectrum is sampled over +-10 linewidths at the step
-    _model_step picks from its linewidth and the filter width (gamma/14,
-    281 points, for filters at least a linewidth wide; at most 801 points),
-    normalized to its original count and filtered, by the end-corrected
-    trapezoid of spectrum._weights: its count is bit for bit
+    drives is a Drives or any sequence of DriveParams. Each point's
+    spectrum is sampled over +-10 linewidths at the step _model_step picks
+    from its linewidth and the filter width (gamma/14, 281 points, for
+    filters at least a linewidth wide; at most 801 points), normalized to
+    its original count and filtered, by the end-corrected trapezoid of
+    spectrum._weights: its count is bit for bit
     filtered_counts(sample_spectrum([drive], [count], step), [delta], prof)
-    alone. The drives go through sample_spectrum and filtered_counts in
-    consecutive runs of one linewidth, each of at most STACK_VALUES grid
-    values. Against adaptive quadrature the largest ratio error is 2.4e-14
+    alone. The drive arrays are cut where the linewidth changes, and each
+    run of one linewidth into chunks of at most STACK_VALUES grid values;
+    each chunk goes through sample_spectrum and filtered_counts as one
+    stack. Against adaptive quadrature the largest ratio error is 2.4e-14
     for filters of 2 MHz or wider (README, "Model grid and fit grid"), the
     rounding of the float arithmetic rather than the quadrature's; a
     narrower filter is sampled at gamma/40 and resolved worse (1.7e-12 at
     1 MHz, 1e-7 at 0.5 MHz).
     """
-    drives = list(drives)
+    drives = _as_drives(drives)
     counts = np.fromiter(original_counts, dtype=float)
-    if len(counts) != len(drives):
-        raise ValueError(f"{len(drives)} drives need as many counts, got {len(counts)}")
-    deltas = np.array([p.delta for p in drives])
-    out = np.empty(len(drives))
-    start = 0
-    while start < len(drives):
-        gamma = drives[start].gamma
+    n = len(drives.s0)
+    if len(counts) != n:
+        raise ValueError(f"{n} drives need as many counts, got {len(counts)}")
+    out = np.empty(n)
+    if not n:
+        return out
+    gammas = drives.gamma
+    cuts = (np.flatnonzero(gammas[1:] != gammas[:-1]) + 1).tolist()
+    for start, stop in zip([0, *cuts], [*cuts, n]):
+        gamma = float(gammas[start])
         step = _model_step(gamma, prof.width)
         rows = STACK_VALUES // (2 * _grid(gamma, 10.0, step)[1] + 1)
-        stop = start + 1
-        while stop < min(start + rows, len(drives)) and drives[stop].gamma == gamma:
-            stop += 1
-        run = slice(start, stop)
-        out[run] = filtered_counts(sample_spectrum(drives[run], counts[run], step),
-                                   deltas[run], prof)
-        start = stop
+        for lo in range(start, stop, rows):
+            run = slice(lo, min(lo + rows, stop))
+            chunk = Drives(*(a[run] for a in drives))
+            out[run] = filtered_counts(sample_spectrum(chunk, counts[run], step),
+                                       chunk.delta, prof)
     return out
 
 
@@ -171,18 +174,18 @@ def ratio_curve(
 ) -> np.ndarray:
     """Cascaded/original count ratio for each drive detuning.
 
-    Each drive has saturation s0 and the default natural linewidth
-    (DriveParams' DEFAULT_GAMMA_MHZ). The emission spectrum is recomputed
-    per detuning on the model grid that cascaded_counts picks for the
-    filter (gamma/14 for filters at least a linewidth wide, up to
-    gamma/40), normalized to the measured original count there, and sent
-    through the filter, all through cascaded_counts, whose end-corrected
-    trapezoid puts each ratio within 2.4e-14 of adaptive quadrature for
-    filters of 2 MHz or wider and 1.7e-12 at 1 MHz. Each ratio is bit for
-    bit the per-point result. The curve dips where the
-    drive sits on the filter center and the dip gets shallower with
+    The drives are Drives.of(s0, detunings): saturation s0 and the default
+    natural linewidth (DEFAULT_GAMMA_MHZ) at every detuning. The emission
+    spectrum is recomputed per detuning on the model grid that
+    cascaded_counts picks for the filter (gamma/14 for filters at least a
+    linewidth wide, up to gamma/40), normalized to the measured original
+    count there, and sent through the filter, all through cascaded_counts,
+    whose end-corrected trapezoid puts each ratio within 2.4e-14 of
+    adaptive quadrature for filters of 2 MHz or wider and 1.7e-12 at 1 MHz.
+    Each ratio is bit for bit the per-point result. The curve dips where
+    the drive sits on the filter center and the dip gets shallower with
     increasing s0 as the sidebands escape the filter.
     """
     counts = np.fromiter(original_counts, dtype=float)
-    drives = [DriveParams(s0, delta) for delta in detunings]
+    drives = Drives.of(s0, np.fromiter(detunings, dtype=float))
     return cascaded_counts(drives, counts, prof) / counts

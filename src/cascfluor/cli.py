@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -114,12 +115,12 @@ def cmd_ratio(args) -> int:
     grid = np.linspace(args.start, args.stop, args.points)
     if args.scan == "detuning":
         s0 = 0.4 if args.s0 is None else args.s0
-        drives = [spectrum.DriveParams(s0, d, args.gamma) for d in grid.tolist()]
+        drives = spectrum.Drives.of(s0, grid, args.gamma)
         key = "delta_mhz"
     elif args.s0 is not None:
         raise ValueError("--s0 is only for --scan detuning")
     else:
-        drives = [spectrum.DriveParams(s0, 0.0, args.gamma) for s0 in grid.tolist()]
+        drives = spectrum.Drives.of(grid, 0.0, args.gamma)
         key = "s0"
     ratios = cascade.cascaded_counts(drives, np.ones_like(grid), prof)
     out = _out_dir(args)
@@ -159,8 +160,8 @@ def cmd_fit(args) -> int:
 def _reproduce_fig3(out: Path, rng) -> None:
     s0_grid = np.linspace(0.05, 10.0, 200)
     original = s0_grid / (1.0 + s0_grid)
-    resonant = [spectrum.DriveParams(s) for s in s0_grid]
-    ratios = cascade.cascaded_counts(resonant, np.ones_like(s0_grid), REFERENCE_FILTER)
+    ratios = cascade.cascaded_counts(spectrum.Drives.of(s0_grid), np.ones_like(s0_grid),
+                                     REFERENCE_FILTER)
     write_table(
         out / "fig3_model.csv",
         {"s0": s0_grid, "original_rate": original,
@@ -168,8 +169,8 @@ def _reproduce_fig3(out: Path, rng) -> None:
     )
     s0_pts = np.geomspace(0.25, 4.0, 8)
     n_orig = 1200.0 * s0_pts / (1.0 + s0_pts)
-    resonant = [spectrum.DriveParams(s) for s in s0_pts]
-    model = cascade.cascaded_counts(resonant, np.ones_like(s0_pts), REFERENCE_FILTER) * n_orig
+    model = cascade.cascaded_counts(spectrum.Drives.of(s0_pts), np.ones_like(s0_pts),
+                                    REFERENCE_FILTER) * n_orig
     noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
     orig_series = fit.DataSeries(s0_pts, n_orig)
     casc_series = fit.DataSeries(s0_pts, noisy, 0.03 * model)
@@ -403,13 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, built once per process."""
+    parser = argparse.ArgumentParser(prog=f"cascfluor {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
 def _parse(argv) -> argparse.Namespace:
     """Parse argv with only the named command's parser; the full tree
     parses it instead, to report top-level usage or leftover arguments."""
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"cascfluor {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             return args
     return build_parser().parse_args(argv)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_counts,
                       filtered_counts)
-from .spectrum import DEFAULT_GAMMA_MHZ, DriveParams, sample_spectrum
+from .spectrum import DEFAULT_GAMMA_MHZ, Drives, sample_spectrum
 from .table import ParseError, parse_field, read_rows, read_table, write_rows, write_table
 
 MAX_ITERATIONS = 500
@@ -250,9 +250,11 @@ def lorentzian(x, center, fwhm, amplitude, offset):
 
 
 def _half_max_width(x, y, amplitude, offset):
-    above = np.flatnonzero(y >= offset + amplitude / 2.0)
-    width = x[above[-1]] - x[above[0]] if above.size else 0.0
-    return width if width > 0 else (x[-1] - x[0]) / 4.0
+    """Span of the x where y reaches offset + amplitude / 2, in any order of
+    x; a quarter of x's range when that span is empty or zero."""
+    above = x[y >= offset + amplitude / 2.0]
+    width = above.max() - above.min() if above.size else 0.0
+    return width if width > 0 else np.ptp(x) / 4.0
 
 
 def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
@@ -359,14 +361,15 @@ _CASCADE_PARAMS = ("width", "alpha", "shift", "path_efficiency")
 
 
 def cascade_model_counts(
-    drives: list[DriveParams],
+    drives,
     original_counts,
     width: float,
     alpha: float,
     shift: float = 0.0,
     path_efficiency: float = DEFAULT_PATH_EFFICIENCY,
 ):
-    """Predicted cascaded counts for a list of drive points.
+    """Predicted cascaded counts at drive points: a Drives or any sequence
+    of DriveParams.
 
     Builds the emission spectrum per point, rescales it to the measured
     original count there, and integrates it through the lab-frame filter
@@ -421,11 +424,11 @@ def fit_cascade(
     if scan == "detuning":
         if s0 is None:
             raise ValueError("scan='detuning' requires the drive s0")
-        drives = [DriveParams(s0, float(d), gamma) for d in original.x]
+        drives = Drives.of(s0, original.x, gamma)
     elif s0 is not None:
         raise ValueError("the drive s0 is only for scan='detuning'")
     else:
-        drives = [DriveParams(float(v), 0.0, gamma) for v in original.x]
+        drives = Drives.of(original.x, 0.0, gamma)
 
     stack = sample_spectrum(drives, original.y, gamma / FIT_GRID_PER_GAMMA)
 
@@ -458,7 +461,7 @@ def fit_cascade(
         "path_efficiency": (1e-6, 1.0),
     }
 
-    deltas = [d.delta for d in drives]
+    deltas = drives.delta
     best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed)
     unidentified = best is None and "width" in free and len(free) > 1
     if unidentified:

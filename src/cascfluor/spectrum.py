@@ -36,12 +36,67 @@ class DriveParams:
     gamma: float = DEFAULT_GAMMA_MHZ
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.s0, self.delta, self.gamma))):
-            raise ValueError(f"drive parameters must be finite, got {self}")
-        if self.s0 < 0:
-            raise ValueError(f"saturation parameter must be >= 0, got {self.s0}")
-        if self.gamma <= 0:
-            raise ValueError(f"natural linewidth must be > 0, got {self.gamma}")
+        if not _drive_ok(self.s0, self.delta, self.gamma):
+            raise ValueError(_drive_error(self.s0, self.delta, self.gamma))
+
+
+class Drives(NamedTuple):
+    """Drive points as arrays: s0, delta and gamma as DriveParams reads
+    them, three float arrays of one shape (n,), drive i being
+    (s0[i], delta[i], gamma[i]). Drives.of builds a validated one; every
+    function that takes drives takes a Drives or any sequence of
+    DriveParams, and validates the arrays either way."""
+
+    s0: np.ndarray
+    delta: np.ndarray
+    gamma: np.ndarray
+
+    @classmethod
+    def of(cls, s0, delta=0.0, gamma=DEFAULT_GAMMA_MHZ) -> Drives:
+        """Drives from scalars and 1-D arrays, broadcast against each other:
+        Drives.of(0.4, detunings) is a detuning scan at s0 = 0.4, and
+        Drives.of(2.5) one resonant drive."""
+        arrays = [np.array(v, dtype=float, ndmin=1) for v in (s0, delta, gamma)]
+        shape = np.broadcast(*arrays).shape
+        return _as_drives(cls(*(a if a.shape == shape else np.full(shape, a)
+                                for a in arrays)))
+
+
+def _drive_ok(s0, delta, gamma):
+    """The drive rule, elementwise on floats or arrays: all three finite
+    (abs(x) < inf fails for NaN), s0 >= 0 and gamma > 0."""
+    return ((0.0 <= s0) & (s0 < math.inf) & (abs(delta) < math.inf)
+            & (0.0 < gamma) & (gamma < math.inf))
+
+
+def _drive_error(s0, delta, gamma) -> str:
+    """The message of the first part of _drive_ok that a drive breaks."""
+    if not all(map(math.isfinite, (s0, delta, gamma))):
+        return (f"drive parameters must be finite, got "
+                f"DriveParams(s0={s0!r}, delta={delta!r}, gamma={gamma!r})")
+    if s0 < 0:
+        return f"saturation parameter must be >= 0, got {s0}"
+    return f"natural linewidth must be > 0, got {gamma}"
+
+
+def _as_drives(drives) -> Drives:
+    """drives (a Drives or an iterable of DriveParams) as a Drives of float
+    arrays of one shape (n,), checked by _drive_ok in one pass; a bad drive
+    raises DriveParams' ValueError for the first one."""
+    if isinstance(drives, Drives):
+        drives = Drives(*(np.asarray(a, dtype=float) for a in drives))
+    else:
+        fields = [(p.s0, p.delta, p.gamma) for p in drives]
+        drives = Drives(*np.array(fields, dtype=float).reshape(-1, 3).T)
+    s0, delta, gamma = drives
+    if s0.ndim != 1 or not s0.shape == delta.shape == gamma.shape:
+        raise ValueError(f"drive arrays must share one shape (n,), got shapes "
+                         f"{s0.shape}, {delta.shape} and {gamma.shape}")
+    ok = _drive_ok(s0, delta, gamma)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(_drive_error(float(s0[i]), float(delta[i]), float(gamma[i])))
+    return drives
 
 
 class SpectrumStack(NamedTuple):
@@ -133,9 +188,26 @@ def excited_state_population(s0: float) -> float:
     return s0 / (2.0 * (1.0 + s0))
 
 
+def _drive_terms(s0, delta, gamma):
+    """Each drive's terms of its spectrum, elementwise on floats or arrays:
+    (delta/gamma)^2, the detuned saturation s = s0 / (1 + 4 (delta/gamma)^2),
+    the scattering weight of mollow_density and the elastic weight
+    (_elastic(s)). Squares are products: Python's float x ** 2 calls pow,
+    which differs from x * x in the last bit for some x."""
+    d = delta / gamma
+    d2 = d * d
+    s = s0 / (1.0 + 4.0 * d2)
+    return d2, s, (s0 / (8.0 * math.pi * gamma)) * (s / (1.0 + s)), _elastic(s)
+
+
+def _elastic(s):
+    """Elastic weight s / (2 + s)^2, elementwise on floats or arrays."""
+    return s / ((2.0 + s) * (2.0 + s))
+
+
 def detuned_saturation(p: DriveParams) -> float:
     """Effective saturation s0 / (1 + 4 (delta/gamma)^2) at the drive detuning."""
-    return p.s0 / (1.0 + 4.0 * (p.delta / p.gamma) ** 2)
+    return _drive_terms(p.s0, p.delta, p.gamma)[1]
 
 
 def rabi_frequency(s: float, gamma: float = DEFAULT_GAMMA_MHZ) -> float:
@@ -153,19 +225,13 @@ def elastic_weight(s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"saturation parameter must be >= 0, got {s}")
-    return s / (2.0 + s) ** 2
-
-
-def _mollow_terms(p: DriveParams) -> tuple[float, float, float]:
-    """s0, (delta/gamma)^2 and the scattering weight of mollow_density."""
-    s = detuned_saturation(p)
-    d = p.delta / p.gamma
-    return p.s0, d * d, (p.s0 / (8.0 * math.pi * p.gamma)) * (s / (1.0 + s))
+    return _elastic(s)
 
 
 def _mollow(x2, s0, d2, scale):
-    """The Mollow density at x2 = (omega/gamma)^2 from _mollow_terms; the
-    terms broadcast against x2, as scalars or as (n, 1) columns."""
+    """The Mollow density at x2 = (omega/gamma)^2 for s0 and the terms d2
+    and scale of _drive_terms; they broadcast against x2, as scalars or as
+    (n, 1) columns."""
     b1 = 0.25 + s0 / 4.0 + d2 - 2.0 * x2
     b2 = 1.25 + s0 / 2.0 + d2 - x2
     return (1.0 + s0 / 4.0 + x2) * scale / (b1 * b1 + x2 * b2 * b2)
@@ -190,7 +256,8 @@ def mollow_density(omega, p: DriveParams):
     if p.s0 == 0.0:
         return np.zeros_like(omega)
     x = omega / p.gamma
-    return _mollow(x * x, *_mollow_terms(p))
+    d2, _, scale, _ = _drive_terms(p.s0, p.delta, p.gamma)
+    return _mollow(x * x, p.s0, d2, scale)
 
 
 def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[float, int]:
@@ -213,36 +280,37 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
                     grid_span: float = 10.0) -> SpectrumStack:
     """Emission spectra of drives that share one linewidth, as one stack.
 
-    The grid is uniform and symmetric about zero and always contains
-    omega = 0 exactly. grid_span is in multiples of gamma and must cover
-    at least +-10 gamma so the triplet tails are carried by downstream
-    integrals; grid_step is in MHz (default gamma/40, the spectrum
-    command's plotting grid; cascaded_counts passes the step it picks
-    from the filter width) and is rejected above gamma/10, which would
-    undersample the triplet, so every grid has at least the 201 points of
-    +-10 gamma at gamma/10 (_weights needs 16). Row i is mollow_density
-    on the grid with elastic weight
-    elastic_weight(detuned_saturation(drives[i])). Given original_counts,
-    row i is rescaled by one factor so that its integral (_weights'
-    end-corrected trapezoid) plus its elastic weight equals
+    drives is a Drives or any sequence of DriveParams. The grid is uniform
+    and symmetric about zero and always contains omega = 0 exactly.
+    grid_span is in multiples of gamma and must cover at least +-10 gamma
+    so the triplet tails are carried by downstream integrals; grid_step is
+    in MHz (default gamma/40, the spectrum command's plotting grid;
+    cascaded_counts passes the step it picks from the filter width) and is
+    rejected above gamma/10, which would undersample the triplet, so every
+    grid has at least the 201 points of +-10 gamma at gamma/10 (_weights
+    needs 16). Row i is mollow_density on the grid with elastic weight
+    elastic_weight(detuned_saturation(drive i)), the same expressions
+    (_drive_terms) evaluated once on the drive arrays. Given
+    original_counts, row i is rescaled by one factor so that its integral
+    (_weights' end-corrected trapezoid) plus its elastic weight equals
     original_counts[i]. The density of every row comes from one broadcast
     over the omega >= 0 half of the grid, mirrored: the grid is symmetric
     to the last bit and the density depends on omega only through
     (omega/gamma)^2. The arrays are fresh on every call.
     """
-    if not drives:
+    s0, delta, gammas = _as_drives(drives)
+    if not len(s0):
         raise ValueError("a spectrum stack needs at least one drive")
-    gamma = drives[0].gamma
-    if any(p.gamma != gamma for p in drives):
+    gamma = float(gammas[0])
+    if np.any(gammas != gamma):
         raise ValueError("the drives of one spectrum stack must share one linewidth")
     step, half = _grid(gamma, grid_span, grid_step)
     offsets = step * np.arange(-half, half + 1)
     _check_offsets(offsets)
     x = offsets[half:] / gamma
-    terms = np.array([_mollow_terms(p) for p in drives])
-    right = _mollow(x * x, *terms.T[:, :, None])
+    d2, _, scale, elastic = _drive_terms(s0, delta, gamma)
+    right = _mollow(x * x, s0[:, None], d2[:, None], scale[:, None])
     density = np.concatenate((right[:, :0:-1], right), axis=1)
-    elastic = np.array([elastic_weight(detuned_saturation(p)) for p in drives])
     if original_counts is not None:
         _normalize(_weights(offsets), density, elastic, original_counts)
     # rescaling keeps a raw value non-finite; the left half mirrors the right

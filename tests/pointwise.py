@@ -106,9 +106,10 @@ def reference_stack(drives, counts, grid_step=None):
     rows = []
     for p in drives:
         d = p.delta / p.gamma
-        s = p.s0 / (1.0 + 4.0 * d ** 2)
+        # squares as products: a Python float's ** 2 calls pow
+        s = p.s0 / (1.0 + 4.0 * (d * d))
         rows.append((p.s0, d * d, (p.s0 / (8.0 * math.pi * p.gamma)) * (s / (1.0 + s)),
-                     s / (2.0 + s) ** 2))
+                     s / ((2.0 + s) * (2.0 + s))))
     s0, d2, scale, elastic = np.array(rows).T
     s0, d2, scale = s0[:, None], d2[:, None], scale[:, None]
     b1 = 0.25 + s0 / 4.0 + d2 - 2.0 * x2

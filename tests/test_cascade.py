@@ -13,10 +13,11 @@ from cascfluor.cascade import (
     filtered_counts,
     ratio_curve,
 )
-from cascfluor.fit import FIT_GRID_PER_GAMMA
+from cascfluor.fit import FIT_GRID_PER_GAMMA, cascade_model_counts
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
+    Drives,
     NormalizationError,
     sample_spectrum,
 )
@@ -404,9 +405,15 @@ class TestCascadedCountsBoundaries:
             ratio_curve([0.0, 1.0, 2.0], 0.4, FITTED, [1.0, 1.0])
 
     def test_no_drives_give_an_empty_array(self):
-        for got in (cascaded_counts([], [], FITTED), ratio_curve([], 0.4, FITTED, [])):
+        empty = np.empty(0)
+        for got in (cascaded_counts([], [], FITTED), ratio_curve([], 0.4, FITTED, []),
+                    cascaded_counts(Drives.of([]), [], FITTED),
+                    cascaded_counts(Drives(empty, empty, empty), [], FITTED)):
             assert isinstance(got, np.ndarray)
             assert got.dtype == float and got.shape == (0,)
+        for drives in ([], Drives.of([])):
+            with pytest.raises(ValueError, match="at least one drive"):
+                sample_spectrum(drives)
 
     def test_generators_accepted(self):
         expected = cascaded_counts(self.DRIVES, [700.0, 1000.0, 1300.0], FITTED)
@@ -417,6 +424,88 @@ class TestCascadedCountsBoundaries:
         got = ratio_curve((d for d in (-3.0, 0.0, 3.0)), 0.4, FITTED,
                           (n for n in (700.0, 1000.0, 1300.0)))
         np.testing.assert_array_equal(got, expected)
+
+
+class TestDrivesAsArrays:
+    """cascaded_counts takes a Drives or a list of DriveParams: the same
+    counts, bit for bit the per-point path of pointwise.py; every entry
+    point checks the arrays with DriveParams' rule and messages."""
+
+    @staticmethod
+    def as_params(drives):
+        return [DriveParams(*p) for p in zip(*(a.tolist() for a in drives))]
+
+    def test_arrays_lists_and_points_agree(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        drive = st.tuples(st.floats(0.01, 10.0), st.floats(-40.0, 40.0),
+                          st.sampled_from([GAMMA, 6.0, 4.1]), st.floats(1.0, 3000.0))
+        # filters narrower and wider than a linewidth
+        profile = st.builds(AbsorptionProfile, st.floats(0.0, 5.0), st.floats(0.5, 30.0),
+                            st.floats(-5.0, 5.0), st.floats(0.1, 1.0))
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.lists(drive, min_size=1, max_size=100), profile)
+        @hypothesis.example([(2.5, 3.0, GAMMA, 700.0)], FITTED)
+        @hypothesis.example([(0.4, -3.0, 6.0, 1.0)] * 3, AbsorptionProfile(5.0, 1.0))
+        def check(rows, prof):
+            s0, delta, gamma, counts = (list(c) for c in zip(*rows))
+            arrays = Drives.of(s0, delta, gamma)
+            params = self.as_params(arrays)
+            got = cascaded_counts(arrays, counts, prof)
+            np.testing.assert_array_equal(got, cascaded_counts(params, counts, prof))
+            np.testing.assert_array_equal(got, pointwise_counts(params, counts, prof))
+
+        check()
+
+    def test_of_broadcasts_scalars(self):
+        drives = Drives.of(0.4, [-3.0, 0.0, 3.0])
+        assert all(isinstance(a, np.ndarray) and a.dtype == float and a.shape == (3,)
+                   for a in drives)
+        assert self.as_params(drives) == [DriveParams(0.4, d) for d in (-3.0, 0.0, 3.0)]
+        assert self.as_params(Drives.of(2.5)) == [DriveParams(2.5)]
+
+    @pytest.mark.parametrize("arrays", [
+        (np.ones(2), np.zeros(3), np.full(2, GAMMA)),
+        (np.ones(3), np.zeros(3), np.full(2, GAMMA)),
+        (np.ones((1, 3)), np.zeros((1, 3)), np.full((1, 3), GAMMA)),
+        (np.float64(1.0), np.float64(0.0), np.float64(GAMMA)),
+    ], ids=["delta", "gamma", "two_dimensional", "scalars"])
+    def test_arrays_of_mismatched_shape_rejected(self, arrays):
+        by_hand = Drives(*arrays)
+        for call in (lambda: cascaded_counts(by_hand, [1.0, 1.0, 1.0], FITTED),
+                     lambda: sample_spectrum(by_hand),
+                     lambda: cascade_model_counts(by_hand, [1.0, 1.0, 1.0], 6.7, 0.85)):
+            with pytest.raises(ValueError, match="one shape"):
+                call()
+        with pytest.raises(ValueError):
+            Drives.of([1.0, 2.0], [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("field, bad", [
+        ("s0", math.nan), ("s0", math.inf), ("s0", -1.0), ("delta", math.nan),
+        ("delta", -math.inf), ("gamma", 0.0), ("gamma", -GAMMA), ("gamma", math.inf),
+        ("gamma", math.nan),
+    ])
+    def test_bad_drive_gives_drive_params_message(self, field, bad):
+        # drives 1 and 3 are bad: the message names drive 1, as DriveParams
+        # would have
+        fields = {"s0": [0.4, 0.4, 0.4, math.nan], "delta": [-3.0, -1.0, 1.0, 3.0],
+                  "gamma": [GAMMA] * 4}
+        fields[field][1] = bad
+        with pytest.raises(ValueError) as expected:
+            DriveParams(*(fields[k][1] for k in ("s0", "delta", "gamma")))
+        message = str(expected.value)
+        by_hand = Drives(*(np.array(fields[k]) for k in ("s0", "delta", "gamma")))
+        calls = [lambda: Drives.of(fields["s0"], fields["delta"], fields["gamma"]),
+                 lambda: cascaded_counts(by_hand, [1.0] * 4, FITTED),
+                 lambda: sample_spectrum(by_hand),
+                 lambda: cascade_model_counts(by_hand, [1.0] * 4, 6.7, 0.85)]
+        if field == "s0":
+            calls.append(lambda: ratio_curve(fields["delta"][1:3], bad, FITTED, [1.0, 1.0]))
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestFilteredCounts:

@@ -127,6 +127,45 @@ class TestParserFastPath:
         assert (tmp_path / "ratio.csv").exists()
 
 
+class TestRepeatedMain:
+    """In-process main calls reuse each command's parser: a call after
+    other commands and usage errors gives the bytes of the first."""
+
+    CALLS = [
+        ["ratio", "--s0", "2.5", "--points", "21", "--out", "{d}/ratio"],
+        ["ratio", "--points", "x"],
+        ["reproduce", "fig4a", "--seed", "3", "--out", "{d}"],
+        ["ratio", "--bogus"],
+        ["fit", "cascade", "--original", "{d}/fig4a_points_original.csv",
+         "--cascaded", "{d}/fig4a_points_cascaded.csv", "--scan", "detuning",
+         "--s0", "0.4", "--fix-efficiency", "0.9", "--out", "{d}/fit_cascade"],
+        ["ratio", "--scan", "power", "--start", "0.05", "--stop", "10", "--points", "21",
+         "--out", "{d}/power"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def test_every_call_repeats_the_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        rounds = []
+        for k in range(3):
+            d = tmp_path / f"round{k}"
+            outcomes = [self.outcome(capsys, [a.format(d=d) for a in argv])
+                        for argv in self.CALLS]
+            files = {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*"))
+                     if p.is_file()}
+            rounds.append((outcomes, files))
+        assert [code for code, *_ in rounds[0][0]] == [0, 2, 0, 2, 0, 0]
+        assert len(rounds[0][1]) == 7
+        assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
+
+
 class TestSimulate:
     def small_config(self, tmp_path, **overrides):
         settings = dict(pulses_per_run=400, runs=3, mean_photons_per_pulse=0.5,
@@ -288,6 +327,20 @@ class TestRatioCommand:
         assert run(["ratio", *args, "--out", tmp_path]) == 2
         option, value = args[-2:]
         assert capsys.readouterr().err == f"error: {option} must be finite, got {value}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, message", [
+        (["--s0", "nan"], "drive parameters must be finite, got "
+                          "DriveParams(s0=nan, delta=-30.0, gamma=5.2)"),
+        (["--s0", "-1"], "saturation parameter must be >= 0, got -1.0"),
+        (["--scan", "power", "--start", "-1", "--stop", "1"],
+         "saturation parameter must be >= 0, got -1.0"),
+        (["--gamma", "0"], "natural linewidth must be > 0, got 0.0"),
+    ], ids=["s0_nan", "s0_negative", "power_negative", "gamma_zero"])
+    def test_bad_drive_is_usage_error(self, tmp_path, capsys, args, message):
+        # the message of the first bad drive, as DriveParams words it
+        assert run(["ratio", *args, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     def test_power_scan_monotone(self, tmp_path):

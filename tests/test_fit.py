@@ -423,6 +423,27 @@ class TestFitLorentzian:
         with pytest.raises(DegenerateFitError):
             fit_lorentzian(DataSeries(np.arange(4.0), np.arange(4.0)))
 
+    def test_descending_x_gives_the_ascending_fit(self):
+        # the half-maximum span of a descending line was negative, and so
+        # was its fallback: the fwhm start fell outside its bounds
+        x = np.linspace(-10.0, 10.0, 41)
+        y = lorentzian(x, 0.5, 4.0, 10.0, 1.0)
+        up = fit_lorentzian(DataSeries(x, y))
+        down = fit_lorentzian(DataSeries(x[::-1], y[::-1]))
+        assert up.converged and down.converged
+        for name, value in up.params.items():
+            assert down.params[name] == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+    def test_half_max_width_in_any_order(self):
+        x = np.linspace(-10.0, 10.0, 41)
+        y = lorentzian(x, 0.5, 4.0, 10.0, 1.0)
+        order = np.random.default_rng(4).permutation(len(x))
+        for args in ((10.0, 1.0), (0.0, 20.0)):  # a peak; no point above: range / 4
+            width = cascfluor.fit._half_max_width(x, y, *args)
+            assert width > 0
+            assert cascfluor.fit._half_max_width(x[::-1], y[::-1], *args) == width
+            assert cascfluor.fit._half_max_width(x[order], y[order], *args) == width
+
 
 class TestFitSaturation:
     def test_model_anchors(self):
@@ -505,6 +526,31 @@ class TestFitCascade:
         assert res.params["alpha"] == pytest.approx(0.85, rel=1e-4)
         assert res.params["shift"] == pytest.approx(1.0, rel=1e-4)
         assert res.params["path_efficiency"] == pytest.approx(0.9, rel=1e-4)
+
+    def test_descending_detuning_scan_starts_where_the_ascending_one_does(self, monkeypatch):
+        # the dip-span start of a descending scan was negative and fell back
+        # to half a linewidth
+        deltas = np.linspace(-25.0, 25.0, 21)
+        n_orig = np.full(len(deltas), 900.0)
+        model = cascade_model_counts([DriveParams(0.4, float(d)) for d in deltas], n_orig,
+                                     6.7, 0.85, 1.0, 0.9)
+        starts = []
+        best_start = cascfluor.fit._best_start
+
+        def spy(stack, deltas, cascaded, init_full, *args):
+            starts.append(dict(init_full))
+            return best_start(stack, deltas, cascaded, init_full, *args)
+
+        monkeypatch.setattr(cascfluor.fit, "_best_start", spy)
+        up = fit_cascade(DataSeries(deltas, n_orig), DataSeries(deltas, model),
+                         scan="detuning", s0=0.4)
+        down = fit_cascade(DataSeries(deltas[::-1], n_orig), DataSeries(deltas[::-1], model[::-1]),
+                           scan="detuning", s0=0.4)
+        assert starts[0] == starts[1]
+        assert starts[0]["width"] > 0.5 * DEFAULT_GAMMA_MHZ
+        assert up.converged and down.converged
+        for name, value in up.params.items():
+            assert down.params[name] == pytest.approx(value, rel=1e-9)
 
     def test_zero_absorption_consistent(self):
         original, cascaded = self.synth_power_scan(alpha=0.0, noise=0.002, seed=3)
