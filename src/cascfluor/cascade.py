@@ -139,7 +139,7 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     run of one linewidth into chunks of at most STACK_VALUES grid values;
     each chunk goes through sample_spectrum and filtered_counts as one
     stack. Against adaptive quadrature the largest ratio error is 2.4e-14
-    for filters of 2 MHz or wider (README, "Model grid and fit grid"), the
+    for filters of 2 MHz or wider (README, "Model grid"), the
     rounding of the float arithmetic rather than the quadrature's; a
     narrower filter is sampled at gamma/40 and resolved worse (1.7e-12 at
     1 MHz, 1e-7 at 0.5 MHz).
@@ -175,16 +175,12 @@ def ratio_curve(
     """Cascaded/original count ratio for each drive detuning.
 
     The drives are Drives.of(s0, detunings): saturation s0 and the default
-    natural linewidth (DEFAULT_GAMMA_MHZ) at every detuning. The emission
-    spectrum is recomputed per detuning on the model grid that
-    cascaded_counts picks for the filter (gamma/14 for filters at least a
-    linewidth wide, up to gamma/40), normalized to the measured original
-    count there, and sent through the filter, all through cascaded_counts,
-    whose end-corrected trapezoid puts each ratio within 2.4e-14 of
-    adaptive quadrature for filters of 2 MHz or wider and 1.7e-12 at 1 MHz.
-    Each ratio is bit for bit the per-point result. The curve dips where
-    the drive sits on the filter center and the dip gets shallower with
-    increasing s0 as the sidebands escape the filter.
+    natural linewidth (DEFAULT_GAMMA_MHZ) at every detuning. Each ratio is
+    the cascaded_counts of its drive, on the model grid and to the
+    accuracy stated there, over its original count: bit for bit that of
+    fit.cascade_model_counts, the model that fit_cascade fits. The curve
+    dips where the drive sits on the filter center and the dip gets
+    shallower with increasing s0 as the sidebands escape the filter.
     """
     counts = np.fromiter(original_counts, dtype=float)
     drives = Drives.of(s0, np.fromiter(detunings, dtype=float))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, cascaded_counts,
-                      filtered_counts)
+from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, _model_step,
+                      cascaded_counts, filtered_counts)
 from .spectrum import DEFAULT_GAMMA_MHZ, Drives, sample_spectrum
 from .table import ParseError, parse_field, read_rows, read_table, write_rows, write_table
 
@@ -31,17 +31,6 @@ MAX_CONDITION = 1e14
 N_STARTS = 5
 # a later fit_cascade start wins only if it lowers the residual norm by more
 START_TIE_RTOL = 1e-12
-# fit_cascade samples its spectra at gamma / FIT_GRID_PER_GAMMA; model
-# curves take the step cascaded_counts picks from the filter width (gamma/14
-# to gamma/40). Both integrate by the end-corrected trapezoid
-# (spectrum._weights). Against a scipy quad oracle the largest ratio error
-# at gamma/20 is 7e-15 for filters of 3 MHz or wider, 5.7e-13 at 2 MHz,
-# 2.7e-7 for a 1 MHz filter and 6e-5 for a 0.5 MHz one, so the fits' 1e-6
-# closure holds down to about 1 MHz; refit parameters move by 9.3e-15
-# relative against gamma/100. At half the points of gamma/40 the three
-# cascade fits of the benchmark's refit op take 19.5 against 26.9 ms
-# (medians of 30 interleaved runs, 2-vCPU Xeon).
-FIT_GRID_PER_GAMMA = 20
 
 
 class DegenerateFitError(RuntimeError):
@@ -222,7 +211,8 @@ def _ill_conditioned(normal) -> bool:
 
 
 def _bootstrap_sigmas(model, data, theta, bounds, n_resamples):
-    """Parameter spread over refits of residual-resampled data (seed 0)."""
+    """Parameter spread over the refits of residual-resampled data (seed 0)
+    that are not degenerate; DegenerateFitError if fewer than two are."""
     rng = np.random.default_rng(0)
     fitted = model(data.x, theta)[0]
     resid = data.y - fitted
@@ -237,6 +227,9 @@ def _bootstrap_sigmas(model, data, theta, bounds, n_resamples):
             draws[b] = np.nan
             continue
         draws[b] = list(refit.params.values())
+    good = int(np.isfinite(draws[:, 0]).sum())
+    if good < 2:
+        raise DegenerateFitError(f"{good} of {n_resamples} bootstrap refits succeeded")
     return np.nanstd(draws, axis=0, ddof=1)
 
 
@@ -374,6 +367,7 @@ def cascade_model_counts(
     Builds the emission spectrum per point, rescales it to the measured
     original count there, and integrates it through the lab-frame filter
     (cascaded_counts, on the model grid it picks from the filter width).
+    fit_cascade fits exactly this model, bit for bit.
     """
     prof = AbsorptionProfile(alpha, width, shift, path_efficiency)
     return cascaded_counts(drives, original_counts, prof)
@@ -400,14 +394,13 @@ def fit_cascade(
     values are reported with sigma 0).
     Residuals are taken on the cascaded counts, weighted by cascaded.y_err
     when present. A seeded N_STARTS-way multi-start guards against local
-    minima. All points' spectra are sampled and normalized once per call,
-    by one sample_spectrum broadcast on the fit grid
-    gamma / FIT_GRID_PER_GAMMA (gamma/20); every start and iteration
-    filters that stack. The fit grid is fixed, unlike the model grid of
-    cascade_model_counts and ratio_curve, whose step follows the filter
-    width; both integrate by the end-corrected trapezoid, and on the fit
-    grid ratios are within 7e-15 of adaptive quadrature for filters of
-    3 MHz or wider, 5.7e-13 at 2 MHz, 2.7e-7 at 1 MHz and 6e-5 at 0.5 MHz.
+    minima. Each candidate filter is applied on the model grid that
+    cascaded_counts picks for its width (_model_step), so every model
+    evaluation equals cascade_model_counts(drives, original.y, **params)
+    bit for bit. All points' spectra are sampled and normalized by one
+    sample_spectrum broadcast per distinct grid step, the first time a
+    candidate needs it; every later start, iteration and fallback refit
+    of the call filters that stack.
 
     Starting values are data-derived: the efficiency from the largest
     observed ratio, the optical depth from the deepest ratio against that
@@ -430,7 +423,14 @@ def fit_cascade(
     else:
         drives = Drives.of(original.x, 0.0, gamma)
 
-    stack = sample_spectrum(drives, original.y, gamma / FIT_GRID_PER_GAMMA)
+    stacks = {}
+
+    def filtered(prof):
+        """Counts and derivatives of the points through prof, on its model grid."""
+        step = _model_step(gamma, prof.width)
+        if step not in stacks:
+            stacks[step] = sample_spectrum(drives, original.y, step)
+        return filtered_counts(stacks[step], drives.delta, prof, gradient=True)
 
     fixed = {"width": fix_width, "shift": fix_shift, "path_efficiency": fix_efficiency}
     fixed = {k: float(v) for k, v in fixed.items() if v is not None}
@@ -457,19 +457,18 @@ def fit_cascade(
     bounds_full = {
         "width": (0.05, 100.0 * gamma),
         "alpha": (0.0, 50.0),
-        "shift": (float(stack.offsets[0]), float(stack.offsets[-1])),
+        "shift": (-10.0 * gamma, 10.0 * gamma),  # the ends of every model grid
         "path_efficiency": (1e-6, 1.0),
     }
 
-    deltas = drives.delta
-    best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed)
+    best, failures = _best_start(filtered, cascaded, init_full, bounds_full, fixed, seed)
     unidentified = best is None and "width" in free and len(free) > 1
     if unidentified:
         # with no measurable absorption the width multiplies nothing and the
         # normal matrix degenerates; refit with the width pinned and report
         # it as unidentified
         fixed["width"] = float(width0)
-        best, failures = _best_start(stack, deltas, cascaded, init_full, bounds_full,
+        best, failures = _best_start(filtered, cascaded, init_full, bounds_full,
                                      fixed, seed)
     if best is None:
         raise DegenerateFitError("; ".join(failures) or "all starts failed")
@@ -487,10 +486,10 @@ def fit_cascade(
                      best.iterations)
 
 
-def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed):
-    """Seeded N_STARTS-way least squares of the filter with the `fixed`
-    parameters held; returns the best FitResult (None if every start was
-    degenerate) and the failure messages."""
+def _best_start(filtered, cascaded, init_full, bounds_full, fixed, seed):
+    """Seeded N_STARTS-way least squares of the model filtered(prof) with the
+    `fixed` parameters held; returns the best FitResult (None if every start
+    was degenerate) and the failure messages."""
     free = [n for n in _CASCADE_PARAMS if n not in fixed]
     columns = [_CASCADE_PARAMS.index(n) for n in free]
 
@@ -500,7 +499,7 @@ def _best_start(stack, deltas, cascaded, init_full, bounds_full, fixed, seed):
         return AbsorptionProfile(**full)
 
     def model(_x, th):
-        counts, grad = filtered_counts(stack, deltas, profile(th), gradient=True)
+        counts, grad = filtered(profile(th))
         return counts, grad[:, columns]
 
     rng = np.random.default_rng(seed)
@@ -592,14 +591,16 @@ def fit_shift_slope(data: DataSeries, bootstrap: int = 0) -> FitResult:
 
 
 def read_series(path) -> DataSeries:
-    """Read a data series table with header x,y or x,y,yerr."""
+    """Read a data series table with header x,y or x,y,yerr; a yerr <= 0 is
+    a ParseError at its line."""
     _, columns = read_table(path, ("x,y", "x,y,yerr"))
     if not len(columns["x"]):
         raise ParseError(f"{path}: no data rows")
-    try:
-        return DataSeries(*columns.values())
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    bad = np.flatnonzero(columns.get("yerr", 1.0) <= 0)
+    if bad.size:
+        lineno, fields = list(read_rows(path)[2])[bad[0]]
+        raise ParseError(f"{path}:{lineno}: yerr must be > 0, got '{fields[2]}'")
+    return DataSeries(*columns.values())
 
 
 def write_series(path, series: DataSeries) -> None:

@@ -13,7 +13,7 @@ from cascfluor.cascade import (
     filtered_counts,
     ratio_curve,
 )
-from cascfluor.fit import FIT_GRID_PER_GAMMA, cascade_model_counts
+from cascfluor.fit import cascade_model_counts
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -27,6 +27,8 @@ from pointwise import (integral, lorentzian_profile, model_step, one_point_count
                        transmission)
 
 GAMMA = DEFAULT_GAMMA_MHZ
+# a third grid step, the model step of filters 3.64 to 3.83 MHz wide
+STEP_20 = GAMMA / 20
 FITTED = AbsorptionProfile(alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9)
 
 
@@ -350,8 +352,8 @@ class TestReferenceArithmetic:
     pointwise.py, which writes each formula out on the whole grid."""
 
     @pytest.mark.parametrize("step", [None, model_step(GAMMA, FITTED),
-                                      GAMMA / FIT_GRID_PER_GAMMA],
-                             ids=["spectrum_grid", "model_grid", "fit_grid"])
+                                      STEP_20],
+                             ids=["spectrum_grid", "model_grid", "gamma_20_grid"])
     @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
     def test_counts_and_jacobian_bit_for_bit(self, rows, step):
         rng = np.random.default_rng(rows)
@@ -521,10 +523,10 @@ class TestFilteredCounts:
         "shift_at_upper_bound": (6.7, 0.85, 52.0, 0.9),
         "shift_at_lower_bound": (6.7, 0.85, -52.0, 0.9),
     }
-    # sample_spectrum's default grid, cascaded_counts' grid for these
-    # filters and the fit grid
+    # sample_spectrum's default grid, cascaded_counts' grid for the
+    # reference filter and gamma/20
     STEPS = {"spectrum_grid": None, "model_grid": model_step(GAMMA, FITTED),
-             "fit_grid": GAMMA / FIT_GRID_PER_GAMMA}
+             "gamma_20_grid": STEP_20}
 
     def spectra(self, s0, step=None):
         return [one_point_spectrum(DriveParams(s0, d), 1e3, grid_step=step)
@@ -583,22 +585,22 @@ class TestFilteredCounts:
 
     @pytest.mark.parametrize("s0", S0)
     @pytest.mark.parametrize("name", FILTERS)
-    def test_fit_grid_detuning_stack_gradient(self, s0, name):
+    def test_gamma_20_detuning_stack_gradient(self, s0, name):
         self.assert_gradient_matches_central_differences(
-            self.spectra(s0, self.STEPS["fit_grid"]), self.DELTAS,
+            self.spectra(s0, self.STEPS["gamma_20_grid"]), self.DELTAS,
             np.array(self.FILTERS[name]))
 
     @pytest.mark.parametrize("name", [n for n in FILTERS if n != "reference"])
-    def test_fit_grid_power_stack_gradient(self, name):
+    def test_gamma_20_power_stack_gradient(self, name):
         self.assert_gradient_matches_central_differences(
-            self.power_spectra(self.STEPS["fit_grid"]), [0.0] * len(self.LADDER),
+            self.power_spectra(self.STEPS["gamma_20_grid"]), [0.0] * len(self.LADDER),
             np.array(self.FILTERS[name]))
 
-    def test_fit_grid_power_stack_gradient_on_resonance(self):
+    def test_gamma_20_power_stack_gradient_on_resonance(self):
         # a filter centered on resonant drives sees even spectra, so d/dshift
         # vanishes in every row and its central differences are roundoff
         theta = np.array(self.FILTERS["reference"])
-        specs = self.power_spectra(self.STEPS["fit_grid"])
+        specs = self.power_spectra(self.STEPS["gamma_20_grid"])
         deltas = [0.0] * len(specs)
         jac = self.assert_gradient_matches_central_differences(specs, deltas, theta,
                                                                [0, 1, 3])
@@ -683,16 +685,15 @@ def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):
     return (inelastic + elastic * trans(0.0)) / (total + elastic)
 
 
-class TestFitGridAccuracy:
-    """The model grid and the fit's coarse grid against an adaptive-quadrature
+class TestGridAccuracy:
+    """The model grid and a fixed gamma/20 grid against an adaptive-quadrature
     oracle."""
 
     @pytest.mark.parametrize("s0", TestFilteredCounts.S0)
-    def test_fit_grid_ratio_within_1e_8_of_quadrature(self, s0):
+    def test_gamma_20_ratio_within_1e_8_of_quadrature(self, s0):
         deltas = TestFilteredCounts.DELTAS
-        step = GAMMA / FIT_GRID_PER_GAMMA
         stack = stack_of([
-            one_point_spectrum(DriveParams(s0, d), 1.0, grid_step=step)
+            one_point_spectrum(DriveParams(s0, d), 1.0, grid_step=STEP_20)
             for d in deltas])
         for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6)):
             got = filtered_counts(stack, deltas, prof)
@@ -700,11 +701,10 @@ class TestFitGridAccuracy:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-8)
 
     # (alpha, width, shift): (largest relative ratio error on the model
-    # grid, on the fit grid), each about 5x the worst case measured over
-    # s0 in {0.05, 0.4, 2.5, 8} and detunings in {0, 3, -7.5, 30} MHz
-    # (measured in the comments as model; fit). The model grid is gamma/14,
-    # /19, /25 and /37 for the first four filters and gamma/40 for the last
-    # two. The model-grid errors of the first four are the rounding of the
+    # grid, at gamma/20), each about 5x the worst case measured over s0 in
+    # {0.05, 0.4, 2.5, 8} and detunings in {0, 3, -7.5, 30} MHz (measured in
+    # the comments as model; gamma/20). The model grid is gamma/14, /19, /25
+    # and /37 for the first four filters and gamma/40 for the last two. The model-grid errors of the first four are the rounding of the
     # float arithmetic, mostly of the filter's exp(-alpha L), not the
     # quadrature's: the same sums in 30-digit arithmetic are within 4e-16 of
     # the integral.
@@ -719,18 +719,18 @@ class TestFitGridAccuracy:
     }
 
     @pytest.mark.parametrize("filt", BOUNDS, ids=lambda f: "_".join(map(str, f)))
-    def test_model_and_fit_grid_errors(self, filt):
-        model_bound, fit_bound = self.BOUNDS[filt]
+    def test_model_and_gamma_20_grid_errors(self, filt):
+        model_bound, fixed_bound = self.BOUNDS[filt]
         prof = AbsorptionProfile(*filt, path_efficiency=0.9)
         deltas = [0.0, 3.0, -7.5, 30.0]
         for s0 in TestFilteredCounts.S0:
             expected = np.array([quad_ratio(s0, d, prof) for d in deltas])
             model = ratio_curve(deltas, s0, prof, np.ones(4))
             stack = sample_spectrum([DriveParams(s0, d) for d in deltas], np.ones(4),
-                                    GAMMA / FIT_GRID_PER_GAMMA)
-            fit = filtered_counts(stack, deltas, prof)
+                                    STEP_20)
+            fixed = filtered_counts(stack, deltas, prof)
             np.testing.assert_allclose(model, expected, rtol=model_bound, atol=0.0)
-            np.testing.assert_allclose(fit, expected, rtol=fit_bound, atol=0.0)
+            np.testing.assert_allclose(fixed, expected, rtol=fixed_bound, atol=0.0)
 
 
 class TestRatioCurve:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import cascfluor.fit
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.cli import REFERENCE_FILTER, build_parser, main, read_table, write_table
 from cascfluor.fit import (DataSeries, fit_power_broadening, fit_saturation, fit_shift_slope,
@@ -419,13 +420,34 @@ class TestFitCommand:
         assert run(["fit", "slope", "--data", tmp_path / "huge.csv", "--out", tmp_path]) == 2
         assert not (tmp_path / "fit_report.csv").exists()
 
-    @pytest.mark.parametrize("data, lineno", [(b"x,y\n1,a\n", 2), (b"x,y\n0,1\n1,\xff3\n", 3)],
-                             ids=["not_a_number", "not_utf8"])
+    @pytest.mark.parametrize("data, lineno", [
+        (b"x,y\n1,a\n", 2), (b"x,y\n0,1\n1,\xff3\n", 3), (b"x,y,yerr\n0,1,1\n1,2,0\n", 3),
+        (b"# a=1\nx,y,yerr\n0,1,1\n\n1,2,-2\n", 5)],
+        ids=["not_a_number", "not_utf8", "yerr_zero", "yerr_negative"])
     def test_parse_error_exit_code(self, tmp_path, capsys, data, lineno):
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         assert run(["fit", "lorentzian", "--data", path, "--out", tmp_path]) == 3
         assert f"bad.csv:{lineno}: " in capsys.readouterr().err
+
+    def test_degenerate_bootstrap_exit_code(self, tmp_path, monkeypatch, capsys):
+        # with every bootstrap refit degenerate there is no spread to report;
+        # once this wrote NaN sigmas that read_report_csv refuses
+        def degenerate(*args, **kwargs):
+            raise cascfluor.fit.DegenerateFitError("singular normal matrix")
+
+        def outer_only(*args, _real=cascfluor.fit.least_squares, **kwargs):
+            # the fit runs; its bootstrap refits degenerate
+            monkeypatch.setattr(cascfluor.fit, "least_squares", degenerate)
+            return _real(*args, **kwargs)
+
+        x = np.linspace(0.0, 4.0, 6)
+        write_series(tmp_path / "line.csv", DataSeries(x, 0.25 * x + 0.5 + 0.01 * np.cos(x)))
+        monkeypatch.setattr(cascfluor.fit, "least_squares", outer_only)
+        assert run(["fit", "slope", "--data", tmp_path / "line.csv", "--bootstrap", 3,
+                    "--out", tmp_path]) == 5
+        assert "0 of 3 bootstrap refits succeeded" in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.csv").exists()
 
     def test_cascade_fit_via_files(self, tmp_path):
         from cascfluor.fit import cascade_model_counts

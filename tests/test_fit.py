@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cascfluor.fit
-from cascfluor.cascade import AbsorptionProfile, filtered_counts, ratio_curve
+from cascfluor.cascade import AbsorptionProfile, _model_step, filtered_counts, ratio_curve
 from cascfluor.fit import (
     DataSeries,
     DegenerateFitError,
@@ -31,8 +31,8 @@ from cascfluor.fit import (
     _lorentzian_model,
     _saturation_jac,
 )
-from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, excited_state_population,
-                                sample_spectrum)
+from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, Drives,
+                                excited_state_population, sample_spectrum)
 from cascfluor.table import ParseError
 from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
 from reference_fit import fused_least_squares, lorentzian_jac
@@ -255,6 +255,31 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="bootstrap"):
             least_squares(line, DataSeries(x, 2.0 * x + 1.0), [1.0, 0.0], bootstrap=1)
 
+    @pytest.mark.parametrize("good", [0, 1, 2])
+    def test_bootstrap_needs_two_good_refits(self, monkeypatch, good):
+        # degenerate refits are left out; fewer than two good ones have no
+        # spread, where nanstd would report NaN sigmas with converged=True
+        x = np.linspace(0.0, 5.0, 6)
+        data = DataSeries(x, 2.0 * x + 1.0 + 0.1 * np.cos(x))
+        refits = []
+
+        def some_degenerate(*args, **kwargs):
+            refits.append(1)
+            if len(refits) > good:
+                raise DegenerateFitError("singular normal matrix")
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(cascfluor.fit, "least_squares", some_degenerate)
+        if good < 2:
+            with pytest.raises(DegenerateFitError,
+                               match=f"^{good} of 5 bootstrap refits succeeded"):
+                least_squares(line, data, [1.0, 0.0], bootstrap=5)
+        else:
+            res = least_squares(line, data, [1.0, 0.0], bootstrap=5)
+            assert res.converged
+            assert all(0.0 < v < math.inf for v in res.sigmas.values())
+        assert len(refits) == 5
+
     def test_overflowing_residual_sum_is_an_error(self):
         # finite data whose sum of squares overflows give no fit, and no
         # numpy warning on the way (pytest turns warnings into errors)
@@ -473,6 +498,29 @@ class TestFitSaturation:
         with pytest.raises(DegenerateFitError):
             fit_saturation(data)
 
+    @pytest.mark.parametrize("x, error, message", [
+        ([10.0, 20.0, 40.0], DegenerateFitError, "need at least 4 points for a saturation fit"),
+        ([10.0, 0.0, 40.0, 80.0], ValueError, "powers must be > 0"),
+    ], ids=["three_points", "zero_power"])
+    def test_bad_data_rejected(self, x, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_saturation(DataSeries(np.array(x), np.ones(len(x))))
+
+    def test_start_without_two_positive_rates(self, monkeypatch):
+        # with no line through 1/rate to take a start from, the knee starts
+        # at the median power and the ceiling at 1.5 times the largest rate
+        starts = []
+
+        def spy(model, data, init, **kwargs):
+            starts.append(init)
+            raise DegenerateFitError("stop")
+
+        monkeypatch.setattr(cascfluor.fit, "least_squares", spy)
+        x = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
+        with pytest.raises(DegenerateFitError, match="^stop$"):
+            fit_saturation(DataSeries(x, np.array([-0.5, 0.0, 0.0, -0.25, 2.0])))
+        assert starts == [[40.0, 3.0]]
+
 
 class TestFitCascade:
     LADDER = np.geomspace(0.25, 4.0, 8)
@@ -537,9 +585,9 @@ class TestFitCascade:
         starts = []
         best_start = cascfluor.fit._best_start
 
-        def spy(stack, deltas, cascaded, init_full, *args):
+        def spy(filtered, cascaded, init_full, *args):
             starts.append(dict(init_full))
-            return best_start(stack, deltas, cascaded, init_full, *args)
+            return best_start(filtered, cascaded, init_full, *args)
 
         monkeypatch.setattr(cascfluor.fit, "_best_start", spy)
         up = fit_cascade(DataSeries(deltas, n_orig), DataSeries(deltas, model),
@@ -595,40 +643,88 @@ class TestFitCascade:
         "fig4a": (fig4a_points, dict(scan="detuning", s0=0.4, fix_efficiency=0.9)),
     }
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("figure", FIGURE_FITS)
-    def test_fit_grid_agrees_with_model_grid(self, monkeypatch, figure, seed):
-        # the default fit grid moves a refit by far less than its sigma
-        points, kwargs = self.FIGURE_FITS[figure]
-        original, cascaded = points(seed)
-        coarse = fit_cascade(original, cascaded, **kwargs)
-        monkeypatch.setattr(cascfluor.fit, "FIT_GRID_PER_GAMMA", 100)
-        fine = fit_cascade(original, cascaded, **kwargs)
-        assert coarse.params == pytest.approx(fine.params, rel=1e-6)
-        assert (coarse.converged, coarse.iterations) == (fine.converged, fine.iterations)
+    @staticmethod
+    def record_evaluations(monkeypatch):
+        """(profile, counts) of every filtered_counts call fit_cascade makes."""
+        evaluated = []
+        real = cascfluor.fit.filtered_counts
+
+        def recorded(stack, deltas, prof, gradient=False):
+            out = real(stack, deltas, prof, gradient=gradient)
+            evaluated.append((prof, out[0] if gradient else out))
+            return out
+
+        monkeypatch.setattr(cascfluor.fit, "filtered_counts", recorded)
+        return evaluated
+
+    @pytest.mark.parametrize("case", ["power_scan", "detuning_scan",
+                                      "zero_absorption_fallback"])
+    def test_every_evaluation_is_the_model_bit_for_bit(self, monkeypatch, case):
+        # the fit minimizes exactly the model that cascade_model_counts
+        # reports: each candidate is filtered on its own width's model grid
+        if case == "power_scan":
+            original, cascaded = self.fig3_points(1)
+            kwargs = self.FIGURE_FITS["fig3"][1]
+        elif case == "detuning_scan":
+            original, cascaded = self.fig4a_points(1)
+            kwargs = self.FIGURE_FITS["fig4a"][1]
+        else:
+            original, cascaded = self.synth_power_scan(alpha=0.0)
+            kwargs = self.FIGURE_FITS["fig3"][1]
+        s0, delta = (original.x, 0.0) if kwargs["scan"] == "power" else (0.4, original.x)
+        drives = Drives.of(s0, delta)
+        evaluated = self.record_evaluations(monkeypatch)
+        res = fit_cascade(original, cascaded, **kwargs)
+        assert res.converged
+        assert (res.sigmas["width"] == math.inf) == (case == "zero_absorption_fallback")
+        for prof, counts in evaluated:
+            model = cascade_model_counts(drives, original.y, prof.width, prof.alpha,
+                                         prof.shift, prof.path_efficiency)
+            np.testing.assert_array_equal(counts, model)
+
+    @pytest.mark.parametrize("filt", [(5.0, 0.5, 0.0), (5.0, 1.0, 0.0), (2.0, 2.0, -1.0),
+                                      (0.85, 6.7, 0.0)],
+                             ids=lambda f: "_".join(map(str, f)))
+    def test_noiseless_detuning_scan_closes(self, filt):
+        # the fit's model is the model that made the data, so a noiseless
+        # scan comes back to rounding, narrow filters too
+        alpha, width, shift = filt
+        deltas = np.linspace(-20.0, 20.0, 21)
+        n_orig = np.full(len(deltas), 900.0)
+        model = cascade_model_counts(Drives.of(0.4, deltas), n_orig, width, alpha, shift,
+                                     0.9)
+        res = fit_cascade(DataSeries(deltas, n_orig), DataSeries(deltas, model),
+                          scan="detuning", s0=0.4, fix_efficiency=0.9)
+        assert res.converged
+        got = [res.params[n] for n in ("width", "alpha", "shift")]
+        assert got == pytest.approx([width, alpha, shift], rel=1e-12)
 
     @pytest.mark.parametrize("alpha, n_starts", [(0.85, 1), (0.85, 5), (0.0, 5)],
                              ids=["1_start", "5_starts", "zero_absorption_fallback"])
     def test_each_spectrum_is_sampled_and_normalized_once(self, monkeypatch, alpha,
                                                           n_starts):
         # however many starts, iterations and fallback refits a fit runs, it
-        # samples and normalizes its spectra once, in one stack build, and
-        # never again through the cascade model's own sampling
+        # samples and normalizes its spectra once per distinct model step of
+        # the candidates it evaluates, and never through the cascade model's
+        # own sampling
         original, cascaded = self.synth_power_scan(alpha=alpha)
-        calls = {"fit.sample_spectrum": 0, "cascade.sample_spectrum": 0}
-        for key in calls:
+        sampled = {"fit.sample_spectrum": [], "cascade.sample_spectrum": []}
+        for key in sampled:
             module, name = key.split(".")
             module = getattr(cascfluor, module)
 
-            def counted(*args, _key=key, _real=getattr(module, name), **kw):
-                calls[_key] += 1
-                return _real(*args, **kw)
+            def counted(drives, counts, step, _key=key, _real=getattr(module, name)):
+                sampled[_key].append(step)
+                return _real(drives, counts, step)
             monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(cascfluor.fit, "N_STARTS", n_starts)
+        evaluated = self.record_evaluations(monkeypatch)
         res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
                           fix_efficiency=0.9)
         assert res.converged
-        assert calls == {"fit.sample_spectrum": 1, "cascade.sample_spectrum": 0}
+        steps = [_model_step(DEFAULT_GAMMA_MHZ, prof.width) for prof, _ in evaluated]
+        assert sorted(sampled["fit.sample_spectrum"]) == sorted(set(steps))
+        assert sampled["cascade.sample_spectrum"] == []
 
     def test_detuning_fit_filters_once_per_evaluation(self, monkeypatch):
         # each candidate the engine evaluates is one filtered_counts call
@@ -728,6 +824,26 @@ class TestFitCascade:
         cascaded = DataSeries(x, np.full(3, 250.0))
         with pytest.raises(DegenerateFitError):
             fit_cascade(original, cascaded, scan="power")
+
+    @pytest.mark.parametrize("kwargs, orig, message", [
+        (dict(scan="bogus"), 500.0, "unknown scan type 'bogus'"),
+        (dict(), 0.0, "original counts must be > 0"),
+    ], ids=["unknown_scan", "zero_original"])
+    def test_bad_arguments_rejected(self, kwargs, orig, message):
+        x = np.linspace(0.5, 4.0, 6)
+        y = np.full(6, 500.0)
+        y[2] = orig
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_cascade(DataSeries(x, y), DataSeries(x, np.full(6, 250.0)), **kwargs)
+
+    def test_every_start_degenerate(self):
+        # no absorption with the width pinned leaves the shift unidentified,
+        # and there is no fallback for the shift
+        original, cascaded = self.synth_power_scan(alpha=0.0)
+        with pytest.raises(DegenerateFitError,
+                           match="^singular normal matrix(; singular normal matrix"
+                                 "( at the optimum)?){4}$"):
+            fit_cascade(original, cascaded, scan="power", fix_width=6.7, fix_efficiency=0.9)
 
     def test_mismatched_abscissae_rejected(self):
         a = DataSeries(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
@@ -843,9 +959,13 @@ class TestFitPowerBroadening:
         assert res.params["gamma"] == pytest.approx(6.45, abs=1.17)
         assert res.params["gamma0"] == pytest.approx(8.44, abs=0.80)
 
-    def test_degenerate_abscissae(self):
-        data = DataSeries(np.full(4, 1.0), np.linspace(10, 11, 4))
-        with pytest.raises(DegenerateFitError):
+    @pytest.mark.parametrize("x, message", [
+        (np.full(4, 1.0), "degenerate abscissae"),
+        (np.array([0.4, 2.5]), "need at least 3 points for a broadening fit"),
+    ], ids=["degenerate_abscissae", "two_points"])
+    def test_degenerate_data(self, x, message):
+        data = DataSeries(x, np.linspace(10, 11, len(x)))
+        with pytest.raises(DegenerateFitError, match=f"^{message}$"):
             fit_power_broadening(data)
 
 
@@ -868,16 +988,24 @@ class TestFitShiftSlope:
         assert res.params["slope"] == pytest.approx(3.0, rel=1e-10)
         assert res.params["intercept"] == pytest.approx(-1.0, rel=1e-10)
 
-    def test_degenerate_abscissae(self):
-        data = DataSeries(np.full(3, 2.0), np.arange(3.0))
-        with pytest.raises(DegenerateFitError):
+    @pytest.mark.parametrize("x, message", [
+        (np.full(3, 2.0), "degenerate abscissae"),
+        (np.array([2.0]), "need at least 2 points for a line"),
+    ], ids=["degenerate_abscissae", "one_point"])
+    def test_degenerate_data(self, x, message):
+        data = DataSeries(x, np.arange(float(len(x))))
+        with pytest.raises(DegenerateFitError, match=f"^{message}$"):
             fit_shift_slope(data)
 
 
 class TestDataSeries:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DataSeries(np.arange(3.0), np.arange(4.0))
+    @pytest.mark.parametrize("y, y_err, message", [
+        (np.arange(4.0), None, "x and y must be 1-d arrays of equal length"),
+        (np.arange(3.0), np.ones(4), "y_err must match x in length"),
+    ], ids=["y", "y_err"])
+    def test_length_mismatch(self, y, y_err, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DataSeries(np.arange(3.0), y, y_err)
 
     def test_bad_errors(self):
         with pytest.raises(ValueError):
@@ -945,6 +1073,18 @@ class TestFileFormats:
         path = tmp_path / "series.csv"
         path.write_text(text)
         with pytest.raises(ParseError, match=f":{lineno}:"):
+            read_series(path)
+
+    @pytest.mark.parametrize("text, lineno, value", [
+        pytest.param("x,y,yerr\n0,1,1\n1,2,0\n", 3, "0", id="yerr_zero"),
+        pytest.param("# a=1\nx,y,yerr\n0,1,1\n\n1,2,-0.5\n2,3,0\n", 5, "-0.5",
+                     id="yerr_negative_after_meta_and_blank"),
+    ])
+    def test_series_non_positive_yerr_reports_line(self, tmp_path, text, lineno, value):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"series.csv:{lineno}: yerr must be > 0, "
+                                             f"got '{value}'$"):
             read_series(path)
 
     def test_report_roundtrip(self, tmp_path):

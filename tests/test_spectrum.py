@@ -19,10 +19,11 @@ from cascfluor.spectrum import (
     rabi_frequency,
     sample_spectrum,
 )
-from cascfluor.fit import FIT_GRID_PER_GAMMA
 from pointwise import gregory_weights, integral, one_point_spectrum
 
 GAMMA = DEFAULT_GAMMA_MHZ
+# a third grid step, the model step of filters 3.64 to 3.83 MHz wide
+STEP_20 = GAMMA / 20
 
 
 def bloch_regression_spectrum(omega, s0, delta, gamma=GAMMA):
@@ -283,7 +284,7 @@ class TestNormalization:
         assert stack.elastic[1] == pytest.approx(2.0 * stack.elastic[0])
 
     @pytest.mark.parametrize("s0, delta, step", [(0.05, -30.0, None), (2.5, 3.0, None),
-                                                 (8.0, 0.0, GAMMA / FIT_GRID_PER_GAMMA)])
+                                                 (8.0, 0.0, STEP_20)])
     def test_is_the_end_corrected_sum_bit_for_bit(self, s0, delta, step):
         # the one normalization arithmetic is the sum of density times
         # Gregory's weights, to the last bit
@@ -323,7 +324,7 @@ class TestSampleStack:
     COUNTS = np.linspace(300.0, 2200.0, len(DRIVES))
     GRIDS = {  # (gamma, grid_step)
         "model_grid": (GAMMA, None),
-        "fit_grid": (GAMMA, GAMMA / FIT_GRID_PER_GAMMA),
+        "gamma_20_grid": (GAMMA, STEP_20),
         "gamma_6_explicit_step": (6.0, 0.05),
     }
 
@@ -342,7 +343,7 @@ class TestSampleStack:
             np.testing.assert_array_equal(stack.density[k], stack.density[k, ::-1])
 
     @pytest.mark.parametrize("gamma, step", [
-        (GAMMA, None), (GAMMA, GAMMA / FIT_GRID_PER_GAMMA), (6.0, None), (6.0, 0.05),
+        (GAMMA, None), (GAMMA, STEP_20), (6.0, None), (6.0, 0.05),
         (4.1, None), (1.0, None), (37.3, None)])
     def test_grid_is_mirrored_to_the_last_bit(self, gamma, step):
         # sample_spectrum mirrors the omega >= 0 half of each row, which

@@ -71,6 +71,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(runs=0), "pulses_per_run, runs and cap must be positive"),
+        (dict(window=0), "delay must be >= 0 and window > 0"),
+        (dict(ratio_model=1.5), r"ratio_model must be in \[0, 1\], got 1.5"),
+    ], ids=["no_runs", "no_window", "ratio_above_1"])
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(**kwargs)
+
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence would refuse it only when a run is simulated
         with pytest.raises(ValueError, match="seed"):
@@ -253,6 +262,12 @@ class TestHistogram:
         with pytest.raises(ValueError):
             peak_separation(histogram(run0([]), 5, cfg))
 
+    def test_peak_separation_needs_a_bin_between_the_peaks(self):
+        # 300 ns bins fold the 600 ns period into two, with no valley
+        hist = histogram(run0([0, 0, 300]), 300, RunConfig())
+        with pytest.raises(ValueError, match="^peaks are not separated$"):
+            peak_separation(hist)
+
 
 class TestWindowCounts:
     def test_all_in_first_window(self):
@@ -301,9 +316,13 @@ class TestCountRate:
         tags = run0([5] * 1499 + [750000])
         assert count_rate(tags, cfg) == pytest.approx(2.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            count_rate(run0([]), RunConfig())
+    @pytest.mark.parametrize("arrivals, message", [
+        ([], "count rate is undefined for an empty set of time tags"),
+        ([0, 0, 0], "count rate is undefined when the last photon is at t = 0"),
+    ], ids=["empty", "all_at_zero"])
+    def test_undefined_rejected(self, arrivals, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count_rate(run0(arrivals), RunConfig())
 
     def test_invariant_beyond_cap(self):
         cfg = RunConfig()
