@@ -44,6 +44,7 @@ from .timetag import (
     write_timetags,
 )
 from .fit import (
+    BootstrapError,
     DataSeries,
     DegenerateFitError,
     FitResult,

@@ -108,10 +108,14 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     g[:, :-1] *= density
     g[:, -1] *= elastic
     k = -8.0 * prof.alpha / prof.width
-    d_alpha = -(g @ weights)
-    d_shift = k * (np.multiply(np.multiply(g, u, out=g), lor, out=g) @ weights)
-    d_width = k * (np.multiply(g, u, out=g) @ weights)
-    return counts, np.column_stack((d_width, d_alpha, d_shift, counts / prof.path_efficiency))
+    # the columns filled in place, in column_stack's order and C layout
+    jac = np.empty((len(counts), 4))
+    np.negative(g @ weights, out=jac[:, 1])
+    np.multiply(k, np.multiply(np.multiply(g, u, out=g), lor, out=g) @ weights,
+                out=jac[:, 2])
+    np.multiply(k, np.multiply(g, u, out=g) @ weights, out=jac[:, 0])
+    np.divide(counts, prof.path_efficiency, out=jac[:, 3])
+    return counts, jac
 
 
 def _model_step(gamma: float, width: float) -> float:

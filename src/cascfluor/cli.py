@@ -36,6 +36,8 @@ BROADENING_GAMMA0_MHZ = 8.44
 SHIFT_SLOPE_MHZ = 0.25
 SHIFT_INTERCEPT_MHZ = 0.5
 LOW_POWER_LINEWIDTH_MHZ = 16.0
+# most points of one `ratio` scan: about 1 s of model and a 4 MB table
+MAX_RATIO_POINTS = 100_000
 
 
 def _out_dir(args) -> Path:
@@ -106,8 +108,8 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_RATIO_POINTS:
+        raise ValueError(f"--points must be in [1, {MAX_RATIO_POINTS}], got {args.points}")
     for name in ("start", "stop"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")

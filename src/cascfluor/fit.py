@@ -31,10 +31,17 @@ MAX_CONDITION = 1e14
 N_STARTS = 5
 # a later fit_cascade start wins only if it lowers the residual norm by more
 START_TIE_RTOL = 1e-12
+# floor of the sum of squares that a relative drop is taken against
+_TINY = np.finfo(float).tiny
 
 
 class DegenerateFitError(RuntimeError):
     """The least-squares problem is underdetermined or singular."""
+
+
+class BootstrapError(DegenerateFitError):
+    """Fewer than two bootstrap refits succeeded: the fit itself may have
+    converged, but its resampled data leave no spread to report."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,8 @@ def least_squares(
     matrix scaled by the reduced chi-square; pass bootstrap=B > 0 to
     replace them with the parameter spread over B residual-resampling
     refits, drawn from a generator with the fixed seed 0. A singular normal
-    matrix raises DegenerateFitError; a non-finite initial sum of squares
+    matrix raises DegenerateFitError, and fewer than two non-degenerate
+    refits BootstrapError, its subclass; a non-finite initial sum of squares
     raises ValueError. A candidate with non-finite values or Jacobian halves
     the step; a stall in which every candidate was so yields converged=False.
     """
@@ -117,19 +125,21 @@ def least_squares(
     if bounds is None:
         bounds = [(-np.inf, np.inf)] * n_par
     lo, hi = np.array(bounds, dtype=float).T
-    if np.any(theta < lo) or np.any(theta > hi):
+    if (theta < lo).any() or (theta > hi).any():
         raise ValueError("initial guess lies outside the bounds")
     pinned = np.flatnonzero(lo == hi)
     if pinned.size:
         raise DegenerateFitError(f"parameter {pinned[0]} is pinned by its bounds")
-    sigma = data.y_err if data.y_err is not None else np.ones_like(data.y)
+    x, y = data.x, data.y
+    sigma = data.y_err if data.y_err is not None else np.ones_like(y)
+    sigma_col = sigma[:, None]
 
     def evaluate(th):
         """Weighted residuals and weighted Jacobian at th."""
-        f, jmat = model(data.x, th)
-        if not np.all(np.isfinite(f)):
+        f, jmat = model(x, th)
+        if not np.isfinite(f).all():
             raise ValueError("model returned non-finite values")
-        return (data.y - f) / sigma, jmat / sigma[:, None]
+        return (y - f) / sigma, jmat / sigma_col
 
     # finite data can still overflow the sum of squares; report that as bad
     # input instead of a fit with an infinite residual
@@ -142,7 +152,7 @@ def least_squares(
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         grad = jmat.T @ res
-        if np.max(np.abs(grad)) < GRADIENT_ATOL:
+        if abs(grad).max() < GRADIENT_ATOL:
             converged = True
             iterations -= 1
             break
@@ -153,20 +163,21 @@ def least_squares(
         accepted = False
         finite_seen = False
         for _ in range(30):
-            cand = np.clip(theta + step, lo, hi)
+            # np.clip's values, NaN included, without its Python-level wrapper
+            cand = np.minimum(np.maximum(theta + step, lo), hi)
             try:
                 cand_res, cand_jmat = evaluate(cand)
             except ValueError:
                 step = step / 2.0
                 continue
-            if not np.all(np.isfinite(cand_jmat)):
+            if not np.isfinite(cand_jmat).all():
                 # no step or covariance can be taken from there
                 step = step / 2.0
                 continue
             finite_seen = True
             cand_ssr = float(cand_res @ cand_res)
             if cand_ssr < ssr:
-                rel_drop = (ssr - cand_ssr) / max(ssr, np.finfo(float).tiny)
+                rel_drop = (ssr - cand_ssr) / max(ssr, _TINY)
                 theta, res, jmat, ssr = cand, cand_res, cand_jmat, cand_ssr
                 accepted = True
                 if rel_drop < RESIDUAL_RTOL:
@@ -204,7 +215,7 @@ def _ill_conditioned(normal) -> bool:
     """True if the symmetric normal matrix is non-finite, not positive
     definite, or has condition number above 1e14, taken as the ratio of its
     extreme eigenvalues (one eigvalsh instead of an SVD)."""
-    if not np.all(np.isfinite(normal)):
+    if not np.isfinite(normal).all():
         return True
     eig = np.linalg.eigvalsh(normal)
     return not (eig[0] > 0.0 and eig[-1] <= MAX_CONDITION * eig[0])
@@ -212,7 +223,7 @@ def _ill_conditioned(normal) -> bool:
 
 def _bootstrap_sigmas(model, data, theta, bounds, n_resamples):
     """Parameter spread over the refits of residual-resampled data (seed 0)
-    that are not degenerate; DegenerateFitError if fewer than two are."""
+    that are not degenerate; BootstrapError if fewer than two are."""
     rng = np.random.default_rng(0)
     fitted = model(data.x, theta)[0]
     resid = data.y - fitted
@@ -229,7 +240,7 @@ def _bootstrap_sigmas(model, data, theta, bounds, n_resamples):
         draws[b] = list(refit.params.values())
     good = int(np.isfinite(draws[:, 0]).sum())
     if good < 2:
-        raise DegenerateFitError(f"{good} of {n_resamples} bootstrap refits succeeded")
+        raise BootstrapError(f"{good} of {n_resamples} bootstrap refits succeeded")
     return np.nanstd(draws, axis=0, ddof=1)
 
 
@@ -255,7 +266,8 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
 
     Initial guesses come from the data: peak location, baseline from the
     minimum, width from the half-maximum crossings. Data without a usable
-    peak come back flagged converged=False rather than raising.
+    peak come back flagged converged=False rather than raising; a fit whose
+    bootstrap refits degenerate raises BootstrapError like every fit.
     """
     if len(data) < 5:
         raise DegenerateFitError("need at least 5 points for a Lorentzian fit")
@@ -270,6 +282,9 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
     try:
         return least_squares(_lorentzian_model, data, init, bounds, names,
                              bootstrap=bootstrap)
+    except BootstrapError:
+        # the fit found a peak; no start values stand in for its spread
+        raise
     except DegenerateFitError:
         # the weighted sum of squares, as least_squares reports it
         err = data.y_err if data.y_err is not None else 1.0
@@ -288,9 +303,14 @@ def _lorentzian_model(x, th):
     u = (np.asarray(x, float) - th[0]) / th[1]
     denom = 1.0 + 4.0 * u**2
     shape = 1.0 / denom
-    d_center = 8.0 * th[2] * u * shape**2 / th[1]
-    return (th[3] + th[2] / denom,
-            np.column_stack([d_center, d_center * u, shape, np.ones_like(u)]))
+    # the columns filled in place, in column_stack's order and C layout
+    jac = np.empty((len(u), 4))
+    d_center = np.multiply(8.0 * th[2] * u, shape**2, out=jac[:, 0])
+    d_center /= th[1]
+    np.multiply(d_center, u, out=jac[:, 1])
+    jac[:, 2] = shape
+    jac[:, 3] = 1.0
+    return th[3] + th[2] / denom, jac
 
 
 # ---------------------------------------------------------------------------

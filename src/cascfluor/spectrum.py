@@ -16,6 +16,9 @@ import numpy as np
 
 # Cs D2 natural linewidth in MHz (1 / (2 pi * 30.4 ns) to within rounding).
 DEFAULT_GAMMA_MHZ = 5.2
+# most points of one sampling grid: 8 MB per array of one spectrum; the
+# model grids have 281 to 801, the spectrum command's default 801
+MAX_GRID_POINTS = 1_000_000
 
 
 class NormalizationError(ValueError):
@@ -262,7 +265,9 @@ def mollow_density(omega, p: DriveParams):
 
 def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[float, int]:
     """Step (MHz) and half-width (in steps) of the uniform sampling grid
-    step * arange(-half, half + 1); see sample_spectrum for the rule."""
+    step * arange(-half, half + 1); see sample_spectrum for the rule. A
+    grid of more than MAX_GRID_POINTS points is refused before anything is
+    allocated."""
     if not (math.isfinite(grid_span) and grid_span >= 10.0):
         raise ValueError(f"grid span must be finite and >= 10 linewidths, "
                          f"got {grid_span}")
@@ -273,7 +278,15 @@ def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[floa
         raise ValueError(
             f"grid step {step} MHz undersamples the triplet (max {gamma / 10.0} MHz)"
         )
-    return step, math.ceil(grid_span * gamma / step - 1e-9)
+    steps = grid_span * gamma / step
+    # an infinite or huge count never reaches math.ceil
+    half = math.ceil(steps - 1e-9) if steps < MAX_GRID_POINTS else MAX_GRID_POINTS
+    if 2 * half + 1 > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid of +-{grid_span} linewidths at step {step} MHz needs "
+            f"{2.0 * steps + 1.0:.3g} points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+    return step, half
 
 
 def sample_spectrum(drives, original_counts=None, grid_step: float | None = None,
@@ -288,7 +301,8 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
     cascaded_counts passes the step it picks from the filter width) and is
     rejected above gamma/10, which would undersample the triplet, so every
     grid has at least the 201 points of +-10 gamma at gamma/10 (_weights
-    needs 16). Row i is mollow_density on the grid with elastic weight
+    needs 16), and at most MAX_GRID_POINTS. Row i is mollow_density on
+    the grid with elastic weight
     elastic_weight(detuned_saturation(drive i)), the same expressions
     (_drive_terms) evaluated once on the drive arrays. Given
     original_counts, row i is rescaled by one factor so that its integral

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from cascfluor.fit import (GRADIENT_ATOL, MAX_ITERATIONS, RESIDUAL_RTOL, DataSeries,
-                           DegenerateFitError, FitResult, _ill_conditioned)
+from cascfluor.fit import (GRADIENT_ATOL, MAX_ITERATIONS, RESIDUAL_RTOL, BootstrapError,
+                           DataSeries, DegenerateFitError, FitResult, _ill_conditioned)
 
 
 def least_squares(model, data, init, bounds=None, names=None, bootstrap=0, *, jac):
@@ -111,7 +111,8 @@ def least_squares(model, data, init, bounds=None, names=None, bootstrap=0, *, ja
 
 
 def _bootstrap_sigmas(model, data, theta, bounds, n_resamples, jac):
-    """Parameter spread over refits of residual-resampled data (seed 0)."""
+    """Parameter spread over the non-degenerate refits of residual-resampled
+    data (seed 0); BootstrapError if fewer than two are."""
     rng = np.random.default_rng(0)
     fitted = model(data.x, theta)
     resid = data.y - fitted
@@ -127,6 +128,9 @@ def _bootstrap_sigmas(model, data, theta, bounds, n_resamples, jac):
             draws[b] = np.nan
             continue
         draws[b] = list(refit.params.values())
+    good = int(np.isfinite(draws[:, 0]).sum())
+    if good < 2:
+        raise BootstrapError(f"{good} of {n_resamples} bootstrap refits succeeded")
     return np.nanstd(draws, axis=0, ddof=1)
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import cascfluor.cli
 import cascfluor.fit
 from cascfluor.cascade import AbsorptionProfile
 from cascfluor.cli import REFERENCE_FILTER, build_parser, main, read_table, write_table
@@ -279,6 +280,20 @@ class TestSpectrumCommand:
         assert (tmp_path / "out" / "spectrum.csv").read_bytes() == csv
         assert capsys.readouterr().out == stdout
 
+    @pytest.mark.parametrize("args, message", [
+        (["--span", "1e9"], "grid of +-1000000000.0 linewidths at step 0.13 MHz needs "
+                            "8e+10 points"),
+        (["--step", "1e-300"], "grid of +-10.0 linewidths at step 1e-300 MHz needs "
+                               "1.04e+302 points"),
+    ], ids=["span", "step"])
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys, args, message):
+        # refused from the span and step before any allocation (a 1e9 span
+        # once asked numpy for 596 GiB)
+        assert run(["spectrum", "--s0", 1, *args, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}, more than MAX_GRID_POINTS = 1000000\n"
+        assert not (tmp_path / "out").exists()
+
     def test_no_drive_cannot_be_normalized(self, tmp_path, capsys):
         assert run(["spectrum", "--s0", 0, "--counts", 100, "--out", tmp_path / "out"]) == 2
         assert "zero total weight" in capsys.readouterr().err
@@ -319,6 +334,21 @@ class TestRatioCommand:
     def test_zero_points_is_usage_error(self, tmp_path, capsys):
         assert run(["ratio", "--points", 0, "--out", tmp_path]) == 2
         assert "--points" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_points_bound_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        # the bound holds before the grid is allocated; checked at a small
+        # stand-in limit so that no test builds a scan of the real one
+        monkeypatch.setattr(cascfluor.cli, "MAX_RATIO_POINTS", 5)
+        assert run(["ratio", "--points", 5, "--out", tmp_path / "ok"]) == 0
+        assert run(["ratio", "--points", 6, "--out", tmp_path / "big"]) == 2
+        assert capsys.readouterr().err == "error: --points must be in [1, 5], got 6\n"
+        assert not (tmp_path / "big").exists()
+
+    def test_points_beyond_any_scan_is_usage_error(self, tmp_path, capsys):
+        assert run(["ratio", "--points", 10**12, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "error: --points must be in [1, 100000], got 1000000000000\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [["--start", "nan"], ["--stop", "nan"],
@@ -447,6 +477,28 @@ class TestFitCommand:
         assert run(["fit", "slope", "--data", tmp_path / "line.csv", "--bootstrap", 3,
                     "--out", tmp_path]) == 5
         assert "0 of 3 bootstrap refits succeeded" in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.csv").exists()
+
+    def test_degenerate_lorentzian_bootstrap_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a Lorentzian fit that converges and whose refits degenerate exits 5
+        # like the other fits; its no-peak fallback once caught the bootstrap's
+        # error and reported the start values with converged=False (exit 4)
+        real, calls = cascfluor.fit.least_squares, []
+
+        def refits_degenerate(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise cascfluor.fit.DegenerateFitError("singular normal matrix")
+            return real(*args, **kwargs)
+
+        x = np.linspace(-30, 30, 61)
+        write_series(tmp_path / "line.csv", DataSeries(
+            x, lorentzian(x, 1.0, 16.0, 2.0, 0.1) + 0.01 * np.cos(3.0 * x)))
+        monkeypatch.setattr(cascfluor.fit, "least_squares", refits_degenerate)
+        assert run(["fit", "lorentzian", "--data", tmp_path / "line.csv",
+                    "--bootstrap", 3, "--out", tmp_path]) == 5
+        assert capsys.readouterr().err == (
+            "error: degenerate fit: 0 of 3 bootstrap refits succeeded\n")
         assert not (tmp_path / "fit_report.csv").exists()
 
     def test_cascade_fit_via_files(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import cascfluor.fit
 from cascfluor.cascade import AbsorptionProfile, _model_step, filtered_counts, ratio_curve
 from cascfluor.fit import (
+    BootstrapError,
     DataSeries,
     DegenerateFitError,
     FitResult,
@@ -35,6 +36,7 @@ from cascfluor.spectrum import (DEFAULT_GAMMA_MHZ, DriveParams, Drives,
                                 excited_state_population, sample_spectrum)
 from cascfluor.table import ParseError
 from fd_oracle import DEFAULT_FD_STEP, _jacobian, fd_jac
+import reference_fit
 from reference_fit import fused_least_squares, lorentzian_jac
 
 
@@ -308,6 +310,27 @@ class TestLeastSquares:
     def test_not_positive_definite_is_ill_conditioned(self, normal):
         assert _ill_conditioned(np.array(normal))
 
+    @pytest.mark.parametrize("bound, init, clamped", [
+        ([(0.0, 1.5), (-np.inf, np.inf)], [1.0, 1.0], 1.5),
+        ([(2.5, np.inf), (-np.inf, np.inf)], [3.0, 1.0], 2.5),
+    ], ids=["upper", "lower"])
+    def test_step_past_a_bound_lands_on_it(self, bound, init, clamped):
+        # the Gauss-Newton step of a line goes straight to a slope near 2,
+        # past the bound: the candidate is the bound itself, to the bit,
+        # and the fit stays there as the reference engine does
+        x = np.linspace(0.0, 4.0, 9)
+        data = DataSeries(x, 2.0 * x + 1.0 + 0.05 * np.cos(5.0 * x))
+        slopes = []
+
+        def recorded(xx, th):
+            slopes.append(th[0])
+            return line(xx, th)
+
+        res = least_squares(recorded, data, init, bounds=bound)
+        assert slopes[1] == clamped
+        assert res.params["p0"] == clamped
+        assert bits(res) == bits(fused_least_squares(line, data, init, bounds=bound))
+
     def test_bootstrap_sigmas_track_linearized(self):
         rng = np.random.default_rng(15)
         x = np.linspace(0.0, 10.0, 40)
@@ -433,6 +456,29 @@ class TestFitLorentzian:
         data = DataSeries(np.linspace(0, 10, 11), np.full(11, 3.0))
         res = fit_lorentzian(data)
         assert not res.converged
+
+    def test_degenerate_bootstrap_raises_past_the_fallback(self, monkeypatch):
+        # the fit converges and its refits degenerate: that is no flat line,
+        # so it raises as the other fits do instead of reporting its start
+        # values with infinite sigmas
+        rng = np.random.default_rng(7)
+        x = np.linspace(-40, 40, 81)
+        data = DataSeries(x, lorentzian(x, 0.3, 16.0, 1.0, 0.05)
+                          + rng.normal(0, 0.02, len(x)))
+        real = cascfluor.fit.least_squares
+        calls = []
+
+        def refits_degenerate(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise DegenerateFitError("singular normal matrix")
+            return real(*args, **kwargs)
+
+        assert fit_lorentzian(data).converged
+        monkeypatch.setattr(cascfluor.fit, "least_squares", refits_degenerate)
+        with pytest.raises(BootstrapError, match="^0 of 20 bootstrap refits succeeded$"):
+            fit_lorentzian(data, bootstrap=20)
+        assert len(calls) == 21
 
     def test_flat_data_residual_is_weighted(self):
         # the fallback reports the weighted sum of squares like every fit:
@@ -927,6 +973,71 @@ class TestReferenceEngine:
     def test_single_series_fit_bit_for_bit(self, monkeypatch, name, bootstrap):
         self.assert_matches_reference(
             monkeypatch, lambda: self.single_series_fit(name, bootstrap))
+
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "yerr"])
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_bootstrapped_lorentzian_bit_for_bit(self, monkeypatch, seed, weighted,
+                                                 descending):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(-40.0, 40.0, 81)
+        err = 0.02 * (1.0 + rng.uniform(0.0, 1.0, len(x)))
+        y = (lorentzian(x, rng.uniform(-3.0, 3.0), 16.0, 1.0, 0.05)
+             + err * rng.standard_normal(len(x)))
+        order = slice(None, None, -1 if descending else 1)
+        data = DataSeries(x[order], y[order], err[order] if weighted else None)
+        self.assert_matches_reference(monkeypatch, lambda: fit_lorentzian(data, 20))
+
+    def test_both_engines_raise_on_degenerate_refits(self):
+        # a linear model whose normal matrix has condition number 4.8e14,
+        # started at its optimum: the fit stops on the gradient test before
+        # any conditioning check, and every resampled refit fails that check
+        x = np.linspace(1.0, 2.0, 8)
+        design = np.column_stack([x, x + 3e-7 * x**2])
+        q, _ = np.linalg.qr(design)
+        resid = 0.01 * np.cos(9.0 * x)
+        resid -= q @ (q.T @ resid)  # orthogonal to the columns: no gradient
+        data = DataSeries(x, design @ [1.0, 1.0] + resid)
+
+        def model(_x, th):
+            return design @ th, design
+
+        for engine in (least_squares, fused_least_squares):
+            assert engine(model, data, [1.0, 1.0]).iterations == 0
+            with pytest.raises(BootstrapError, match="^0 of 5 bootstrap refits succeeded$"):
+                engine(model, data, [1.0, 1.0], bootstrap=5)
+
+    @pytest.mark.parametrize("good", [0, 1, 2])
+    def test_both_engines_need_two_good_refits(self, monkeypatch, good):
+        # each engine's own least_squares runs the fit; the refits, which go
+        # through the module's name, degenerate after the first `good`
+        x = np.linspace(0.0, 5.0, 6)
+        data = DataSeries(x, 2.0 * x + 1.0 + 0.1 * np.cos(x))
+
+        def outcome(module, fit):
+            real, refits = module.least_squares, []
+
+            def some_degenerate(*args, **kwargs):
+                refits.append(1)
+                if len(refits) > good:
+                    raise DegenerateFitError("singular normal matrix")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "least_squares", some_degenerate)
+            try:
+                result = bits(fit(real))
+            except BootstrapError as exc:
+                result = str(exc)
+            assert len(refits) == 5
+            return result
+
+        package = outcome(cascfluor.fit,
+                          lambda engine: engine(line, data, [1.0, 0.0], bootstrap=5))
+        reference = outcome(reference_fit, lambda engine: engine(
+            lambda xx, th: line(xx, th)[0], data, [1.0, 0.0], bootstrap=5,
+            jac=lambda xx, th: line(xx, th)[1]))
+        assert package == reference
+        assert (package == f"{good} of 5 bootstrap refits succeeded") == (good < 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lorentzian_model_is_lorentzian_and_its_jacobian(self, seed):

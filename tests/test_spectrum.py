@@ -1,10 +1,12 @@
 """Spectral physics: saturation relations, Mollow density, grid handling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import cascfluor.spectrum
 from cascfluor.spectrum import (
     DEFAULT_GAMMA_MHZ,
     DriveParams,
@@ -216,6 +218,26 @@ class TestSampleSpectrum:
     def test_step_too_coarse_rejected(self, step):
         with pytest.raises(ValueError, match="grid step"):
             sample_spectrum([DriveParams(1.0)], grid_step=step)
+
+    @pytest.mark.parametrize("span, step, points", [
+        (1e9, None, "8e+10"), (10.0, 1e-300, "1.04e+302"), (1e308, None, "inf"),
+        (10.0, 1e-4, "1.04e+06"),
+    ])
+    def test_oversized_grid_rejected_before_allocation(self, span, step, points):
+        # the message comes from the span and step alone: no array of that
+        # size is ever asked for
+        message = (f"grid of +-{span} linewidths at step {step or GAMMA / 40.0} MHz "
+                   f"needs {points} points, more than MAX_GRID_POINTS = 1000000")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_spectrum([DriveParams(1.0)], grid_step=step, grid_span=span)
+
+    def test_grid_size_limit_is_inclusive(self, monkeypatch):
+        # the default grid has 801 points: at the limit it is built, one
+        # step wider it is refused
+        monkeypatch.setattr(cascfluor.spectrum, "MAX_GRID_POINTS", 801)
+        assert len(sample_spectrum([DriveParams(1.0)]).offsets) == 801
+        with pytest.raises(ValueError, match="needs 803 points"):
+            sample_spectrum([DriveParams(1.0)], grid_span=10.0 + 1.0 / 40.0)
 
 
 class TestSpectrumValidation:
