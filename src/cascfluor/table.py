@@ -8,12 +8,15 @@ reads back bit for bit. Every number read obeys np.loadtxt's field rule:
 ASCII digits with optional padding and sign, and for a float also a point,
 an exponent, or nan or inf spelled out. A float must be finite unless the
 caller allows infinity; an integer must fit int64. Every file the
-package reads or writes is opened here, the run configuration too.
+package reads or writes is opened here, the run configuration too; every
+write formats bytes and goes through one binary write, so lines end in LF
+alone on every platform.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import warnings
 
@@ -137,10 +140,16 @@ def read_table(path, headers: tuple[str, ...] | None = None) -> tuple[dict, dict
     return meta, {k: rows[k] for k in rows.dtype.names}
 
 
+def _write_bytes(path, chunks) -> None:
+    """Write byte strings to path, one after another: the one file write."""
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+
+
 def write_lines(path, lines) -> None:
     """Write lines of text as UTF-8, each ended by a newline."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(line + "\n" for line in lines))
+    _write_bytes(path, ["".join(line + "\n" for line in lines).encode("utf-8")])
 
 
 def write_rows(path, columns, rows) -> None:
@@ -156,18 +165,23 @@ def write_table(path, columns: dict, meta: dict | None = None) -> None:
     arrays = [np.asarray(v) for v in columns.values()]
     ints = all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     arrays = arrays if ints else [a.astype(float) for a in arrays]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(f"# {k}={float(v):.17g}\n" for k, v in (meta or {}).items())
-                + ",".join(columns) + "\n")
-        for start in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
-            block = [a[start:start + _WRITE_BLOCK_ROWS] for a in arrays]
-            if ints:
-                lead = block.pop(0)
-                cuts = [0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(), len(lead)]
-                tail = ",%d" * len(block) + "\n"
-                row = "".join(f"{int(lead[lo])}{tail}" * (hi - lo)
-                              for lo, hi in zip(cuts, cuts[1:]))
-            else:
-                row = (",".join(["%.17g"] * len(block)) + "\n") * len(block[0])
-            values = np.column_stack(block).ravel().tolist() if block else []
-            f.write(row % tuple(values))
+    head = ("".join(f"# {k}={float(v):.17g}\n" for k, v in (meta or {}).items())
+            + ",".join(columns) + "\n")
+    _write_bytes(path, itertools.chain([head.encode("utf-8")], _row_blocks(arrays, ints)))
+
+
+def _row_blocks(arrays, ints: bool):
+    """The rows of the columns in arrays as bytes, _WRITE_BLOCK_ROWS at a time;
+    bytes % tuple gives the digits of str % tuple."""
+    for start in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
+        block = [a[start:start + _WRITE_BLOCK_ROWS] for a in arrays]
+        if ints:
+            lead = block.pop(0)
+            cuts = [0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(), len(lead)]
+            tail = b",%d" * len(block) + b"\n"
+            row = b"".join((b"%d" % int(lead[lo]) + tail) * (hi - lo)
+                           for lo, hi in zip(cuts, cuts[1:]))
+        else:
+            row = (b",".join([b"%.17g"] * len(block)) + b"\n") * len(block[0])
+        values = np.column_stack(block).ravel().tolist() if block else []
+        yield row % tuple(values)

@@ -30,6 +30,13 @@ CS_LIFETIME_NS = 30.4
 # (at ratio_model 0, a margin of 2 redraws 2 of 1,320 runs and 1 redraws 95).
 PREFIX_MARGIN = 3.0
 
+# Most values a run may draw at its expected counts: one pair count per
+# pulse, two emission times per pair and the background (RunConfig). An
+# uncapped run of 1.5 million draws peaked at about 26 bytes per draw, so
+# about 260 MB at the limit; the largest runs the tests and the benchmark
+# make draw 1.65 million.
+MAX_RUN_DRAWS = 10_000_000
+
 TIMETAG_HEADER = "run_id,arrival_ns"
 # One row per detected photon; arrival is in ns since run start.
 TIMETAG_DTYPE = np.dtype([("run_id", np.int64), ("arrival", np.int64)])
@@ -62,6 +69,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _INT64.min <= value <= _INT64.max:
+                raise ValueError(f"{name} must fit int64, got {value}")
         if self.tick <= 0 or self.pulse_period % self.tick != 0:
             raise ValueError(
                 f"tick ({self.tick} ns) must divide the pulse period "
@@ -86,6 +97,18 @@ class RunConfig:
             raise ValueError(f"ratio_model must be in [0, 1], got {self.ratio_model}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        draws = self.pulses_per_run * (1 + 2 * self.mean_photons_per_pulse
+                                       + self.background_rate * self.pulse_period / 1000)
+        if draws > MAX_RUN_DRAWS:
+            raise ValueError(
+                f"a run would draw about {draws:.3g} values, more than MAX_RUN_DRAWS = "
+                f"{MAX_RUN_DRAWS}: pulses_per_run x (1 + 2 x mean_photons_per_pulse + "
+                f"background_rate x pulse_period / 1000)")
+
+
+# int fields are read, and must fit, as int64 (read_config)
+_INT_FIELDS = tuple(k for k, v in typing.get_type_hints(RunConfig).items() if v is int)
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)

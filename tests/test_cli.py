@@ -231,6 +231,22 @@ class TestSimulate:
         path.write_text("pulse_length = about_a_hundred\n")
         assert run(["simulate", "--config", path, "--out", tmp_path]) == 3
 
+    def test_seed_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["simulate", "--seed", 2**64, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must fit int64, got 18446744073709551616\n"
+        assert not out.exists()
+
+    def test_config_beyond_the_draw_limit_is_parse_error(self, tmp_path, capsys):
+        # refused when read, before any run is drawn
+        path = tmp_path / "run.cfg"
+        path.write_text(f"pulses_per_run = {2**40}\n")
+        assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: a run would draw about 3.3e+12 values")
+        assert err.count("\n") == 1 and "MAX_RUN_DRAWS" in err
+
     def test_seed_override_changes_records(self, tmp_path):
         cfg_path = self.small_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,8 @@
 """The one table codec: its rules, its error type, and a byte-for-byte round
 trip of every table the command line writes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ import cascfluor.cli
 import cascfluor.fit
 import cascfluor.timetag
 from cascfluor.cli import main
-from cascfluor.fit import (DataSeries, lorentzian, read_report_csv, read_series,
+from cascfluor.fit import (DataSeries, FitResult, lorentzian, read_report_csv, read_series,
                            write_report_csv, write_series)
 from cascfluor.table import (_WRITE_BLOCK_ROWS, ParseError, read_records, read_table,
                              write_table)
@@ -91,6 +93,19 @@ def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, reader, data, line
         reader(path)
 
 
+def str_table(columns, meta=None) -> bytes:
+    """The bytes write_table writes, formatted value by value with str.format:
+    integers as {}, any other table as {:.17g}, lines ended by LF alone."""
+    arrays = [np.asarray(v) for v in columns.values()]
+    ints = all(np.issubdtype(a.dtype, np.integer) for a in arrays)
+    fmt, cast = ("{}", int) if ints else ("{:.17g}", float)
+    lines = [f"# {k}={float(v):.17g}" for k, v in (meta or {}).items()]
+    lines.append(",".join(columns))
+    lines += [",".join(fmt.format(cast(v)) for v in row)
+              for row in zip(*(a.tolist() for a in arrays))]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 @pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
                                   _WRITE_BLOCK_ROWS + 1])
 @pytest.mark.parametrize("integer", [True, False], ids=["int", "float"])
@@ -100,12 +115,60 @@ def test_blockwise_write_matches_one_shot(tmp_path, rows, integer):
     b = rng.integers(-2**40, 2**40, rows) * (1 if integer else np.pi)
     path = tmp_path / "table.csv"
     write_table(path, {"a": a, "b": b})
-    fmt, cast = ("{},{}\n", int) if integer else ("{:.17g},{:.17g}\n", float)
-    assert path.read_text() == "a,b\n" + "".join(
-        fmt.format(cast(x), cast(y)) for x, y in zip(a.tolist(), b.tolist()))
+    assert path.read_bytes() == str_table({"a": a, "b": b})
     if integer:
         back = read_records(path, dtype=np.int64)[1]
         assert np.array_equal(back["a"], a) and np.array_equal(back["b"], b)
+
+
+SUBNORMAL_MIN, NORMAL_MIN, FLOAT_MAX = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("columns, meta", [
+    pytest.param({"x": [-0.0, 0.0, SUBNORMAL_MIN, -SUBNORMAL_MIN, 0.1],
+                  "y": [NORMAL_MIN, -NORMAL_MIN, FLOAT_MAX, -FLOAT_MAX, -0.1]},
+                 {"neg_zero": -0.0, "tiny": SUBNORMAL_MIN, "huge": FLOAT_MAX, "tenth": 0.1},
+                 id="extreme_floats"),
+    pytest.param({"x": [1.0, -3.0, 2.0**53, 2.0**53 + 2.0, 1e16, 1e22],
+                  "y": [0.0, 100.0, 600.0, 123456789.0, 2.0**63, -1e300]},
+                 {"bin_ns": 5, "period_ns": 600.0}, id="integral_floats"),
+    pytest.param({"count": np.arange(4), "ratio": [0.1, 0.25, 1 / 3, 2 / 3]}, None,
+                 id="int_and_float_columns"),
+    pytest.param({"\u0394_MHz": [0.1, -0.2], "\u00b5s": [0.3, 1.0]}, {"s\u2080": 0.4},
+                 id="non_ascii_names"),
+])
+def test_float_write_matches_str_format(tmp_path, columns, meta):
+    path, again = tmp_path / "table.csv", tmp_path / "again.csv"
+    write_table(path, columns, meta)
+    assert path.read_bytes() == str_table(columns, meta)
+    back_meta, back = read_table(path)
+    write_table(again, back, back_meta)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_report_write_matches_str_format(tmp_path):
+    # an infinite sigma (the zero-absorption fallback), empty sigma fields and
+    # a parameter name outside ASCII
+    params = {"width": 6.7, "\u03b1": -0.0, "shift": SUBNORMAL_MIN}
+    sigmas = {"width": math.inf, "\u03b1": 0.1, "shift": FLOAT_MAX}
+    path, again = tmp_path / "report.csv", tmp_path / "again.csv"
+    write_report_csv(path, FitResult(params, sigmas, 0.1, True, 12))
+    expected = "name,value,sigma\n" + "".join(
+        f"{name},{value:.17g},{sigmas[name]:.17g}\n" for name, value in params.items())
+    expected += "residual_norm,0.10000000000000001,\nconverged,1,\niterations,12,\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert b"width,6.7000000000000002,inf\n" in path.read_bytes()
+    write_report_csv(again, read_report_csv(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_config_write_matches_str_format(tmp_path):
+    cfg = RunConfig(mean_photons_per_pulse=0.1, background_rate=5e-324, seed=7)
+    path = tmp_path / "run.cfg"
+    write_config(path, cfg)
+    assert path.read_bytes() == "".join(
+        f"{name} = {value}\n" for name, value in vars(cfg).items()).encode("utf-8")
+    assert read_config(path) == cfg
 
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1

@@ -85,6 +85,39 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=-3)
 
+    def test_seed_at_int64_max_round_trips(self, tmp_path):
+        cfg = RunConfig(seed=2**63 - 1)
+        write_config(tmp_path / "run.cfg", cfg)
+        assert read_config(tmp_path / "run.cfg") == cfg
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1], ids=["above", "below"])
+    @pytest.mark.parametrize("field", timetag._INT_FIELDS)
+    def test_int_fields_must_fit_int64(self, field, value):
+        # read_config reads every int field as an int64
+        with pytest.raises(ValueError, match=f"^{field} must fit int64, got {value}$"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, draws", [
+        (dict(pulses_per_run=2**40), "3.3e\\+12"),
+        (dict(mean_photons_per_pulse=1e300), "4e\\+303"),
+        (dict(mean_photons_per_pulse=1e308), "inf"),
+        (dict(background_rate=1e9), "1.2e\\+12"),
+    ], ids=["pulses", "mean", "mean_overflows", "background"])
+    def test_run_draws_are_bounded(self, kwargs, draws):
+        # refused when constructed, so nothing is drawn
+        with pytest.raises(ValueError, match=(
+                f"^a run would draw about {draws} values, more than MAX_RUN_DRAWS = "
+                r"10000000: pulses_per_run x \(1 \+ 2 x mean_photons_per_pulse \+ "
+                r"background_rate x pulse_period / 1000\)$")):
+            RunConfig(**kwargs)
+
+    def test_draw_limit_is_inclusive(self, monkeypatch):
+        # the default run draws 2000 x (1 + 2 x 1.0) = 6000 values
+        monkeypatch.setattr(timetag, "MAX_RUN_DRAWS", 6000)
+        RunConfig()
+        with pytest.raises(ValueError, match="MAX_RUN_DRAWS = 6000"):
+            RunConfig(pulses_per_run=2001)
+
     def test_delay_consistency_with_fiber_length(self):
         # 2 x 32 m of fiber at group index 1.47 is a 313.8 ns round trip,
         # within two ticks of the configured delay
@@ -210,7 +243,7 @@ class TestSimulateRun:
 
         @hypothesis.settings(max_examples=60, deadline=None)
         @hypothesis.given(
-            seed=st.integers(0, 2**63), run_id=st.integers(0, 10**6),
+            seed=st.integers(0, 2**63 - 1), run_id=st.integers(0, 10**6),
             mean=st.floats(0.0, 3.0), ratio=st.floats(0.0, 1.0),
             cap=st.integers(1, 5000), tick=st.sampled_from(ticks),
             delay=st.integers(180, 3000),
