@@ -37,6 +37,16 @@ PREFIX_MARGIN = 3.0
 # make draw 1.65 million.
 MAX_RUN_DRAWS = 10_000_000
 
+# Most values all runs of an acquisition may draw at their expected counts,
+# runs x a run's draws (RunConfig). Each row simulate keeps is a drawn
+# photon or background count, so this also bounds the rows it holds.
+# Uncapped acquisitions of 7.6 million rows peaked at 33-41 bytes per row
+# (20 to 2000 runs), so about 4 GB at the limit. A run holds about 400
+# bytes more whatever it draws, which only runs of a few pulses notice.
+# The largest acquisition configs in the tests draw 36 million (120 runs
+# of 100,000 pulses, of which they simulate one), the default 720,000.
+MAX_ACQUISITION_DRAWS = 100_000_000
+
 TIMETAG_HEADER = "run_id,arrival_ns"
 # One row per detected photon; arrival is in ns since run start.
 TIMETAG_DTYPE = np.dtype([("run_id", np.int64), ("arrival", np.int64)])
@@ -104,6 +114,11 @@ class RunConfig:
                 f"a run would draw about {draws:.3g} values, more than MAX_RUN_DRAWS = "
                 f"{MAX_RUN_DRAWS}: pulses_per_run x (1 + 2 x mean_photons_per_pulse + "
                 f"background_rate x pulse_period / 1000)")
+        if self.runs * draws > MAX_ACQUISITION_DRAWS:
+            raise ValueError(
+                f"an acquisition would draw about {self.runs * draws:.3g} values, more than "
+                f"MAX_ACQUISITION_DRAWS = {MAX_ACQUISITION_DRAWS}: runs x pulses_per_run x "
+                f"(1 + 2 x mean_photons_per_pulse + background_rate x pulse_period / 1000)")
 
 
 # int fields are read, and must fit, as int64 (read_config)

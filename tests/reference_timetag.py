@@ -8,8 +8,8 @@ pulses that can hold the cap earliest arrivals and advances the generator
 past the values of the rest, which the cap discards.
 reference_write formats every field of every row with %d, one block of
 rows at a time. The package floors only the cap earliest arrivals, in
-int64, and writes each stretch of equal first-column values with that value
-as literal text, so it must match these bit for bit and byte for byte.
+int64, and formats the digits of integers in numpy, so it must match these
+bit for bit and byte for byte.
 """
 
 import numpy as np

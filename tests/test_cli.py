@@ -247,6 +247,16 @@ class TestSimulate:
         assert err.startswith(f"error: {path}: a run would draw about 3.3e+12 values")
         assert err.count("\n") == 1 and "MAX_RUN_DRAWS" in err
 
+    def test_config_beyond_the_acquisition_limit_is_parse_error(self, tmp_path, capsys):
+        # refused when read: no run is drawn and no output directory made
+        path, out = tmp_path / "run.cfg", tmp_path / "out"
+        path.write_text(f"runs = {10**9}\ncap = {10**9}\n")
+        assert run(["simulate", "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: an acquisition would draw about 6e+12 values")
+        assert err.count("\n") == 1 and "MAX_ACQUISITION_DRAWS" in err
+        assert not out.exists()
+
     def test_seed_override_changes_records(self, tmp_path):
         cfg_path = self.small_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"

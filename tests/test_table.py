@@ -14,7 +14,8 @@ from cascfluor.fit import (DataSeries, FitResult, lorentzian, read_report_csv, r
                            write_report_csv, write_series)
 from cascfluor.table import (_WRITE_BLOCK_ROWS, ParseError, read_records, read_table,
                              write_table)
-from cascfluor.timetag import RunConfig, read_config, read_timetags, write_config
+from cascfluor.timetag import (RunConfig, histogram, read_config, read_timetags, simulate_run,
+                               write_config)
 from reference_timetag import reference_write
 
 
@@ -172,6 +173,17 @@ def test_config_write_matches_str_format(tmp_path):
 
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# every digit-count boundary of int64: +-(10**k - 1) and +-10**k, and the ends
+BOUNDARIES = np.array(sorted({v for k in range(19) for m in (10**k - 1, 10**k) for v in (m, -m)}
+                             | {INT64_MIN, INT64_MAX}), np.int64)
+B = _WRITE_BLOCK_ROWS
+
+
+def later_block(rows, at, value):
+    """Small int64 values, with value at row at."""
+    a = np.arange(rows) % 7
+    a[at] = value
+    return a
 
 
 @pytest.mark.parametrize("columns", [
@@ -187,12 +199,76 @@ INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
                   "c": np.array([INT64_MIN, 0, INT64_MAX])}, id="three_columns"),
     pytest.param({"a": np.array([-3, -3, 8])}, id="one_column"),
     pytest.param({"a": np.zeros(0, np.int64), "b": np.zeros(0, np.int64)}, id="no_rows"),
+    pytest.param({"a": BOUNDARIES, "b": BOUNDARIES[::-1], "c": np.roll(BOUNDARIES, 7)},
+                 id="digit_boundaries"),
+    pytest.param({"a": np.array([0, 1, 9, 10, 99, 100, 255], np.uint8),
+                  "b": np.array([255, 100, 10, 0, 9, 99, 1], np.uint8)}, id="uint8"),
+    pytest.param({"a": np.array([-128, -100, -99, -10, -9, -1, 0, 1, 9, 10, 99, 100, 127],
+                                np.int8)}, id="int8"),
+    pytest.param({"a": np.array([-2**31, -10**9, 1 - 10**9, -1, 0, 10**9 - 1, 10**9, 2**31 - 1],
+                                np.int32)}, id="int32"),
+    pytest.param({"a": np.array([0, 9, 10, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 10**19 - 1,
+                                 10**19, 2**64 - 1], np.uint64)}, id="uint64"),
+    # a block's width and sign cells change from one block to the next
+    pytest.param({"a": later_block(3 * B, 2 * B + 5, INT64_MAX), "b": np.arange(3 * B)},
+                 id="widest_in_later_block"),
+    pytest.param({"a": np.arange(3 * B), "b": later_block(3 * B, B + 3, -1)},
+                 id="first_negative_in_later_block"),
+    pytest.param({"a": later_block(2 * B + 1, 4, INT64_MIN),
+                  "b": later_block(2 * B + 1, 2 * B, -9)}, id="extremes_in_first_and_last_block"),
 ])
 def test_integer_write_matches_reference(tmp_path, columns):
     written, expected = tmp_path / "table.csv", tmp_path / "reference.csv"
     write_table(written, columns)
     reference_write(expected, columns)
-    assert written.read_bytes() == expected.read_bytes()
+    assert written.read_bytes() == expected.read_bytes() == str_table(columns)
+    if all(len(a) == 0 or int(a.max()) <= INT64_MAX for a in columns.values()):
+        back = read_records(written, dtype=np.int64)[1]
+        assert all(np.array_equal(back[name], a) for name, a in columns.items())
+
+
+def test_mixed_integer_dtypes_match_str_format(tmp_path):
+    columns = {"u8": np.array([255, 0, 7], np.uint8), "i8": np.array([-128, 127, 0], np.int8),
+               "i32": np.array([-2**31, 2**31 - 1, 5], np.int32),
+               "u64": np.array([2**64 - 1, 0, 2**63], np.uint64),
+               "i64": np.array([INT64_MIN, INT64_MAX, -1])}
+    path = tmp_path / "table.csv"
+    write_table(path, columns)
+    assert path.read_bytes() == str_table(columns)
+
+
+def test_integer_write_matches_str_format_for_random_columns(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    st = hypothesis.strategies
+    path = tmp_path / "table.csv"
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(B - 3, B + 3).flatmap(lambda rows: st.lists(hnp.arrays(
+        np.int64, rows, elements=st.integers(INT64_MIN, INT64_MAX)), min_size=1, max_size=3)))
+    def check(arrays):
+        columns = {f"c{j}": a for j, a in enumerate(arrays)}
+        write_table(path, columns)
+        assert path.read_bytes() == str_table(columns)
+        back = read_records(path, dtype=np.int64)[1]
+        assert all(np.array_equal(back[name], a) for name, a in columns.items())
+
+    check()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_simulate_writes_what_str_format_gives(tmp_path, seed):
+    # the default acquisition, 180,000 tags, and its folded histogram
+    assert main(["simulate", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    cfg = RunConfig(seed=seed)
+    tags = np.concatenate([simulate_run(cfg, run_id) for run_id in range(cfg.runs)])
+    hist = histogram(tags, cfg.tick, cfg)
+    assert len(tags) == 180_000
+    assert (tmp_path / "timetags.csv").read_bytes() == str_table(
+        {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
+    assert (tmp_path / "histogram.csv").read_bytes() == str_table(
+        {"bin_start_ns": hist.bin_starts, "count": hist.counts},
+        {"bin_ns": hist.bin_ns, "period_ns": hist.period_ns})
 
 
 @pytest.mark.parametrize("text, lineno", [

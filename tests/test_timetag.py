@@ -1,6 +1,7 @@
 """Time-tag Monte Carlo, histogramming, windows, rates and file formats."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,6 +118,28 @@ class TestRunConfig:
         RunConfig()
         with pytest.raises(ValueError, match="MAX_RUN_DRAWS = 6000"):
             RunConfig(pulses_per_run=2001)
+
+    def test_acquisition_draws_are_bounded(self):
+        # 10**9 uncapped runs of 6000 draws each: refused when constructed,
+        # so no run is drawn and no row is held
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"^an acquisition would draw about 6e\+12 values, more than "
+                    r"MAX_ACQUISITION_DRAWS = 100000000: runs x pulses_per_run x \(1 \+ 2 x "
+                    r"mean_photons_per_pulse \+ background_rate x pulse_period / 1000\)$")):
+                RunConfig(runs=10**9, cap=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_acquisition_limit_is_inclusive(self, monkeypatch):
+        # the default acquisition draws 120 x 6000 = 720,000 values
+        monkeypatch.setattr(timetag, "MAX_ACQUISITION_DRAWS", 720_000)
+        RunConfig()
+        with pytest.raises(ValueError, match="MAX_ACQUISITION_DRAWS = 720000:"):
+            RunConfig(runs=121)
 
     def test_delay_consistency_with_fiber_length(self):
         # 2 x 32 m of fiber at group index 1.47 is a 313.8 ns round trip,
