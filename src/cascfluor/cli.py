@@ -25,17 +25,15 @@ from . import cascade, fit, spectrum, timetag
 from .table import ParseError, read_table, write_table
 
 # Reference model parameters used by the `reproduce` command: the fitted
-# absorption filter, the saturation power, the broadening law and the
-# blue-shift trend of the cascaded line.
+# absorption filter, the broadening law and the blue-shift trend of the
+# cascaded line.
 REFERENCE_FILTER = cascade.AbsorptionProfile(
     alpha=0.85, width=6.7, shift=0.0, path_efficiency=0.9
 )
-SATURATION_POWER_UW = 121.0
 BROADENING_GAMMA_MHZ = 6.45
 BROADENING_GAMMA0_MHZ = 8.44
 SHIFT_SLOPE_MHZ = 0.25
 SHIFT_INTERCEPT_MHZ = 0.5
-LOW_POWER_LINEWIDTH_MHZ = 16.0
 # most points of one `ratio` scan: about 1 s of model and a 4 MB table
 MAX_RATIO_POINTS = 100_000
 
@@ -159,6 +157,27 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 4
 
 
+def _refit(out: Path, fig: str, fitter, *series, **options) -> fit.FitResult:
+    """Write a figure's synthetic points, fit them as the `fit` command
+    would and write the report: {fig}_points.csv, or for a cascade fit
+    {fig}_points_original.csv and {fig}_points_cascaded.csv, then
+    {fig}_refit.csv. Returns the fit, for the figure's summary line."""
+    names = ["points"] if len(series) == 1 else ["points_original", "points_cascaded"]
+    for name, points in zip(names, series):
+        fit.write_series(out / f"{fig}_{name}.csv", points)
+    result = fitter(*series, **options)
+    fit.write_report_csv(out / f"{fig}_refit.csv", result)
+    return result
+
+
+def _refit_cascade(out: Path, fig: str, rng, x, n_orig, model, **options) -> fit.FitResult:
+    """_refit of cascaded counts: the model with 3% multiplicative noise and
+    3% error bars, against the original counts n_orig."""
+    noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
+    return _refit(out, fig, fit.fit_cascade, fit.DataSeries(x, n_orig),
+                  fit.DataSeries(x, noisy, 0.03 * model), **options)
+
+
 def _reproduce_fig3(out: Path, rng) -> None:
     s0_grid = np.linspace(0.05, 10.0, 200)
     original = s0_grid / (1.0 + s0_grid)
@@ -173,16 +192,8 @@ def _reproduce_fig3(out: Path, rng) -> None:
     n_orig = 1200.0 * s0_pts / (1.0 + s0_pts)
     model = cascade.cascaded_counts(spectrum.Drives.of(s0_pts), np.ones_like(s0_pts),
                                     REFERENCE_FILTER) * n_orig
-    noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
-    orig_series = fit.DataSeries(s0_pts, n_orig)
-    casc_series = fit.DataSeries(s0_pts, noisy, 0.03 * model)
-    fit.write_series(out / "fig3_points_original.csv", orig_series)
-    fit.write_series(out / "fig3_points_cascaded.csv", casc_series)
-    refit = fit.fit_cascade(
-        orig_series, casc_series, scan="power",
-        fix_shift=0.0, fix_efficiency=0.9,
-    )
-    fit.write_report_csv(out / "fig3_refit.csv", refit)
+    refit = _refit_cascade(out, "fig3", rng, s0_pts, n_orig, model, scan="power",
+                           fix_shift=0.0, fix_efficiency=0.9)
     print(f"fig3 refit: width = {refit.params['width']:.3f} "
           f"+- {refit.sigmas['width']:.3f} MHz (model 6.7), "
           f"alpha = {refit.params['alpha']:.3f} "
@@ -216,14 +227,8 @@ def _reproduce_fig4a(out: Path, rng) -> None:
     s0 = 0.4
     n_orig = 1000.0 * _lorentz_rate(pts, s0) + 50.0
     model = cascade.ratio_curve(pts, s0, REFERENCE_FILTER, n_orig) * n_orig
-    noisy = model * (1.0 + 0.03 * rng.standard_normal(len(model)))
-    orig_series = fit.DataSeries(pts, n_orig)
-    casc_series = fit.DataSeries(pts, noisy, 0.03 * model)
-    fit.write_series(out / "fig4a_points_original.csv", orig_series)
-    fit.write_series(out / "fig4a_points_cascaded.csv", casc_series)
-    refit = fit.fit_cascade(orig_series, casc_series, scan="detuning", s0=s0,
-                            fix_efficiency=0.9)
-    fit.write_report_csv(out / "fig4a_refit.csv", refit)
+    refit = _refit_cascade(out, "fig4a", rng, pts, n_orig, model, scan="detuning", s0=s0,
+                           fix_efficiency=0.9)
     print(f"fig4a refit: width = {refit.params['width']:.3f} MHz (model 6.7), "
           f"alpha = {refit.params['alpha']:.3f} (model 0.85), "
           f"shift = {refit.params['shift']:.3f} MHz (model 0.0)")
@@ -237,23 +242,20 @@ def _reproduce_fig4b(out: Path, _rng) -> None:
     write_table(out / "fig4b_model.csv", cols)
 
 
-def _reproduce_fig5a(out: Path, rng) -> None:
+def _refit_fig5(out: Path, fig: str, rng, column: str, law, pts, noise, fitter):
+    """A fig5 panel: the law on an s0 grid as {fig}_model.csv, then _refit of
+    the law at pts plus Gaussian noise of sigma noise, with error bars noise."""
     s0_grid = np.linspace(0.0, 4.0, 161)
-    write_table(
-        out / "fig5a_model.csv",
-        {"s0": s0_grid,
-         "fwhm_mhz": fit.power_broadened_width(
-             s0_grid, BROADENING_GAMMA_MHZ, BROADENING_GAMMA0_MHZ)},
-    )
-    pts = np.array([0.4, 0.8, 1.6, 2.5])
-    noise = 0.12
-    widths = fit.power_broadened_width(
-        pts, BROADENING_GAMMA_MHZ, BROADENING_GAMMA0_MHZ
-    ) + noise * rng.standard_normal(len(pts))
-    series = fit.DataSeries(pts, widths, np.full(len(pts), noise))
-    fit.write_series(out / "fig5a_points.csv", series)
-    refit = fit.fit_power_broadening(series)
-    fit.write_report_csv(out / "fig5a_refit.csv", refit)
+    write_table(out / f"{fig}_model.csv", {"s0": s0_grid, column: law(s0_grid)})
+    values = law(pts) + noise * rng.standard_normal(len(pts))
+    return _refit(out, fig, fitter, fit.DataSeries(pts, values, np.full(len(pts), noise)))
+
+
+def _reproduce_fig5a(out: Path, rng) -> None:
+    refit = _refit_fig5(
+        out, "fig5a", rng, "fwhm_mhz",
+        lambda s0: fit.power_broadened_width(s0, BROADENING_GAMMA_MHZ, BROADENING_GAMMA0_MHZ),
+        np.array([0.4, 0.8, 1.6, 2.5]), 0.12, fit.fit_power_broadening)
     print(f"fig5a refit: gamma = {refit.params['gamma']:.2f} "
           f"+- {refit.sigmas['gamma']:.2f} MHz (model {BROADENING_GAMMA_MHZ}), "
           f"gamma0 = {refit.params['gamma0']:.2f} "
@@ -261,20 +263,9 @@ def _reproduce_fig5a(out: Path, rng) -> None:
 
 
 def _reproduce_fig5b(out: Path, rng) -> None:
-    s0_grid = np.linspace(0.0, 4.0, 161)
-    write_table(
-        out / "fig5b_model.csv",
-        {"s0": s0_grid,
-         "shift_mhz": SHIFT_SLOPE_MHZ * s0_grid + SHIFT_INTERCEPT_MHZ},
-    )
-    pts = np.array([0.4, 0.8, 1.2, 1.6, 2.0, 2.5])
-    noise = 0.1
-    shifts = (SHIFT_SLOPE_MHZ * pts + SHIFT_INTERCEPT_MHZ
-              + noise * rng.standard_normal(len(pts)))
-    series = fit.DataSeries(pts, shifts, np.full(len(pts), noise))
-    fit.write_series(out / "fig5b_points.csv", series)
-    refit = fit.fit_shift_slope(series)
-    fit.write_report_csv(out / "fig5b_refit.csv", refit)
+    refit = _refit_fig5(
+        out, "fig5b", rng, "shift_mhz", lambda s0: SHIFT_SLOPE_MHZ * s0 + SHIFT_INTERCEPT_MHZ,
+        np.array([0.4, 0.8, 1.2, 1.6, 2.0, 2.5]), 0.1, fit.fit_shift_slope)
     print(f"fig5b refit: slope = {refit.params['slope']:.3f} "
           f"+- {refit.sigmas['slope']:.3f} MHz per unit s0 "
           f"(model {SHIFT_SLOPE_MHZ})")

@@ -9,9 +9,11 @@ for bit. Every number read obeys np.loadtxt's field rule:
 ASCII digits with optional padding and sign, and for a float also a point,
 an exponent, or nan or inf spelled out. A float must be finite unless the
 caller allows infinity; an integer must fit int64. Every file the
-package reads or writes is opened here, the run configuration too; every
-write formats bytes and goes through one binary write, so lines end in LF
-alone on every platform.
+package reads or writes is opened here, the run configuration too. A file
+read may end its lines in LF, CRLF or CR, and every reader names the first
+bad line, whatever is wrong with it, bytes that are not UTF-8 included.
+Every write formats bytes and goes through one binary write, so lines end
+in LF alone on every platform.
 """
 
 from __future__ import annotations
@@ -53,27 +55,27 @@ def parse_field(text: str, path, lineno: int, dtype=float, allow_inf: bool = Fal
     return value
 
 
-@contextlib.contextmanager
-def _open_utf8(path):
-    """Open path as UTF-8 text; bytes that are not raise ParseError at their line."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            yield f
-    except UnicodeDecodeError as exc:
-        # text is decoded in blocks, so the line is found in the raw bytes
-        with open(path, "rb") as f:
-            for lineno, line in enumerate(f, start=1):
-                if line.decode("utf-8", "ignore").encode("utf-8") != line:
+def read_lines(path):
+    """(lineno, line) pairs of the UTF-8 text file at path, each line ended
+    by LF whichever of LF, CRLF or CR the file uses; a line holding bytes
+    that are not UTF-8 is a ParseError when it is reached, not before."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            # a byte that is not UTF-8 is held as a lone surrogate
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise ParseError(
                         f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
-        raise
+            yield lineno, line
 
 
-def _read_head(f, path, headers):
-    """(meta, columns, header lineno) from the first lines of open file f."""
+def _read_head(lines, path, headers):
+    """(meta, columns, header lineno) from the first of read_lines' lines."""
     meta: dict[str, float] = {}
     lineno = 0
-    for lineno, line in enumerate(f, start=1):
+    for lineno, line in lines:
         if not line.startswith("#"):
             break
         key, sep, value = line[1:].partition("=")
@@ -97,15 +99,14 @@ def _read_head(f, path, headers):
 def read_rows(path, headers: tuple[str, ...] | None = None):
     """Read a table as (meta, columns, rows): float metadata, the column names
     and an iterator of (lineno, stripped fields) pairs; headers lists valid
-    headers. The iterator checks each row's field count only when it gets
-    there, so a caller that parses each row before taking the next names
-    the first bad line."""
-    with _open_utf8(path) as f:
-        meta, columns, head_lineno = _read_head(f, path, headers)
-        lines = f.readlines()
+    headers. The iterator reads each row, and checks its bytes and field
+    count, only when it gets there, so a caller that parses each row before
+    taking the next names the first bad line."""
+    lines = read_lines(path)
+    meta, columns, _ = _read_head(lines, path, headers)
 
     def rows():
-        for lineno, line in enumerate(lines, start=head_lineno + 1):
+        for lineno, line in lines:
             if line != "\n":
                 fields = line.rstrip("\n").split(",")
                 if len(fields) != len(columns):
@@ -118,8 +119,8 @@ def read_rows(path, headers: tuple[str, ...] | None = None):
 def read_records(path, headers: tuple[str, ...] | None = None, dtype=float):
     """Read a table of dtype (float or np.int64) as (meta, rows): float
     metadata and a structured array with one field per column."""
-    with _open_utf8(path) as f:
-        meta, columns, lineno = _read_head(f, path, headers)
+    with contextlib.closing(read_lines(path)) as lines:
+        meta, columns, lineno = _read_head(lines, path, headers)
     with open(path, "rb") as f:
         # numpy's integer parser misreads, and can crash on, non-ASCII text
         ascii_only = all(block.isascii() for block in iter(lambda: f.read(1 << 20), b""))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .table import (ParseError, _open_utf8, parse_field, read_records, read_rows,
+from .table import (ParseError, parse_field, read_lines, read_records, read_rows,
                     write_lines, write_table)
 
 # Cs excited-state lifetime; sets the exponential emission lag after a
@@ -38,14 +38,17 @@ PREFIX_MARGIN = 3.0
 MAX_RUN_DRAWS = 10_000_000
 
 # Most values all runs of an acquisition may draw at their expected counts,
-# runs x a run's draws (RunConfig). Each row simulate keeps is a drawn
-# photon or background count, so this also bounds the rows it holds.
-# Uncapped acquisitions of 7.6 million rows peaked at 33-41 bytes per row
-# (20 to 2000 runs), so about 4 GB at the limit. A run holds about 400
-# bytes more whatever it draws, which only runs of a few pulses notice.
-# The largest acquisition configs in the tests draw 36 million (120 runs
-# of 100,000 pulses, of which they simulate one), the default 720,000.
+# runs x (a run's draws + RUN_FIXED_DRAWS) (RunConfig). Each row simulate
+# keeps is a drawn photon or background count, so this also bounds the
+# rows it holds. Uncapped acquisitions of 7.6 million rows peaked at 33-41
+# bytes per row (20 to 2000 runs), so about 4 GB at the limit. A run holds
+# about 400 bytes more whatever it draws (100,000 one-pulse runs peaked at
+# 385-417 bytes per run), the cost of RUN_FIXED_DRAWS rows, so runs of a
+# few pulses are bounded too. The largest acquisition configs in the tests
+# count 36 million (120 runs of 100,000 pulses, of which they simulate
+# one), the default 721,440.
 MAX_ACQUISITION_DRAWS = 100_000_000
+RUN_FIXED_DRAWS = 12
 
 TIMETAG_HEADER = "run_id,arrival_ns"
 # One row per detected photon; arrival is in ns since run start.
@@ -114,11 +117,12 @@ class RunConfig:
                 f"a run would draw about {draws:.3g} values, more than MAX_RUN_DRAWS = "
                 f"{MAX_RUN_DRAWS}: pulses_per_run x (1 + 2 x mean_photons_per_pulse + "
                 f"background_rate x pulse_period / 1000)")
-        if self.runs * draws > MAX_ACQUISITION_DRAWS:
+        if self.runs * (draws + RUN_FIXED_DRAWS) > MAX_ACQUISITION_DRAWS:
             raise ValueError(
-                f"an acquisition would draw about {self.runs * draws:.3g} values, more than "
-                f"MAX_ACQUISITION_DRAWS = {MAX_ACQUISITION_DRAWS}: runs x pulses_per_run x "
-                f"(1 + 2 x mean_photons_per_pulse + background_rate x pulse_period / 1000)")
+                f"an acquisition would draw about {self.runs * (draws + RUN_FIXED_DRAWS):.3g} "
+                f"values, more than MAX_ACQUISITION_DRAWS = {MAX_ACQUISITION_DRAWS}: runs x "
+                f"(pulses_per_run x (1 + 2 x mean_photons_per_pulse + background_rate x "
+                f"pulse_period / 1000) + RUN_FIXED_DRAWS = {RUN_FIXED_DRAWS})")
 
 
 # int fields are read, and must fit, as int64 (read_config)
@@ -363,21 +367,20 @@ def read_config(path) -> RunConfig:
     value obeys the tables' field rule (table.parse_field)."""
     types = typing.get_type_hints(RunConfig)
     values: dict[str, object] = {}
-    with _open_utf8(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-            key, _, value = (s.strip() for s in line.partition("="))
-            if key not in types or key in values:
-                raise ParseError(f"{path}:{lineno}: unknown or repeated config key '{key}'")
-            dtype = np.int64 if types[key] is int else float
-            try:
-                values[key] = types[key](parse_field(value, path, lineno, dtype))
-            except ParseError as exc:
-                raise ParseError(f"{exc} for '{key}'") from None
+    for lineno, raw in read_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
+        key, _, value = (s.strip() for s in line.partition("="))
+        if key not in types or key in values:
+            raise ParseError(f"{path}:{lineno}: unknown or repeated config key '{key}'")
+        dtype = np.int64 if types[key] is int else float
+        try:
+            values[key] = types[key](parse_field(value, path, lineno, dtype))
+        except ParseError as exc:
+            raise ParseError(f"{exc} for '{key}'") from None
     try:
         return RunConfig(**values)
     except ValueError as exc:

@@ -253,7 +253,7 @@ class TestSimulate:
         path.write_text(f"runs = {10**9}\ncap = {10**9}\n")
         assert run(["simulate", "--config", path, "--out", out]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: an acquisition would draw about 6e+12 values")
+        assert err.startswith(f"error: {path}: an acquisition would draw about 6.01e+12 values")
         assert err.count("\n") == 1 and "MAX_ACQUISITION_DRAWS" in err
         assert not out.exists()
 
@@ -635,6 +635,27 @@ class TestReproduce:
         }
         refit = read_report_csv(tmp_path / "fig4a_refit.csv")
         assert refit.params["width"] == pytest.approx(6.7, abs=2.0)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("figure, fit_args", [
+        ("fig3", ["cascade", "--original", "{d}/fig3_points_original.csv",
+                  "--cascaded", "{d}/fig3_points_cascaded.csv", "--scan", "power",
+                  "--fix-shift", "0", "--fix-efficiency", "0.9"]),
+        ("fig4a", ["cascade", "--original", "{d}/fig4a_points_original.csv",
+                   "--cascaded", "{d}/fig4a_points_cascaded.csv", "--scan", "detuning",
+                   "--s0", "0.4", "--fix-efficiency", "0.9"]),
+        ("fig5a", ["broadening", "--data", "{d}/fig5a_points.csv"]),
+        ("fig5b", ["slope", "--data", "{d}/fig5b_points.csv"]),
+    ])
+    def test_fit_command_writes_the_figure_refit(self, tmp_path, figure, fit_args, seed):
+        # the fit command on a figure's points, with the figure's options,
+        # reports the figure's refit to the byte
+        d = tmp_path / "fig"
+        assert run(["reproduce", figure, "--seed", seed, "--out", d]) == 0
+        args = [a.format(d=d) for a in fit_args]
+        assert run(["fit", *args, "--out", tmp_path / "fit"]) == 0
+        assert ((tmp_path / "fit" / "fit_report.csv").read_bytes()
+                == (d / f"{figure}_refit.csv").read_bytes())
 
     def test_bit_identical_for_fixed_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -165,6 +165,17 @@ class TestMollowDensity:
         interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] >= dens[2:])
         assert interior.sum() == 1
 
+    @pytest.mark.parametrize("s0, sidebands", [(7.5, []), (7.7, [7.764])])
+    def test_sidebands_resolve_between_s0_7p5_and_7p7(self, s0, sidebands):
+        # the first maximum away from zero on a 0.001-linewidth grid, as
+        # README's sideband note says: none at s0 = 7.5, one at 7.764 MHz at 7.7
+        step = 0.001 * GAMMA
+        omega = step * np.arange(int(round(10 * GAMMA / step)) + 1)
+        dens = mollow_density(omega, DriveParams(s0, 0.0))
+        interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] >= dens[2:])
+        peaks = omega[np.where(interior)[0] + 1]
+        assert peaks == pytest.approx(sidebands, abs=step)
+
     @pytest.mark.parametrize(
         "s0,delta", [(0.4, 0.0), (2.5, 0.0), (8.0, 0.0), (0.4, 30.0), (8.0, 10.0)]
     )

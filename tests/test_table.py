@@ -84,6 +84,10 @@ NOT_UTF8 = [
     pytest.param(read_timetags, b"run_id,arrival_ns\n0,5\n0,\xff\n", 3, id="timetag_row"),
     pytest.param(read_config, b"seed = 1\n# note\nruns = \xff3\n", 3, id="config_line"),
 ]
+# the same cases with lines ended by CRLF and by CR
+NOT_UTF8 += [pytest.param(reader, data.replace(b"\n", newline), lineno, id=f"{c.id}-{name}")
+             for c in NOT_UTF8 for reader, data, lineno in [c.values]
+             for name, newline in (("crlf", b"\r\n"), ("cr", b"\r"))]
 
 
 @pytest.mark.parametrize("reader, data, lineno", NOT_UTF8)
@@ -91,6 +95,30 @@ def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, reader, data, line
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     with pytest.raises(ParseError, match=f"data.csv:{lineno}: not UTF-8"):
+        reader(path)
+
+
+# A bad line followed by a line holding byte 0xff: the first one is named.
+# A wrong header, a field that is not a number, a negative time tag or
+# sigma, each before the bad byte; and the bad byte itself in a CR-ended file.
+FIRST_BAD_LINE = [
+    pytest.param(read_series, b"x,y\n1,2\n1,abc\n1,\xff\n", "3: not a number",
+                 id="series_field"),
+    pytest.param(read_series, b"x,z\n1,\xff\n", "1: expected header", id="series_header"),
+    pytest.param(read_timetags, b"run_id,arrival_ns\n0,-1\n0,\xff\n", "2: negative",
+                 id="negative_timetag"),
+    pytest.param(read_report_csv, b"name,value,sigma\na,1,-1\nb,\xff,1\n", "2: out of range",
+                 id="negative_sigma"),
+    pytest.param(read_table, b"x,y\r1,2\r1,\xff3\r", "3: not UTF-8", id="cr_table"),
+    pytest.param(read_config, b"runs = 3\rseed = \xff\r", "2: not UTF-8", id="cr_config"),
+]
+
+
+@pytest.mark.parametrize("reader, data, message", FIRST_BAD_LINE)
+def test_reader_names_the_first_bad_line(tmp_path, reader, data, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"data.csv:{message}"):
         reader(path)
 
 

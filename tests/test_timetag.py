@@ -119,27 +119,35 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="MAX_RUN_DRAWS = 6000"):
             RunConfig(pulses_per_run=2001)
 
-    def test_acquisition_draws_are_bounded(self):
-        # 10**9 uncapped runs of 6000 draws each: refused when constructed,
-        # so no run is drawn and no row is held
+    @pytest.mark.parametrize("kwargs, count", [
+        # 10**9 uncapped runs of 6000 draws each
+        (dict(runs=10**9, cap=10**9), r"6\.01e\+12"),
+        # 10**8 runs of one pulse that draw one value each, but hold about
+        # 400 bytes each whatever they draw
+        (dict(pulses_per_run=1, runs=10**8, mean_photons_per_pulse=0.0), r"1\.3e\+09"),
+    ], ids=["dense_runs", "one_pulse_runs"])
+    def test_acquisition_draws_are_bounded(self, kwargs, count):
+        # refused when constructed, so no run is drawn and no row is held
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
-                    r"^an acquisition would draw about 6e\+12 values, more than "
-                    r"MAX_ACQUISITION_DRAWS = 100000000: runs x pulses_per_run x \(1 \+ 2 x "
-                    r"mean_photons_per_pulse \+ background_rate x pulse_period / 1000\)$")):
-                RunConfig(runs=10**9, cap=10**9)
+                    rf"^an acquisition would draw about {count} values, more than "
+                    r"MAX_ACQUISITION_DRAWS = 100000000: runs x \(pulses_per_run x \(1 \+ 2 x "
+                    r"mean_photons_per_pulse \+ background_rate x pulse_period / 1000\) \+ "
+                    r"RUN_FIXED_DRAWS = 12\)$")):
+                RunConfig(**kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
 
     def test_acquisition_limit_is_inclusive(self, monkeypatch):
-        # the default acquisition draws 120 x 6000 = 720,000 values
-        monkeypatch.setattr(timetag, "MAX_ACQUISITION_DRAWS", 720_000)
+        # the default acquisition counts 120 x (6000 + 12) = 721,440 draws
+        monkeypatch.setattr(timetag, "MAX_ACQUISITION_DRAWS", 721_440)
         RunConfig()
-        with pytest.raises(ValueError, match="MAX_ACQUISITION_DRAWS = 720000:"):
-            RunConfig(runs=121)
+        monkeypatch.setattr(timetag, "MAX_ACQUISITION_DRAWS", 721_439)
+        with pytest.raises(ValueError, match="about 7.21e\\+05 values, .* = 721439:"):
+            RunConfig()
 
     def test_delay_consistency_with_fiber_length(self):
         # 2 x 32 m of fiber at group index 1.47 is a 313.8 ns round trip,
