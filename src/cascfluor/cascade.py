@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Drives, SpectrumStack, _as_drives, _grid, _weights, sample_spectrum
+from .spectrum import Drives, SpectrumStack, _as_drives, _grid, _quadrature, sample_spectrum
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
@@ -73,10 +73,14 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     finite. The Lorentzian L = 1 / (1 + 4 u^2) of
     u = (omega - shift + detuning) / width and the transmission
     T = path_efficiency * exp(-alpha L) are evaluated as (n, grid + 1)
-    arrays, the elastic line being the last column at omega = 0. Each
-    count is the integral of its row of density * transmission, by the
-    end-corrected trapezoid of spectrum._weights, plus the attenuated
-    elastic weight, so a row comes out bit for bit as it would alone. With
+    arrays, the elastic line being the last column at omega = 0; when
+    every row shares one detuning, as in a power scan, they are one
+    (1, grid + 1) row that broadcasts into the row products, which
+    changes no bit. Each count is the integral of its row of density *
+    transmission, by the end-corrected trapezoid of spectrum._weights (the
+    grid's memoized spectrum._quadrature, whose last weight 1.0 is the
+    elastic line's), plus the attenuated elastic weight, so a row comes
+    out bit for bit as it would alone. With
     gradient=True, also returns the (n, 4) closed-form derivatives of the
     counts with respect to (width, alpha, shift, path_efficiency), from the
     same arrays: dT/dalpha = -L T, dT/dwidth = -alpha T 8 u^2 L^2 / width,
@@ -88,25 +92,33 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     if detunings.shape != elastic.shape:
         raise ValueError(f"{len(elastic)} spectra need as many detunings, "
                          f"got shape {detunings.shape}")
-    bad = ~np.isfinite(detunings)
-    if bad.any():
-        raise ValueError(f"drive detuning must be finite, got {detunings[bad][0]}")
+    rows = detunings
+    if len(detunings):
+        lo, hi = detunings.min(), detunings.max()
+        # min and max see a NaN
+        if not -math.inf < lo <= hi < math.inf:
+            bad = detunings[~np.isfinite(detunings)][0]
+            raise ValueError(f"drive detuning must be finite, got {bad}")
+        if lo == hi:
+            # one u, L and T row, broadcast into every row product
+            rows = detunings[:1]
     axis = np.concatenate((offsets, (0.0,)))
-    u = np.subtract(axis, np.subtract(prof.shift, detunings)[:, None])
+    u = np.subtract(axis, np.subtract(prof.shift, rows)[:, None])
     u /= prof.width
     lor = 1.0 / (1.0 + 4.0 * u ** 2)
     trans = prof.path_efficiency * np.exp(-prof.alpha * lor)
-    weights = _weights(offsets)
-    counts = np.add.reduce(density * trans[:, :-1] * weights, axis=-1) + elastic * trans[:, -1]
+    weights = _quadrature(float(offsets[1] - offsets[0]), len(offsets))
+    counts = (np.add.reduce(density * trans[:, :-1] * weights[:-1], axis=-1)
+              + elastic * trans[:, -1])
     if not gradient:
         return counts
     # minus the integrand of d/dalpha, density (elastic weight) times L T,
-    # in T's array; then times u L (d/dshift) and times u again (d/dwidth);
-    # the elastic line's weight is 1
-    weights = np.append(weights, 1.0)
-    g = np.multiply(trans, lor, out=trans)
-    g[:, :-1] *= density
-    g[:, -1] *= elastic
+    # in T's array when it has a row per spectrum; then times u L
+    # (d/dshift) and times u again (d/dwidth)
+    tl = np.multiply(trans, lor, out=trans)
+    g = tl if len(tl) == len(elastic) else np.empty((len(elastic), len(axis)))
+    np.multiply(tl[:, :-1], density, out=g[:, :-1])
+    np.multiply(tl[:, -1], elastic, out=g[:, -1])
     k = -8.0 * prof.alpha / prof.width
     # the columns filled in place, in column_stack's order and C layout
     jac = np.empty((len(counts), 4))

@@ -280,6 +280,9 @@ def cmd_reproduce(args) -> int:
     if args.figure == "fig4b" and args.seed is not None:
         raise ValueError("--seed is not for fig4b, which draws no noise")
     seed = 1 if args.seed is None else args.seed
+    if seed < 0:
+        # before the output directory is made
+        raise ValueError(f"seed must be >= 0, got {seed}")
     FIGURES[args.figure](_out_dir(args), np.random.default_rng(seed))
     return 0
 

@@ -13,6 +13,7 @@ their design matrix.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,14 +198,15 @@ def least_squares(
     chi2_red = ssr / dof
     try:
         cov = np.linalg.inv(normal) * chi2_red
-        sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        # np.clip's values, NaN and signed zeros included
+        sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("singular normal matrix at the optimum") from exc
     if bootstrap > 0:
         sig = _bootstrap_sigmas(model, data, theta, bounds, bootstrap)
     return FitResult(
-        params=dict(zip(names, (float(v) for v in theta))),
-        sigmas=dict(zip(names, (float(v) for v in sig))),
+        params=dict(zip(names, theta.tolist())),
+        sigmas=dict(zip(names, sig.tolist())),
         residual_norm=ssr,
         converged=converged,
         iterations=iterations,
@@ -227,9 +229,11 @@ def _bootstrap_sigmas(model, data, theta, bounds, n_resamples):
     rng = np.random.default_rng(0)
     fitted = model(data.x, theta)[0]
     resid = data.y - fitted
+    n = len(resid)
     draws = np.empty((n_resamples, len(theta)))
     for b in range(n_resamples):
-        resampled = fitted + rng.choice(resid, size=len(resid), replace=True)
+        # Generator.choice(resid, n)'s draws and values, without its checks
+        resampled = fitted + resid[rng.integers(0, n, n)]
         try:
             refit = least_squares(
                 model, DataSeries(data.x, resampled, data.y_err), theta, bounds=bounds
@@ -300,17 +304,18 @@ def fit_lorentzian(data: DataSeries, bootstrap: int = 0) -> FitResult:
 def _lorentzian_model(x, th):
     """lorentzian at th = (center, fwhm, amplitude, offset) and its
     derivatives in th, operation for operation as lorentzian computes it."""
-    u = (np.asarray(x, float) - th[0]) / th[1]
+    center, fwhm, amplitude, offset = th.tolist()
+    u = (np.asarray(x, float) - center) / fwhm
     denom = 1.0 + 4.0 * u**2
     shape = 1.0 / denom
     # the columns filled in place, in column_stack's order and C layout
     jac = np.empty((len(u), 4))
-    d_center = np.multiply(8.0 * th[2] * u, shape**2, out=jac[:, 0])
-    d_center /= th[1]
+    d_center = np.multiply(8.0 * amplitude * u, shape**2, out=jac[:, 0])
+    d_center /= fwhm
     np.multiply(d_center, u, out=jac[:, 1])
     jac[:, 2] = shape
     jac[:, 3] = 1.0
-    return th[3] + th[2] / denom, jac
+    return offset + amplitude / denom, jac
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +418,10 @@ def fit_cascade(
     shift and efficiency can be pinned with the fix_* arguments (fixed
     values are reported with sigma 0).
     Residuals are taken on the cascaded counts, weighted by cascaded.y_err
-    when present. A seeded N_STARTS-way multi-start guards against local
-    minima. Each candidate filter is applied on the model grid that
+    when present. A seeded N_STARTS-way multi-start (seed >= 0) guards
+    against local minima; when every start is degenerate, the
+    DegenerateFitError names each distinct failure once with its count.
+    Each candidate filter is applied on the model grid that
     cascaded_counts picks for its width (_model_step), so every model
     evaluation equals cascade_model_counts(drives, original.y, **params)
     bit for bit. All points' spectra are sampled and normalized by one
@@ -428,6 +435,8 @@ def fit_cascade(
     width from the natural linewidth (power scan) or the dip half-depth
     span (detuning scan).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if scan not in ("power", "detuning"):
         raise ValueError(f"unknown scan type '{scan}'")
     if len(original) != len(cascaded) or not np.allclose(original.x, cascaded.x):
@@ -491,7 +500,10 @@ def fit_cascade(
         best, failures = _best_start(filtered, cascaded, init_full, bounds_full,
                                      fixed, seed)
     if best is None:
-        raise DegenerateFitError("; ".join(failures) or "all starts failed")
+        # each distinct message once, in order of first failure
+        raise DegenerateFitError("; ".join(
+            f"{message} ({count} of {len(failures)} starts)"
+            for message, count in Counter(failures).items()))
 
     params = dict(best.params)
     sigmas = dict(best.sigmas)

@@ -8,6 +8,7 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -145,6 +146,24 @@ _GREGORY_ENDS = np.array([1070017.0, 5537111.0, 103613.0, 261115.0,
     [3628800.0, 3628800.0, 403200.0, 145152.0, 725760.0, 403200.0, 3628800.0, 3628800.0])
 
 
+# distinct (step, points) grids whose quadrature _quadrature keeps: at most 8
+# arrays of MAX_GRID_POINTS + 1 values, 64 MB; the model grids (281 to 801
+# points) hold under 7 KB each
+@functools.lru_cache(maxsize=8)
+def _quadrature(h: float, points: int) -> np.ndarray:
+    """Read-only quadrature of a uniform grid of `points` points at step h,
+    followed by the weight 1.0 of the elastic line: _weights' grid weights
+    then 1.0, built once per grid. Every spectrum integral and every filter
+    reads it from here."""
+    ends = h * _GREGORY_ENDS
+    weights = np.full(points + 1, h)
+    weights[:8] = ends
+    weights[points - 8:points] = ends[::-1]
+    weights[points] = 1.0
+    weights.flags.writeable = False
+    return weights
+
+
 def _weights(offsets):
     """Quadrature weights of the uniform grid offsets: Gregory's end-corrected
     trapezoid, h * [_GREGORY_ENDS, 1, ..., 1, _GREGORY_ENDS reversed] with h
@@ -153,13 +172,10 @@ def _weights(offsets):
     terms of its Euler-Maclaurin error through h^6. An integral is
     np.add.reduce(y * weights, axis=-1): each row sums to the same bits
     alone as in a stack, which y @ weights does not (its BLAS kernel depends
-    on the stack's shape)."""
-    h = offsets[1] - offsets[0]
-    ends = h * _GREGORY_ENDS
-    weights = np.full(len(offsets), h)
-    weights[:8] = ends
-    weights[-8:] = ends[::-1]
-    return weights
+    on the stack's shape). The weights are a read-only view of the grid's
+    _quadrature, shared by every call on a grid of the same step and
+    length."""
+    return _quadrature(float(offsets[1] - offsets[0]), len(offsets))[:-1]
 
 
 def _normalize(weights, density, elastic, original_counts):

@@ -19,6 +19,7 @@ from cascfluor.spectrum import (
     DriveParams,
     Drives,
     NormalizationError,
+    SpectrumStack,
     sample_spectrum,
 )
 from fd_oracle import DEFAULT_FD_STEP, _jacobian
@@ -351,22 +352,18 @@ class TestReferenceArithmetic:
     """sample_spectrum and filtered_counts against the reference arithmetic of
     pointwise.py, which writes each formula out on the whole grid."""
 
-    @pytest.mark.parametrize("step", [None, model_step(GAMMA, FITTED),
-                                      STEP_20],
-                             ids=["spectrum_grid", "model_grid", "gamma_20_grid"])
-    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
-    def test_counts_and_jacobian_bit_for_bit(self, rows, step):
-        rng = np.random.default_rng(rows)
-        drives = [DriveParams(s0, d) for s0, d in
-                  zip(rng.uniform(0.05, 8.0, rows), rng.uniform(-30.0, 30.0, rows))]
-        counts = rng.uniform(1.0, 3000.0, rows)
+    STEPS = pytest.mark.parametrize("step", [None, model_step(GAMMA, FITTED), STEP_20],
+                                    ids=["spectrum_grid", "model_grid", "gamma_20_grid"])
+    # the model grid of the first four filters, and the gamma/40 grid of the
+    # fifth (1 MHz); a filter at shift -0.0 meets a detuning of +-0.0
+    PROFILES = (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6), AbsorptionProfile(0.0, 6.7),
+                AbsorptionProfile(0.85, 6.7, -0.0, 0.9), AbsorptionProfile(5.0, 1.0))
+
+    def check(self, drives, counts, step):
         deltas = [d.delta for d in drives]
         stack = sample_spectrum(drives, counts, step)
         ref = reference_stack(drives, counts, step)
-        # the model grid of the first three filters, and the gamma/40 grid
-        # of the fourth (1 MHz)
-        for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6),
-                     AbsorptionProfile(0.0, 6.7), AbsorptionProfile(5.0, 1.0)):
+        for prof in self.PROFILES:
             value, jac = filtered_counts(stack, deltas, prof, gradient=True)
             ref_value, ref_jac = reference_counts(ref, deltas, prof, gradient=True)
             np.testing.assert_array_equal(value, ref_value)
@@ -375,9 +372,37 @@ class TestReferenceArithmetic:
             if (GAMMA / 40.0 if step is None else step) == model_step(GAMMA, prof):
                 np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                               ref_value)
-        # and the filter leaves the stack as sampled
+        # and the value and gradient calls leave the stack as sampled
         for got, expected in zip(stack, ref):
             np.testing.assert_array_equal(got, expected)
+
+    @STEPS
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17, 21, 45])
+    def test_counts_and_jacobian_bit_for_bit(self, rows, step):
+        rng = np.random.default_rng(rows)
+        drives = [DriveParams(s0, d) for s0, d in
+                  zip(rng.uniform(0.05, 8.0, rows), rng.uniform(-30.0, 30.0, rows))]
+        self.check(drives, rng.uniform(1.0, 3000.0, rows), step)
+
+    @STEPS
+    @pytest.mark.parametrize("rows", [2, 8, 21, 45])
+    @pytest.mark.parametrize("shared", [[0.0], [-7.25], [0.0, -0.0]],
+                             ids=["zero", "detuned", "signed_zeros"])
+    def test_shared_detuning_bit_for_bit(self, rows, step, shared):
+        # rows of one detuning (a power scan) share one transmission row
+        rng = np.random.default_rng(100 + rows)
+        drives = [DriveParams(s0, shared[i % len(shared)])
+                  for i, s0 in enumerate(rng.uniform(0.05, 8.0, rows))]
+        self.check(drives, rng.uniform(1.0, 3000.0, rows), step)
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_zero_row_stack_gives_empty_counts(self, gradient):
+        offsets = sample_spectrum([DriveParams(1.0)]).offsets
+        stack = SpectrumStack(offsets, np.empty((0, len(offsets))), np.empty(0))
+        got = filtered_counts(stack, [], FITTED, gradient=gradient)
+        counts, jac = got if gradient else (got, np.empty((0, 4)))
+        assert counts.dtype == float and counts.shape == (0,)
+        assert jac.dtype == float and jac.shape == (0, 4)
 
 
 class TestCascadedCountsBoundaries:
@@ -651,10 +676,12 @@ class TestFilteredCounts:
     @pytest.mark.parametrize("gradient", [False, True])
     def test_non_finite_detuning_rejected(self, bad, gradient):
         # a NaN detuning gave a NaN count and an infinite one the count of
-        # an absent filter (path_efficiency x count)
-        deltas = [0.0, bad, 3.0, math.nan, 7.0]
-        with pytest.raises(ValueError, match=f"detuning must be finite, got {bad}$"):
-            filtered_counts(stack_of(self.spectra(0.4)), deltas, FITTED, gradient=gradient)
+        # an absent filter (path_efficiency x count); rows that all share
+        # the bad detuning are refused too
+        specs = self.spectra(0.4)
+        for deltas in ([0.0, bad, 3.0, math.nan, 7.0], [bad] * len(specs)):
+            with pytest.raises(ValueError, match=f"detuning must be finite, got {bad}$"):
+                filtered_counts(stack_of(specs), deltas, FITTED, gradient=gradient)
 
 
 def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):

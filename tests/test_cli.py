@@ -527,9 +527,11 @@ class TestFitCommand:
             "error: degenerate fit: 0 of 3 bootstrap refits succeeded\n")
         assert not (tmp_path / "fit_report.csv").exists()
 
-    def test_cascade_fit_via_files(self, tmp_path):
+    @pytest.fixture
+    def power_scan(self, tmp_path):
+        """An 8-point noiseless power scan through the reference filter, as
+        the --original and --cascaded arguments of its series files."""
         from cascfluor.fit import cascade_model_counts
-        from cascfluor.spectrum import DriveParams
 
         ladder = np.geomspace(0.25, 4.0, 8)
         n_orig = 1000.0 * ladder / (1 + ladder)
@@ -538,11 +540,11 @@ class TestFitCommand:
         )
         write_series(tmp_path / "orig.csv", DataSeries(ladder, n_orig))
         write_series(tmp_path / "casc.csv", DataSeries(ladder, model))
-        code = run([
-            "fit", "cascade", "--original", tmp_path / "orig.csv",
-            "--cascaded", tmp_path / "casc.csv", "--scan", "power",
-            "--fix-shift", 0.0, "--fix-efficiency", 0.9, "--out", tmp_path,
-        ])
+        return ["--original", tmp_path / "orig.csv", "--cascaded", tmp_path / "casc.csv"]
+
+    def test_cascade_fit_via_files(self, tmp_path, power_scan):
+        code = run(["fit", "cascade", *power_scan, "--scan", "power",
+                    "--fix-shift", 0.0, "--fix-efficiency", 0.9, "--out", tmp_path])
         assert code == 0
         report = read_report_csv(tmp_path / "fit_report.csv")
         assert report.params["width"] == pytest.approx(6.7, rel=1e-4)
@@ -570,6 +572,19 @@ class TestFitCommand:
                     "--cascaded", tmp_path / "casc.csv", "--scan", "power", "--s0", 1,
                     "--out", out]) == 2
         assert "s0 is only for scan='detuning'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cascade_negative_seed_is_usage_error(self, tmp_path, capsys, power_scan):
+        out = tmp_path / "out"
+        assert run(["fit", "cascade", *power_scan, "--seed", -1, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_cascade_repeated_failure_is_named_once(self, tmp_path, capsys, power_scan):
+        out = tmp_path / "out"
+        assert run(["fit", "cascade", *power_scan, "--fix-shift", 1e308, "--out", out]) == 5
+        assert capsys.readouterr().err == (
+            "error: degenerate fit: singular normal matrix (5 of 5 starts)\n")
         assert not out.exists()
 
 
@@ -604,6 +619,14 @@ class TestReproduce:
         out = tmp_path / "out"
         assert run(["reproduce", "fig4b", "--seed", seed, "--out", out]) == 2
         assert capsys.readouterr().err == "error: --seed is not for fig4b, which draws no noise\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4a", "fig5a", "fig5b"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, figure):
+        # refused before the output directory is made
+        out = tmp_path / "out"
+        assert run(["reproduce", figure, "--seed", -1, "--out", out]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
         assert not out.exists()
 
     def test_default_seed_is_1(self, tmp_path):

@@ -1,6 +1,7 @@
 """Fit engine oracles and the analysis pipelines."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -885,11 +886,27 @@ class TestFitCascade:
     def test_every_start_degenerate(self):
         # no absorption with the width pinned leaves the shift unidentified,
         # and there is no fallback for the shift
+        # the message names each distinct failure once, with its count
         original, cascaded = self.synth_power_scan(alpha=0.0)
         with pytest.raises(DegenerateFitError,
-                           match="^singular normal matrix(; singular normal matrix"
-                                 "( at the optimum)?){4}$"):
+                           match=r"^singular normal matrix \((\d) of 5 starts\)"
+                                 r"(; singular normal matrix at the optimum \((\d) of 5 starts\))?$"
+                           ) as info:
             fit_cascade(original, cascaded, scan="power", fix_width=6.7, fix_efficiency=0.9)
+        assert sum(map(int, re.findall(r"\((\d) of", str(info.value)))) == 5
+
+    def test_repeated_failure_is_named_once_with_its_count(self):
+        # an enormous fixed shift leaves every start's normal matrix singular
+        original, cascaded = self.synth_power_scan(noise=0.03, seed=3)
+        with pytest.raises(DegenerateFitError,
+                           match=r"^singular normal matrix \(5 of 5 starts\)$"):
+            fit_cascade(original, cascaded, scan="power", fix_shift=1e308)
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70)])
+    def test_negative_seed_rejected(self, seed):
+        original, cascaded = self.synth_power_scan()
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            fit_cascade(original, cascaded, seed=seed)
 
     def test_mismatched_abscissae_rejected(self):
         a = DataSeries(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))

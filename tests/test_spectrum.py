@@ -13,6 +13,7 @@ from cascfluor.spectrum import (
     NormalizationError,
     _check_offsets,
     _check_spectrum,
+    _quadrature,
     _weights,
     detuned_saturation,
     elastic_weight,
@@ -292,6 +293,27 @@ class TestGregoryWeights:
         for k in range(8):
             got = np.add.reduce(offsets ** k * weights)
             assert got == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0.0), k
+
+    def test_one_read_only_array_per_grid(self):
+        # the weights are a view of the grid's memoized quadrature, whose
+        # last weight is the elastic line's
+        offsets = sample_spectrum([DriveParams(1.0)], grid_step=STEP_20).offsets
+        quadrature = _quadrature(float(offsets[1] - offsets[0]), len(offsets))
+        weights = _weights(offsets)
+        np.testing.assert_array_equal(quadrature, np.append(gregory_weights(offsets), 1.0))
+        assert np.shares_memory(weights, quadrature) and len(weights) == len(offsets)
+        assert _weights(offsets.copy()).base is quadrature
+        for array in (quadrature, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_memo_is_bounded(self):
+        maxsize = _quadrature.cache_info().maxsize
+        assert 1 <= maxsize < math.inf
+        for points in range(16, 16 + 2 * maxsize):
+            _weights(np.linspace(0.0, 1.0, points))
+        assert _quadrature.cache_info().currsize == maxsize
 
 
 class TestNormalization:
