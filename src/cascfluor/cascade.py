@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Drives, SpectrumStack, _as_drives, _grid, _quadrature, sample_spectrum
+from .spectrum import (Drives, SpectrumStack, _as_drives, _first_bad_count, _quadrature, _sample,
+                       _sampling_grid)
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
@@ -22,15 +23,18 @@ DEFAULT_PATH_EFFICIENCY = 0.9
 # cascaded_counts samples and filters at most this many grid values (points x
 # grid) at a time: from 45 rows of the 281-point grid of filters at least a
 # linewidth wide to 16 rows of the 801-point grid of filters narrower than
-# about 1.8 MHz. Their (rows, grid + 1) arrays of about 100 KiB stay under
-# glibc's initial 128 KiB mmap threshold. Larger arrays are mapped and
-# faulted in afresh while a process has not raised it: on the 801-point grid
-# a 121-point detuning scan in a fresh process took 3.1 ms and 0 minor
-# faults at 16 rows, 4.1 ms at 8, 4.7 ms and 1032 faults at 40 and 5.1 ms
-# and 1452 faults at 121 (medians of four processes' medians of 200 calls,
-# 2-vCPU Xeon, numpy 2.4). On the 281-point grid at 45 rows it took 0 or
-# 109-184 faults, varying between processes of the same code, and 1.0-2.1
-# ms either way.
+# about 1.8 MHz. A call allocates three flat buffers of at most (rows, grid +
+# 1) values and reuses them for every stack: 101,520 bytes each at 45 x 282
+# and 102,656 at 16 x 802 (T's is one row when every drive shares one
+# detuning), under glibc's initial 128 KiB mmap threshold. Larger arrays are
+# mapped and faulted in afresh while a process has not raised it: when each
+# stack allocated its arrays, a 121-point detuning scan on the 801-point
+# grid in a fresh process took 0 minor faults at 16 rows, 1032 at 40 and
+# 1452 at 121. With the buffers, the four 121-point scans of the benchmark's
+# scan op (281 points) took 0 faults in 300 loops in each of three fresh
+# processes (2.5-4.4 ms per loop), and 0 per op with the harness's
+# calibration kernel between ops, where allocating each stack's arrays took
+# 399 per op (three processes each; 2-vCPU Xeon, numpy 2.4).
 STACK_VALUES = 12_816
 
 
@@ -80,8 +84,9 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     transmission, by the end-corrected trapezoid of spectrum._weights (the
     grid's memoized spectrum._quadrature, whose last weight 1.0 is the
     elastic line's), plus the attenuated elastic weight, so a row comes
-    out bit for bit as it would alone. With
-    gradient=True, also returns the (n, 4) closed-form derivatives of the
+    out bit for bit as it would alone. _transmission and _counts, the
+    kernels cascaded_counts runs in buffers it reuses, compute them here on
+    fresh arrays. With gradient=True, also returns the (n, 4) closed-form derivatives of the
     counts with respect to (width, alpha, shift, path_efficiency), from the
     same arrays: dT/dalpha = -L T, dT/dwidth = -alpha T 8 u^2 L^2 / width,
     dT/dshift = -alpha T 8 u L^2 / width and dT/dpath_efficiency =
@@ -103,13 +108,11 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
             # one u, L and T row, broadcast into every row product
             rows = detunings[:1]
     axis = np.concatenate((offsets, (0.0,)))
-    u = np.subtract(axis, np.subtract(prof.shift, rows)[:, None])
-    u /= prof.width
-    lor = 1.0 / (1.0 + 4.0 * u ** 2)
-    trans = prof.path_efficiency * np.exp(-prof.alpha * lor)
     weights = _quadrature(float(offsets[1] - offsets[0]), len(offsets))
-    counts = (np.add.reduce(density * trans[:, :-1] * weights[:-1], axis=-1)
-              + elastic * trans[:, -1])
+    trans = np.empty((len(rows), len(axis)))
+    u, lor = (np.empty_like(trans), np.empty_like(trans)) if gradient else (trans, trans)
+    _transmission(axis, np.subtract(prof.shift, rows), prof, u, lor, trans)
+    counts = _counts(stack, trans, weights, np.empty(density.shape))
     if not gradient:
         return counts
     # minus the integrand of d/dalpha, density (elastic weight) times L T,
@@ -128,6 +131,37 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
     np.multiply(k, np.multiply(g, u, out=g) @ weights, out=jac[:, 0])
     np.divide(counts, prof.path_efficiency, out=jac[:, 3])
     return counts, jac
+
+
+def _transmission(axis, centers, prof: AbsorptionProfile, u, lor, trans) -> None:
+    """u = (axis - center) / width, L = 1 / (1 + 4 u^2) and the transmission
+    T = path_efficiency * exp(-alpha L) of one row per filter center,
+    written into u, lor and trans, (len(centers), len(axis)) arrays in the
+    order of operations of those expressions; one array may stand for all
+    three when only T is wanted. A center is shift - detuning on the
+    spectrum's laser-relative axis."""
+    np.subtract(axis, centers[:, None], out=u)
+    u /= prof.width
+    # what u ** 2 computes
+    np.square(u, out=lor)
+    lor *= 4.0
+    lor += 1.0
+    np.divide(1.0, lor, out=lor)
+    np.multiply(-prof.alpha, lor, out=trans)
+    np.exp(trans, out=trans)
+    trans *= prof.path_efficiency
+
+
+def _counts(stack: SpectrumStack, trans, weights, work) -> np.ndarray:
+    """Cascaded count of each row of stack: the integral of density * T by
+    the grid's quadrature (weights, whose last weight 1.0 is the elastic
+    line's) plus the elastic weight times T at omega = 0, for trans from
+    _transmission, one row per spectrum or one row for all. work is an
+    array of the density's shape; each row is summed on its own
+    (np.add.reduce), so it comes out bit for bit as it would alone."""
+    np.multiply(stack.density, trans[:, :-1], out=work)
+    work *= weights[:-1]
+    return np.add.reduce(work, axis=-1) + stack.elastic * trans[:, -1]
 
 
 def _model_step(gamma: float, width: float) -> float:
@@ -152,13 +186,18 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     spectrum._weights: its count is bit for bit
     filtered_counts(sample_spectrum([drive], [count], step), [delta], prof)
     alone. The drive arrays are cut where the linewidth changes, and each
-    run of one linewidth into chunks of at most STACK_VALUES grid values;
-    each chunk goes through sample_spectrum and filtered_counts as one
-    stack. Against adaptive quadrature the largest ratio error is 2.4e-14
-    for filters of 2 MHz or wider (README, "Model grid"), the
-    rounding of the float arithmetic rather than the quadrature's; a
-    narrower filter is sampled at gamma/40 and resolved worse (1.7e-12 at
-    1 MHz, 1e-7 at 0.5 MHz).
+    run of one linewidth into chunks of at most STACK_VALUES grid values.
+    A run builds its grid, filter axis and quadrature once, and the counts
+    are checked once per call; each chunk is sampled (spectrum._sample) and
+    filtered (_transmission and _counts) as one stack, in place in three
+    flat buffers of at most (rows, grid + 1) values that the call reuses,
+    with the drive terms computed per chunk. The first drive whose count
+    is not finite and > 0, or whose spectrum has no weight, raises.
+    Against adaptive quadrature the largest ratio error is 2.4e-14 for
+    filters of 2 MHz or wider (README, "Model grid"), the rounding of the
+    float arithmetic rather than the quadrature's; a narrower filter is
+    sampled at gamma/40 and resolved worse (1.7e-12 at 1 MHz, 1e-7 at 0.5
+    MHz).
     """
     drives = _as_drives(drives)
     counts = np.fromiter(original_counts, dtype=float)
@@ -168,17 +207,35 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     out = np.empty(n)
     if not n:
         return out
-    gammas = drives.gamma
+    bad = _first_bad_count(counts)
+    gammas, deltas = drives.gamma, drives.delta
     cuts = (np.flatnonzero(gammas[1:] != gammas[:-1]) + 1).tolist()
+    # the densities, the work of _sample and _counts, and T: flat buffers
+    # kept from run to run, grown when a run needs more
+    buffers = [np.empty(0)] * 3
     for start, stop in zip([0, *cuts], [*cuts, n]):
         gamma = float(gammas[start])
-        step = _model_step(gamma, prof.width)
-        rows = STACK_VALUES // (2 * _grid(gamma, 10.0, step)[1] + 1)
+        offsets, x2 = _sampling_grid(gamma, 10.0, _model_step(gamma, prof.width))
+        grid = len(offsets)
+        axis = np.concatenate((offsets, (0.0,)))
+        weights = _quadrature(float(offsets[1] - offsets[0]), grid)
+        rows = STACK_VALUES // grid
+        # one row of T when every drive of the run shares its detuning
+        shared = deltas[start:stop].min() == deltas[start:stop].max()
+        block = min(rows, stop - start) * (grid + 1)
+        buffers = [b if len(b) >= size else np.empty(size) for b, size in
+                   zip(buffers, (block, block, grid + 1 if shared else block))]
+        flat_density, work, flat_trans = buffers
         for lo in range(start, stop, rows):
             run = slice(lo, min(lo + rows, stop))
-            chunk = Drives(*(a[run] for a in drives))
-            out[run] = filtered_counts(sample_spectrum(chunk, counts[run], step),
-                                       chunk.delta, prof)
+            m = run.stop - lo
+            density = flat_density[:m * grid].reshape(m, grid)
+            elastic = _sample(x2, weights[:-1], drives, run, counts, bad, density, work)
+            centers = np.subtract(prof.shift, deltas[lo:lo + 1] if shared else deltas[run])
+            trans = flat_trans[:len(centers) * (grid + 1)].reshape(-1, grid + 1)
+            _transmission(axis, centers, prof, trans, trans, trans)
+            out[run] = _counts(SpectrumStack(offsets, density, elastic), trans, weights,
+                               work[:m * grid].reshape(m, grid))
     return out
 
 

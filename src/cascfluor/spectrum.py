@@ -178,23 +178,11 @@ def _weights(offsets):
     return _quadrature(float(offsets[1] - offsets[0]), len(offsets))[:-1]
 
 
-def _normalize(weights, density, elastic, original_counts):
-    """Density rows and elastic weights rescaled in place by one factor per
-    row so that each row's integral plus its elastic weight equals its
-    count."""
-    counts = np.asarray(original_counts, dtype=float)
-    if counts.shape != elastic.shape:
-        raise ValueError(f"{len(elastic)} drives need as many counts, "
-                         f"got shape {counts.shape}")
-    bad = ~(np.isfinite(counts) & (counts > 0))
-    if bad.any():
-        raise ValueError(f"photon count must be finite and > 0, got {counts[bad][0]}")
-    total = np.add.reduce(density * weights, axis=-1) + elastic
-    if np.any(total <= 0.0):
-        raise NormalizationError("spectrum has zero total weight")
-    factor = counts / total
-    density *= factor[:, None]
-    elastic *= factor
+def _first_bad_count(counts) -> int:
+    """Index of the first photon count that is not finite and > 0, or
+    len(counts) when there is none."""
+    ok = np.isfinite(counts) & (counts > 0)
+    return len(ok) if ok.all() else int(np.argmin(ok))
 
 
 def excited_state_population(s0: float) -> float:
@@ -247,13 +235,23 @@ def elastic_weight(s: float) -> float:
     return _elastic(s)
 
 
-def _mollow(x2, s0, d2, scale):
+def _mollow(x2, s0, d2, scale, out, work):
     """The Mollow density at x2 = (omega/gamma)^2 for s0 and the terms d2
-    and scale of _drive_terms; they broadcast against x2, as scalars or as
-    (n, 1) columns."""
-    b1 = 0.25 + s0 / 4.0 + d2 - 2.0 * x2
-    b2 = 1.25 + s0 / 2.0 + d2 - x2
-    return (1.0 + s0 / 4.0 + x2) * scale / (b1 * b1 + x2 * b2 * b2)
+    and scale of _drive_terms, written into out: s0, d2 and scale broadcast
+    against x2, as scalars or as (n, 1) columns, into out's shape, and work
+    is a pair of arrays of that shape. The brackets b1 and b2 and the
+    products are those of (1 + s0/4 + x2) scale / (b1 b1 + x2 b2 b2), each
+    rounded as that expression rounds it; the numerator is formed last."""
+    den, scratch = work
+    np.subtract(0.25 + s0 / 4.0 + d2, 2.0 * x2, out=den)
+    b2 = np.subtract(1.25 + s0 / 2.0 + d2, x2, out=out)
+    den *= den
+    np.multiply(x2, b2, out=scratch)
+    scratch *= b2
+    den += scratch
+    num = np.add(1.0 + s0 / 4.0, x2, out=scratch)
+    num *= scale
+    np.divide(num, den, out=out)
 
 
 def mollow_density(omega, p: DriveParams):
@@ -276,7 +274,9 @@ def mollow_density(omega, p: DriveParams):
         return np.zeros_like(omega)
     x = omega / p.gamma
     d2, _, scale, _ = _drive_terms(p.s0, p.delta, p.gamma)
-    return _mollow(x * x, p.s0, d2, scale)
+    out = np.empty(omega.shape)
+    _mollow(x * x, p.s0, d2, scale, out, (np.empty(omega.shape), np.empty(omega.shape)))
+    return out if out.ndim else out[()]
 
 
 def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[float, int]:
@@ -305,6 +305,64 @@ def _grid(gamma: float, grid_span: float, grid_step: float | None) -> tuple[floa
     return step, half
 
 
+def _sampling_grid(gamma: float, grid_span: float, grid_step: float | None):
+    """_grid's offsets, checked by _check_offsets, and x2 = (offsets /
+    gamma)^2 on their omega >= 0 half."""
+    step, half = _grid(gamma, grid_span, grid_step)
+    offsets = step * np.arange(-half, half + 1)
+    _check_offsets(offsets)
+    x = offsets[half:] / gamma
+    return offsets, x * x
+
+
+def _sample(x2, weights, drives: Drives, run: slice, counts, bad: int, density, work):
+    """Spectra of the drives in run, which share one linewidth, written in
+    place into density, an (n, grid) array: x2 is _sampling_grid's half-grid
+    (omega/gamma)^2 and work a flat array of at least n * (grid + 1) floats.
+    Each row is _mollow on the omega >= 0 half, mirrored onto the other half
+    (the grid is symmetric to the last bit and the density depends on
+    omega only through x2). Given the counts of all the drives, with bad
+    the index of the first that is not finite and > 0 (or len(counts)),
+    each row is rescaled by one factor so that its integral (weights, the
+    grid's _weights) plus its elastic weight equals its count; the first
+    drive in drive order whose count is bad or whose spectrum has no
+    weight raises, named by its index in drives. Returns the (n,) elastic
+    weights."""
+    s0, delta, gammas = (a[run] for a in drives)
+    n, grid = density.shape
+    half = grid // 2
+    d2, _, scale, elastic = _drive_terms(s0, delta, float(gammas[0]))
+    # the half-grid rows and a bracket in work, and _mollow's other scratch
+    # array in density's first values: contiguous arrays, which numpy
+    # computes on about twice as fast as on density's right half
+    half_rows, den = work[:2 * n * (half + 1)].reshape(2, n, half + 1)
+    scratch = density.reshape(-1)[:half_rows.size].reshape(half_rows.shape)
+    _mollow(x2, s0[:, None], d2[:, None], scale[:, None], half_rows, (den, scratch))
+    density[:, half:] = half_rows
+    density[:, :half] = half_rows[:, :0:-1]
+    if counts is not None:
+        total = np.add.reduce(
+            np.multiply(density, weights, out=work[:density.size].reshape(n, grid)),
+            axis=-1) + elastic
+        # rows before the first bad count, in which a zero weight comes first
+        upto = min(bad - run.start, n)
+        zero = total[:upto] <= 0.0
+        if zero.any():
+            i = int(np.argmax(zero))
+            raise NormalizationError(
+                f"spectrum has zero total weight at drive {run.start + i} "
+                f"(s0={float(s0[i])!r}, delta={float(delta[i])!r})")
+        if upto < n:
+            raise ValueError(f"photon count must be finite and > 0, got {counts[bad]}")
+        factor = counts[run] / total
+        density *= factor[:, None]
+        elastic *= factor
+    # rescaling keeps a raw value non-finite; the left half mirrors the
+    # right, and the whole contiguous array is quicker to scan than a half
+    _check_spectrum(density, elastic)
+    return elastic
+
+
 def sample_spectrum(drives, original_counts=None, grid_step: float | None = None,
                     grid_span: float = 10.0) -> SpectrumStack:
     """Emission spectra of drives that share one linewidth, as one stack.
@@ -320,29 +378,28 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
     needs 16), and at most MAX_GRID_POINTS. Row i is mollow_density on
     the grid with elastic weight
     elastic_weight(detuned_saturation(drive i)), the same expressions
-    (_drive_terms) evaluated once on the drive arrays. Given
+    (_drive_terms and _mollow) evaluated once on the drive arrays. Given
     original_counts, row i is rescaled by one factor so that its integral
     (_weights' end-corrected trapezoid) plus its elastic weight equals
-    original_counts[i]. The density of every row comes from one broadcast
-    over the omega >= 0 half of the grid, mirrored: the grid is symmetric
-    to the last bit and the density depends on omega only through
-    (omega/gamma)^2. The arrays are fresh on every call.
+    original_counts[i]; the first drive whose count is not finite and > 0,
+    or whose spectrum has no weight, raises. _sample writes the rows; the
+    arrays are fresh on every call.
     """
-    s0, delta, gammas = _as_drives(drives)
-    if not len(s0):
+    drives = _as_drives(drives)
+    n = len(drives.s0)
+    if not n:
         raise ValueError("a spectrum stack needs at least one drive")
-    gamma = float(gammas[0])
-    if np.any(gammas != gamma):
+    gamma = float(drives.gamma[0])
+    if np.any(drives.gamma != gamma):
         raise ValueError("the drives of one spectrum stack must share one linewidth")
-    step, half = _grid(gamma, grid_span, grid_step)
-    offsets = step * np.arange(-half, half + 1)
-    _check_offsets(offsets)
-    x = offsets[half:] / gamma
-    d2, _, scale, elastic = _drive_terms(s0, delta, gamma)
-    right = _mollow(x * x, s0[:, None], d2[:, None], scale[:, None])
-    density = np.concatenate((right[:, :0:-1], right), axis=1)
+    offsets, x2 = _sampling_grid(gamma, grid_span, grid_step)
+    counts, weights, bad = None, None, n
     if original_counts is not None:
-        _normalize(_weights(offsets), density, elastic, original_counts)
-    # rescaling keeps a raw value non-finite; the left half mirrors the right
-    _check_spectrum(density[:, half:], elastic)
+        counts = np.asarray(original_counts, dtype=float)
+        if counts.shape != (n,):
+            raise ValueError(f"{n} drives need as many counts, got shape {counts.shape}")
+        weights, bad = _weights(offsets), _first_bad_count(counts)
+    density = np.empty((n, len(offsets)))
+    elastic = _sample(x2, weights, drives, slice(0, n), counts, bad, density,
+                      np.empty(density.size + n))
     return SpectrumStack(offsets, density, elastic)

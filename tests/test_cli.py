@@ -415,6 +415,34 @@ class TestRatioCommand:
         assert not any(tmp_path.iterdir())
 
 
+class TestModelInputBoundaries:
+    @pytest.mark.parametrize("args, message", [
+        (["ratio", "--scan", "power", "--start", 0], "at drive 0 (s0=0.0, delta=0.0)"),
+        (["cascade", "--s0", 0], "at drive 0 (s0=0.0, delta=0.0)"),
+        (["ratio", "--s0", 0], "at drive 0 (s0=0.0, delta=-30.0)"),
+        (["spectrum", "--s0", 0, "--counts", 100], "at drive 0 (s0=0.0, delta=0.0)"),
+    ], ids=["power_scan_from_0", "cascade", "detuning_scan", "spectrum"])
+    def test_zero_weight_names_the_drive(self, tmp_path, capsys, args, message):
+        assert run([*args, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: spectrum has zero total weight {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["ratio", "--s0", "1e308"], ["ratio", "--gamma", "1e-300"],
+        ["ratio", "--gamma", "1e300"], ["ratio", "--shift", "1e308"],
+        ["cascade", "--s0", "1", "--width", "1e-300"], ["cascade", "--s0", "1", "--counts", "1e308"],
+        ["cascade", "--s0", "1", "--delta", "1e308"], ["spectrum", "--s0", "1e308"],
+    ], ids=lambda args: "_".join(a.lstrip("-") for a in args))
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, args):
+        # finite inputs whose arithmetic overflows the model under main's
+        # np.errstate(raise): a usage error on one line, no traceback
+        assert run([*args, "--out", tmp_path / "out"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestFitCommand:
     def test_noiseless_lorentzian(self, tmp_path, capsys):
         x = np.linspace(-30, 30, 61)

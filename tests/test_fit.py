@@ -755,15 +755,19 @@ class TestFitCascade:
         # the candidates it evaluates, and never through the cascade model's
         # own sampling
         original, cascaded = self.synth_power_scan(alpha=alpha)
-        sampled = {"fit.sample_spectrum": [], "cascade.sample_spectrum": []}
-        for key in sampled:
-            module, name = key.split(".")
-            module = getattr(cascfluor, module)
+        sampled = {"fit.sample_spectrum": [], "cascade._sample": []}
+        real_sample_spectrum, real_sample = cascfluor.fit.sample_spectrum, cascfluor.cascade._sample
 
-            def counted(drives, counts, step, _key=key, _real=getattr(module, name)):
-                sampled[_key].append(step)
-                return _real(drives, counts, step)
-            monkeypatch.setattr(module, name, counted)
+        def counted(drives, counts, step):
+            sampled["fit.sample_spectrum"].append(step)
+            return real_sample_spectrum(drives, counts, step)
+
+        def counted_stack(*args):
+            # cascaded_counts' own per-stack sampler
+            sampled["cascade._sample"].append(args)
+            return real_sample(*args)
+        monkeypatch.setattr(cascfluor.fit, "sample_spectrum", counted)
+        monkeypatch.setattr(cascfluor.cascade, "_sample", counted_stack)
         monkeypatch.setattr(cascfluor.fit, "N_STARTS", n_starts)
         evaluated = self.record_evaluations(monkeypatch)
         res = fit_cascade(original, cascaded, scan="power", fix_shift=0.0,
@@ -771,7 +775,7 @@ class TestFitCascade:
         assert res.converged
         steps = [_model_step(DEFAULT_GAMMA_MHZ, prof.width) for prof, _ in evaluated]
         assert sorted(sampled["fit.sample_spectrum"]) == sorted(set(steps))
-        assert sampled["cascade.sample_spectrum"] == []
+        assert sampled["cascade._sample"] == []
 
     def test_detuning_fit_filters_once_per_evaluation(self, monkeypatch):
         # each candidate the engine evaluates is one filtered_counts call

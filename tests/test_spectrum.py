@@ -356,6 +356,25 @@ class TestNormalization:
         with pytest.raises(NormalizationError):
             sample_spectrum([DriveParams(0.0)], [100.0])
 
+    def test_zero_weight_names_the_first_such_drive(self):
+        drives = [DriveParams(2.5), DriveParams(0.0, 3.0), DriveParams(0.0, -7.5)]
+        with pytest.raises(NormalizationError,
+                           match=re.escape("zero total weight at drive 1 (s0=0.0, delta=3.0)")):
+            sample_spectrum(drives, [100.0] * 3)
+
+    @pytest.mark.parametrize("counts, error, message", [
+        # a weight before a bad count, a bad count before a weight
+        ([1.0, 1.0, 0.0, 1.0], NormalizationError, "zero total weight at drive 1 "),
+        ([1.0, math.nan, 1.0, 1.0], ValueError, "photon count must be finite and > 0, got nan"),
+        # both at one drive: the count is checked first
+        ([1.0, -1.0, 1.0, 1.0], ValueError, "photon count must be finite and > 0, got -1.0"),
+    ], ids=["weight_first", "count_first", "same_drive"])
+    def test_first_bad_drive_in_drive_order_raises(self, counts, error, message):
+        drives = [DriveParams(2.5), DriveParams(0.0), DriveParams(0.4), DriveParams(0.0, 1.0)]
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            sample_spectrum(drives, counts)
+        assert info.type is error
+
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):
             sample_spectrum([DriveParams(1.0)], [0.0])
