@@ -48,18 +48,26 @@ def cmd_simulate(args) -> int:
     cfg = timetag.read_config(args.config) if args.config else timetag.RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    # joined as int64 words: np.concatenate of structured arrays is far slower
-    tags = np.concatenate([timetag.simulate_run(cfg, run_id).view(np.int64)
-                           for run_id in range(cfg.runs)]).view(timetag.TIMETAG_DTYPE)
     bin_ns = args.bin if args.bin is not None else cfg.tick
-    hist = timetag.histogram(tags, bin_ns, cfg)
-    original, cascaded_n = timetag.window_counts(hist, cfg)
+    # the bin and the windows are checked before any file is opened
+    hist = timetag.histogram(np.empty(0, timetag.TIMETAG_DTYPE), bin_ns, cfg)
+    timetag.window_counts(hist, cfg)
+    counts = hist.counts  # the running total: integer sums, so exact
+
+    def runs():
+        # each run is drawn, histogrammed and written before the next
+        for run_id in range(cfg.runs):
+            tags = timetag.simulate_run(cfg, run_id)
+            np.add(counts, timetag.histogram(tags, bin_ns, cfg).counts, out=counts)
+            yield tags
+
     out = _out_dir(args)
-    timetag.write_timetags(out / "timetags.csv", tags)
+    timetag.write_timetags(out / "timetags.csv", runs())
+    original, cascaded_n = timetag.window_counts(hist, cfg)
     write_table(out / "histogram.csv", {"bin_start_ns": hist.bin_starts, "count": hist.counts},
                 meta={"bin_ns": hist.bin_ns, "period_ns": hist.period_ns})
     ratio = cascaded_n / original if original else math.nan
-    print(f"runs: {cfg.runs}  photons: {len(tags)}")
+    print(f"runs: {cfg.runs}  photons: {counts.sum()}")
     print(f"original window: {original}  cascaded window: {cascaded_n}  "
           f"ratio: {ratio:.4f}")
     return 0

@@ -32,6 +32,10 @@ MAX_CONDITION = 1e14
 N_STARTS = 5
 # a later fit_cascade start wins only if it lowers the residual norm by more
 START_TIE_RTOL = 1e-12
+# most bootstrap refits of one fit: a Lorentzian refit of 41 points takes
+# about 0.22 ms (2-vCPU host, numpy 2.4), so about 22 s at the limit, and
+# the refits' parameters take 8 bytes each
+MAX_BOOTSTRAP = 100_000
 # floor of the sum of squares that a relative drop is taken against
 _TINY = np.finfo(float).tiny
 
@@ -106,7 +110,8 @@ def least_squares(
     Uncertainties come from the diagonal of the inverse weighted normal
     matrix scaled by the reduced chi-square; pass bootstrap=B > 0 to
     replace them with the parameter spread over B residual-resampling
-    refits, drawn from a generator with the fixed seed 0. A singular normal
+    refits, drawn from a generator with the fixed seed 0; B above
+    MAX_BOOTSTRAP raises ValueError before any refit. A singular normal
     matrix raises DegenerateFitError, and fewer than two non-degenerate
     refits BootstrapError, its subclass; a non-finite initial sum of squares
     raises ValueError. A candidate with non-finite values or Jacobian halves
@@ -123,6 +128,9 @@ def least_squares(
     if bootstrap < 0 or bootstrap == 1:
         # one refit has no spread
         raise ValueError(f"bootstrap must be 0 or >= 2, got {bootstrap}")
+    if bootstrap > MAX_BOOTSTRAP:
+        raise ValueError(f"bootstrap must be at most MAX_BOOTSTRAP = {MAX_BOOTSTRAP}, "
+                         f"got {bootstrap}")
     if bounds is None:
         bounds = [(-np.inf, np.inf)] * n_par
     lo, hi = np.array(bounds, dtype=float).T

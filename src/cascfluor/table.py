@@ -13,7 +13,10 @@ package reads or writes is opened here, the run configuration too. A file
 read may end its lines in LF, CRLF or CR, and every reader names the first
 bad line, whatever is wrong with it, bytes that are not UTF-8 included.
 Every write formats bytes and goes through one binary write, so lines end
-in LF alone on every platform.
+in LF alone on every platform. Numeric tables have one writer,
+write_blocks: it takes the rows as an iterable of column blocks, which may
+be drawn as they are written, and formats them _WRITE_BLOCK_ROWS at a
+time; write_table is its one-block case.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ import warnings
 
 import numpy as np
 
-# Rows formatted per write. A block of the default time tags peaks at about
-# 0.5 MB (tracemalloc): 8192 rows of 11 text cells and 11 mask cells, each
-# column's int64 copy and 32-bit digits, and the kept text; a block of
-# three int64 columns of 20 digits and a sign at about 2.4 MB. Formatting
-# all 180,000 rows of the default acquisition in one pass was slower, as
-# every large array is faulted in afresh.
+# Rows formatted at a time: a write gathers the rows of consecutive column
+# blocks, such as the 1500-row runs of an acquisition, and slices a larger
+# block, to this many. Writing the default acquisition's 120 runs took
+# 13 ms and peaked at 0.8 MB (tracemalloc) in blocks of 8192 rows, 24 ms
+# and 0.15 MB run by run, and 12-14 ms but 1.6-3.1 MB in blocks of 16,384
+# and 32,768 rows (2-vCPU host, numpy 2.4); formatting all 180,000 rows in
+# one pass was slower still, as every large array is faulted in afresh. A
+# block of three int64 columns of 20 digits and a sign peaks at about 2.4 MB.
 _WRITE_BLOCK_ROWS = 8192
 
 
@@ -166,26 +171,58 @@ def write_rows(path, columns, rows) -> None:
 
 
 def write_table(path, columns: dict, meta: dict | None = None) -> None:
-    """Write named numeric columns, metadata first; lossless for read_records."""
-    arrays = [np.asarray(v) for v in columns.values()]
-    ints = all(np.issubdtype(a.dtype, np.integer) for a in arrays)
-    arrays = arrays if ints else [a.astype(float) for a in arrays]
+    """Write named numeric columns, metadata first; lossless for read_records.
+    The one-block case of write_blocks."""
+    write_blocks(path, list(columns), [list(columns.values())], meta)
+
+
+def write_blocks(path, names, blocks, meta: dict | None = None) -> None:
+    """Write the columns named names, metadata first, from an iterable of
+    column blocks, each a sequence of equal-length columns: the rows of one
+    block follow those of the one before. blocks may be lazy, such as the
+    runs of an acquisition drawn one at a time: they are taken one by one
+    and written _WRITE_BLOCK_ROWS rows at a time, so memory holds the blocks
+    of one such stretch, not the table. Rows of integer columns are written
+    as str gives each value, any other as %.17g."""
     head = ("".join(f"# {k}={float(v):.17g}\n" for k, v in (meta or {}).items())
-            + ",".join(columns) + "\n")
-    _write_bytes(path, itertools.chain([head.encode("utf-8")], _row_blocks(arrays, ints)))
+            + ",".join(names) + "\n")
+    _write_bytes(path, itertools.chain([head.encode("utf-8")],
+                                       map(_format_rows, _row_blocks(blocks))))
 
 
-def _row_blocks(arrays, ints: bool):
-    """The rows of the columns in arrays as bytes, _WRITE_BLOCK_ROWS at a time:
-    integers by _int_block, floats by bytes % tuple, which gives the digits
-    of str % tuple."""
-    for start in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
-        block = [a[start:start + _WRITE_BLOCK_ROWS] for a in arrays]
-        if ints:
-            yield _int_block(block)
-        else:
-            row = (b",".join([b"%.17g"] * len(block)) + b"\n") * len(block[0])
-            yield row % tuple(np.column_stack(block).ravel().tolist())
+def _row_blocks(blocks):
+    """The rows of consecutive column blocks, cut into blocks of
+    _WRITE_BLOCK_ROWS rows but for the last: small blocks are gathered, a
+    large one is sliced."""
+    pending, rows = [], 0
+    for block in blocks:
+        pending.append([np.asarray(a) for a in block])
+        rows += len(pending[-1][0])
+        if rows < _WRITE_BLOCK_ROWS:
+            continue
+        columns = _joined(pending)
+        whole = rows - rows % _WRITE_BLOCK_ROWS
+        # the gathered blocks are let go before their rows are formatted
+        pending, rows = [[a[whole:] for a in columns]], rows - whole
+        for start in range(0, whole, _WRITE_BLOCK_ROWS):
+            yield [a[start:start + _WRITE_BLOCK_ROWS] for a in columns]
+    if rows:
+        columns, pending = _joined(pending), None  # let go of them here too
+        yield columns
+
+
+def _joined(blocks):
+    """The columns of consecutive blocks, joined; one block as it is."""
+    return blocks[0] if len(blocks) == 1 else [np.concatenate(c) for c in zip(*blocks)]
+
+
+def _format_rows(block) -> bytes:
+    """The rows of a block of columns as bytes: integers by _int_block,
+    others as floats by bytes % tuple, which gives the digits of str % tuple."""
+    if all(np.issubdtype(a.dtype, np.integer) for a in block):
+        return _int_block(block)
+    row = (b",".join([b"%.17g"] * len(block)) + b"\n") * len(block[0])
+    return row % tuple(np.column_stack([a.astype(float) for a in block]).ravel().tolist())
 
 
 def _int_block(block) -> bytes:

@@ -10,14 +10,16 @@ estimation, and plain-text I/O for time tags and run configuration.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .table import (ParseError, parse_field, read_lines, read_records, read_rows,
-                    write_lines, write_table)
+                    write_blocks, write_lines, write_table)
 
 # Cs excited-state lifetime; sets the exponential emission lag after a
 # pulse and the decay tail of each histogram peak.
@@ -38,15 +40,16 @@ PREFIX_MARGIN = 3.0
 MAX_RUN_DRAWS = 10_000_000
 
 # Most values all runs of an acquisition may draw at their expected counts,
-# runs x (a run's draws + RUN_FIXED_DRAWS) (RunConfig). Each row simulate
-# keeps is a drawn photon or background count, so this also bounds the
-# rows it holds. Uncapped acquisitions of 7.6 million rows peaked at 33-41
-# bytes per row (20 to 2000 runs), so about 4 GB at the limit. A run holds
-# about 400 bytes more whatever it draws (100,000 one-pulse runs peaked at
-# 385-417 bytes per run), the cost of RUN_FIXED_DRAWS rows, so runs of a
-# few pulses are bounded too. The largest acquisition configs in the tests
-# count 36 million (120 runs of 100,000 pulses, of which they simulate
-# one), the default 721,440.
+# runs x (a run's draws + RUN_FIXED_DRAWS) (RunConfig). simulate holds one
+# run and one written block at a time, so this bounds the time and the
+# time-tag file, not memory. Uncapped acquisitions of 1.2 and 3 million
+# draws took 0.07-0.11 s and wrote 6.9-9.3 MB per million draws (2-vCPU
+# host, numpy 2.4), so 7-11 s and 0.7-0.9 GB at the limit; capped runs draw
+# and write less. A run also costs about 50 us whatever it draws (20,000
+# one-pulse runs), far more than the RUN_FIXED_DRAWS it counts for, so runs
+# of a few pulses reach the limit at about 7 million runs and 6 minutes.
+# The largest acquisition configs in the tests count 36 million (120 runs
+# of 100,000 pulses, of which they simulate one), the default 721,440.
 MAX_ACQUISITION_DRAWS = 100_000_000
 RUN_FIXED_DRAWS = 12
 
@@ -332,9 +335,25 @@ def count_rate(tags: np.ndarray, cfg: RunConfig) -> float:
     return n / last_us
 
 
-def write_timetags(path, tags: np.ndarray) -> None:
-    """Write time tags as a table of integers with header run_id,arrival_ns."""
-    write_table(path, {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
+def write_timetags(path, tags) -> None:
+    """Write time tags as a table of integers with header run_id,arrival_ns:
+    one TIMETAG_DTYPE array, or an iterable of them, such as the runs of an
+    acquisition, each written as it is drawn. An iterable is written to
+    path + ".partial" and renamed to path after its last array; if drawing
+    or writing any of it raises, that file is removed and path is left as
+    it was, never truncated."""
+    if isinstance(tags, np.ndarray):
+        write_table(path, {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
+        return
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        write_blocks(partial, TIMETAG_HEADER.split(","),
+                     ((run["run_id"], run["arrival"]) for run in tags))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _raise_first_bad_row(path) -> None:

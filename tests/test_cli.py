@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,47 @@ class TestSimulate:
         out.mkdir()
         assert run(["simulate", "--config", cfg_path, "--out", out] + args) == 2
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("previous", [False, True], ids=["empty_dir", "earlier_outputs"])
+    def test_failed_run_leaves_no_partial_timetags(self, tmp_path, monkeypatch, capsys,
+                                                   previous):
+        # the default acquisition, whose third run fails after the header is written
+        out = tmp_path / "out"
+        out.mkdir()
+        if previous:
+            assert run(["simulate", "--seed", 1, "--bin", 10, "--out", out]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        draw = cascfluor.timetag.simulate_run
+
+        def failing(cfg, run_id=0):
+            if run_id == 2:
+                raise ValueError("run 2 failed")
+            return draw(cfg, run_id)
+
+        monkeypatch.setattr(cascfluor.timetag, "simulate_run", failing)
+        capsys.readouterr()
+        assert run(["simulate", "--seed", 2, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: run 2 failed\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_memory_does_not_grow_with_runs(self, tmp_path):
+        # one run and one written block are held at a time, so 120 runs peak
+        # where 30 do, not at four times their rows; a first, untraced call
+        # builds the parser
+        assert run(["simulate", "--config", self.small_config(tmp_path),
+                    "--out", tmp_path / "out"]) == 0
+        peaks = {}
+        for runs in (30, 120):
+            cfg_path = tmp_path / f"run{runs}.cfg"
+            write_config(cfg_path, RunConfig(runs=runs))
+            tracemalloc.start()
+            try:
+                assert run(["simulate", "--config", cfg_path, "--out", tmp_path / "out"]) == 0
+                peaks[runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[120] < 1.5e6
+        assert abs(peaks[120] - peaks[30]) < 0.25e6
 
     def test_bad_config_nonzero_exit(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -513,6 +555,17 @@ class TestFitCommand:
         path.write_bytes(data)
         assert run(["fit", "lorentzian", "--data", path, "--out", tmp_path]) == 3
         assert f"bad.csv:{lineno}: " in capsys.readouterr().err
+
+    def test_bootstrap_beyond_the_limit_is_usage_error(self, tmp_path, capsys):
+        # refused before it is drawn: 10**13 refits would not fit in memory
+        x = np.linspace(-30, 30, 61)
+        write_series(tmp_path / "line.csv",
+                     DataSeries(x, lorentzian(x, 1.0, 16.0, 2.0, 0.1)))
+        assert run(["fit", "lorentzian", "--data", tmp_path / "line.csv",
+                    "--bootstrap", 10**13, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "error: bootstrap must be at most MAX_BOOTSTRAP = 100000, got 10000000000000\n")
+        assert not (tmp_path / "fit_report.csv").exists()
 
     def test_degenerate_bootstrap_exit_code(self, tmp_path, monkeypatch, capsys):
         # with every bootstrap refit degenerate there is no spread to report;

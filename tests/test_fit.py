@@ -258,6 +258,26 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="bootstrap"):
             least_squares(line, DataSeries(x, 2.0 * x + 1.0), [1.0, 0.0], bootstrap=1)
 
+    @pytest.mark.parametrize("bootstrap", [cascfluor.fit.MAX_BOOTSTRAP + 1, 10**13])
+    def test_bootstrap_beyond_the_limit_is_an_error(self, monkeypatch, bootstrap):
+        # refused before the fit, so before any refit or its draws are made
+        calls = []
+        monkeypatch.setattr(np, "empty", lambda *a, **k: calls.append(a))
+        x = np.linspace(0.0, 5.0, 6)
+        with pytest.raises(ValueError, match=(
+                f"^bootstrap must be at most MAX_BOOTSTRAP = 100000, got {bootstrap}$")):
+            least_squares(line, DataSeries(x, 2.0 * x + 1.0), [1.0, 0.0],
+                          bootstrap=bootstrap)
+        assert calls == []
+
+    def test_bootstrap_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cascfluor.fit, "MAX_BOOTSTRAP", 5)
+        x = np.linspace(0.0, 5.0, 6)
+        data = DataSeries(x, 2.0 * x + 1.0 + 0.1 * np.cos(x))
+        assert least_squares(line, data, [1.0, 0.0], bootstrap=5).converged
+        with pytest.raises(ValueError, match="MAX_BOOTSTRAP = 5, got 6$"):
+            least_squares(line, data, [1.0, 0.0], bootstrap=6)
+
     @pytest.mark.parametrize("good", [0, 1, 2])
     def test_bootstrap_needs_two_good_refits(self, monkeypatch, good):
         # degenerate refits are left out; fewer than two good ones have no

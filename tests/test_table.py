@@ -13,7 +13,7 @@ from cascfluor.cli import main
 from cascfluor.fit import (DataSeries, FitResult, lorentzian, read_report_csv, read_series,
                            write_report_csv, write_series)
 from cascfluor.table import (_WRITE_BLOCK_ROWS, ParseError, read_records, read_table,
-                             write_table)
+                             write_blocks, write_table)
 from cascfluor.timetag import (RunConfig, histogram, read_config, read_timetags, simulate_run,
                                write_config)
 from reference_timetag import reference_write
@@ -27,6 +27,7 @@ def test_one_error_type_and_one_codec():
     assert cascfluor.cli.write_table is write_table
     assert cascfluor.timetag.read_records is read_records
     assert cascfluor.timetag.write_table is write_table
+    assert cascfluor.timetag.write_blocks is write_blocks
 
 
 # Line 3 of a float table, a time-tag file, a fit report and a config (an
@@ -148,6 +149,29 @@ def test_blockwise_write_matches_one_shot(tmp_path, rows, integer):
     if integer:
         back = read_records(path, dtype=np.int64)[1]
         assert np.array_equal(back["a"], a) and np.array_equal(back["b"], b)
+
+
+@pytest.mark.parametrize("sizes", [
+    pytest.param([], id="no_blocks"),
+    pytest.param([0], id="one_empty_block"),
+    pytest.param([1500] * 13, id="runs"),
+    pytest.param([0, 3, _WRITE_BLOCK_ROWS, 0, 1, _WRITE_BLOCK_ROWS - 1,
+                  2 * _WRITE_BLOCK_ROWS + 5, 7], id="mixed"),
+    pytest.param([3 * _WRITE_BLOCK_ROWS + 2], id="one_large"),
+])
+@pytest.mark.parametrize("integer", [True, False], ids=["int", "float"])
+def test_blocks_write_as_their_concatenation(tmp_path, sizes, integer):
+    # the blocks are gathered and sliced into blocks of their own, whose
+    # bytes do not depend on where the given blocks end
+    rng = np.random.default_rng(len(sizes))
+    ends = np.cumsum(sizes, dtype=int)
+    a = rng.integers(0, 120, ends[-1] if sizes else 0)
+    b = rng.integers(-2**40, 2**40, len(a)) * (1 if integer else np.pi)
+    starts = ends - sizes
+    path = tmp_path / "table.csv"
+    write_blocks(path, ["a", "b"], ((a[i:j], b[i:j]) for i, j in zip(starts, ends)),
+                 {"bin_ns": 5})
+    assert path.read_bytes() == str_table({"a": a, "b": b}, {"bin_ns": 5})
 
 
 SUBNORMAL_MIN, NORMAL_MIN, FLOAT_MAX = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308

@@ -422,6 +422,32 @@ class TestFileFormats:
         assert np.array_equal(read_timetags(path), tags)
         assert path.read_text().splitlines()[0] == "run_id,arrival_ns"
 
+    def test_runs_write_as_their_concatenation(self, tmp_path):
+        cfg = RunConfig(pulses_per_run=400, runs=30, seed=3)
+        runs = [simulate_run(cfg, run_id) for run_id in range(cfg.runs)]
+        write_timetags(tmp_path / "runs.csv", iter(runs))
+        write_timetags(tmp_path / "one.csv", np.concatenate(runs))
+        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "runs.csv"]
+
+    @pytest.mark.parametrize("failing_run", [0, 2, 9])
+    def test_failed_runs_leave_the_file_as_it_was(self, tmp_path, failing_run):
+        # run 9 fails after more than one block of rows is written
+        cfg = RunConfig(runs=12, seed=4)
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"run_id,arrival_ns\n0,5\n")
+
+        def runs():
+            for run_id in range(cfg.runs):
+                if run_id == failing_run:
+                    raise ValueError(f"run {run_id} failed")
+                yield simulate_run(cfg, run_id)
+
+        with pytest.raises(ValueError, match=f"^run {failing_run} failed$"):
+            write_timetags(path, runs())
+        assert [p.name for p in tmp_path.iterdir()] == ["tags.csv"]
+        assert path.read_bytes() == b"run_id,arrival_ns\n0,5\n"
+
     @pytest.mark.parametrize("body", ["", "\n\n"])
     def test_timetag_header_only_reads_empty(self, tmp_path, body):
         path = tmp_path / "tags.csv"
