@@ -21,7 +21,7 @@ import numpy as np
 from .cascade import (DEFAULT_PATH_EFFICIENCY, AbsorptionProfile, _model_step,
                       cascaded_counts, filtered_counts)
 from .spectrum import DEFAULT_GAMMA_MHZ, Drives, sample_spectrum
-from .table import ParseError, parse_field, read_rows, read_table, write_rows, write_table
+from .table import ParseError, parse_field, read_records, read_rows, write_rows, write_table
 
 MAX_ITERATIONS = 500
 RESIDUAL_RTOL = 1e-10
@@ -447,6 +447,10 @@ def fit_cascade(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if scan not in ("power", "detuning"):
         raise ValueError(f"unknown scan type '{scan}'")
+    for name, value in {"fix_width": fix_width, "fix_shift": fix_shift,
+                        "fix_efficiency": fix_efficiency}.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if len(original) != len(cascaded) or not np.allclose(original.x, cascaded.x):
         raise ValueError("original and cascaded series must share abscissae")
     if np.any(original.y <= 0):
@@ -633,14 +637,11 @@ def fit_shift_slope(data: DataSeries, bootstrap: int = 0) -> FitResult:
 def read_series(path) -> DataSeries:
     """Read a data series table with header x,y or x,y,yerr; a yerr <= 0 is
     a ParseError at its line."""
-    _, columns = read_table(path, ("x,y", "x,y,yerr"))
-    if not len(columns["x"]):
+    rule = (lambda d: (d[:, 2:] <= 0).any(), "yerr must be > 0, got '{2}'")
+    _, rows = read_records(path, ("x,y", "x,y,yerr"), row_rule=rule)
+    if not len(rows):
         raise ParseError(f"{path}: no data rows")
-    bad = np.flatnonzero(columns.get("yerr", 1.0) <= 0)
-    if bad.size:
-        lineno, fields = list(read_rows(path)[2])[bad[0]]
-        raise ParseError(f"{path}:{lineno}: yerr must be > 0, got '{fields[2]}'")
-    return DataSeries(*columns.values())
+    return DataSeries(*(rows[k] for k in rows.dtype.names))
 
 
 def write_series(path, series: DataSeries) -> None:

@@ -12,6 +12,8 @@ caller allows infinity; an integer must fit int64. Every file the
 package reads or writes is opened here, the run configuration too. A file
 read may end its lines in LF, CRLF or CR, and every reader names the first
 bad line, whatever is wrong with it, bytes that are not UTF-8 included.
+read_records checks a reader's own rules in the field rule's pass: no
+metadata and no negative value in time tags, no yerr <= 0 in a series.
 Every write formats bytes and goes through one binary write, so lines end
 in LF alone on every platform. Numeric tables have one writer,
 write_blocks: it takes the rows as an iterable of column blocks, which may
@@ -76,13 +78,16 @@ def read_lines(path):
             yield lineno, line
 
 
-def _read_head(lines, path, headers):
-    """(meta, columns, header lineno) from the first of read_lines' lines."""
+def _read_head(lines, path, headers, meta_error):
+    """(meta, columns) from the first of read_lines' lines; a metadata line
+    is a ParseError with message meta_error if one is given."""
     meta: dict[str, float] = {}
     lineno = 0
     for lineno, line in lines:
         if not line.startswith("#"):
             break
+        if meta_error:
+            raise ParseError(f"{path}:{lineno}: {meta_error}")
         key, sep, value = line[1:].partition("=")
         key = key.strip()
         if not sep or not key or key in meta:
@@ -98,17 +103,18 @@ def _read_head(lines, path, headers):
     if "" in columns or len(set(columns)) < len(columns):
         raise ParseError(f"{path}:{lineno}: missing, empty or duplicate column "
                          f"in '{header}'")
-    return meta, columns, lineno
+    return meta, columns
 
 
-def read_rows(path, headers: tuple[str, ...] | None = None):
+def read_rows(path, headers: tuple[str, ...] | None = None, meta_error=None):
     """Read a table as (meta, columns, rows): float metadata, the column names
     and an iterator of (lineno, stripped fields) pairs; headers lists valid
-    headers. The iterator reads each row, and checks its bytes and field
-    count, only when it gets there, so a caller that parses each row before
-    taking the next names the first bad line."""
+    headers, meta_error is as in read_records. The iterator reads each row,
+    and checks its bytes and field count, only when it gets there, so a
+    caller that parses each row before taking the next names the first bad
+    line."""
     lines = read_lines(path)
-    meta, columns, _ = _read_head(lines, path, headers)
+    meta, columns = _read_head(lines, path, headers, meta_error)
 
     def rows():
         for lineno, line in lines:
@@ -121,11 +127,17 @@ def read_rows(path, headers: tuple[str, ...] | None = None):
     return meta, columns, rows()
 
 
-def read_records(path, headers: tuple[str, ...] | None = None, dtype=float):
+def read_records(path, headers: tuple[str, ...] | None = None, dtype=float,
+                 meta_error: str | None = None, row_rule: tuple | None = None):
     """Read a table of dtype (float or np.int64) as (meta, rows): float
-    metadata and a structured array with one field per column."""
-    with contextlib.closing(read_lines(path)) as lines:
-        meta, columns, lineno = _read_head(lines, path, headers)
+    metadata and a structured array with one field per column. A reader's
+    own rules are checked in the same pass as the field rule, so the error
+    names the first line that breaks any rule. meta_error, if given, refuses
+    metadata lines and is the message of the first; row_rule, if given, is
+    a pair (bad, message): bad tells whether any row of a parsed (rows,
+    columns) array breaks the rule, and message, a str.format template over
+    a row's stripped fields, is the error at the first row that does."""
+    meta, columns, rows = read_rows(path, headers, meta_error)
     with open(path, "rb") as f:
         # numpy's integer parser misreads, and can crash on, non-ASCII text
         ascii_only = all(block.isascii() for block in iter(lambda: f.read(1 << 20), b""))
@@ -137,12 +149,17 @@ def read_records(path, headers: tuple[str, ...] | None = None, dtype=float):
         with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():
             warnings.simplefilter("error")
             data = np.loadtxt(path, dtype, delimiter=",", comments=None, ndmin=2,
-                              skiprows=lineno, encoding="utf-8")
-    if data is None or data.shape[1] != len(columns) or not np.isfinite(data).all():
+                              skiprows=len(meta) + 1, encoding="utf-8")
+    # each check is one reduction over the values; an int64 is always finite
+    if (data is None or data.shape[1] != len(columns) or (row_rule and row_rule[0](data))
+            or (dtype is float and not np.isfinite(data).all())):
         # parse field by field, to name the first bad line
-        meta, columns, rows = read_rows(path, headers)
-        data = np.array([[parse_field(v, path, n, dtype) for v in fields]
-                         for n, fields in rows], dtype).reshape(-1, len(columns))
+        records = []
+        for n, fields in rows:
+            records.append([parse_field(v, path, n, dtype) for v in fields])
+            if row_rule and row_rule[0](np.array(records[-1:], dtype)):
+                raise ParseError(f"{path}:{n}: {row_rule[1].format(*fields)}")
+        data = np.array(records, dtype).reshape(-1, len(columns))
     return meta, data.view([(c, dtype) for c in columns])[:, 0]
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .table import (ParseError, parse_field, read_lines, read_records, read_rows,
-                    write_blocks, write_lines, write_table)
+from .table import ParseError, parse_field, read_lines, read_records, write_blocks, write_lines
 
 # Cs excited-state lifetime; sets the exponential emission lag after a
 # pulse and the decay tail of each histogram peak.
@@ -338,13 +337,11 @@ def count_rate(tags: np.ndarray, cfg: RunConfig) -> float:
 def write_timetags(path, tags) -> None:
     """Write time tags as a table of integers with header run_id,arrival_ns:
     one TIMETAG_DTYPE array, or an iterable of them, such as the runs of an
-    acquisition, each written as it is drawn. An iterable is written to
+    acquisition, each written as it is drawn. The file is written to
     path + ".partial" and renamed to path after its last array; if drawing
     or writing any of it raises, that file is removed and path is left as
     it was, never truncated."""
-    if isinstance(tags, np.ndarray):
-        write_table(path, {"run_id": tags["run_id"], "arrival_ns": tags["arrival"]})
-        return
+    tags = [tags] if isinstance(tags, np.ndarray) else tags
     partial = f"{os.fspath(path)}.partial"
     try:
         write_blocks(partial, TIMETAG_HEADER.split(","),
@@ -356,28 +353,11 @@ def write_timetags(path, tags) -> None:
         raise
 
 
-def _raise_first_bad_row(path) -> None:
-    """Re-scan the rows of a time-tag file in order and raise the ParseError
-    of the first one with a field that is not an int64 or is negative."""
-    for lineno, fields in read_rows(path, (TIMETAG_HEADER,))[2]:
-        if min(parse_field(v, path, lineno, np.int64) for v in fields) < 0:
-            raise ParseError(f"{path}:{lineno}: negative run_id or arrival_ns")
-
-
 def read_timetags(path) -> np.ndarray:
     """Read time tags written by write_timetags into a TIMETAG_DTYPE array;
-    a negative run_id or arrival_ns is a ParseError at its line."""
-    try:
-        meta, rows = read_records(path, (TIMETAG_HEADER,), np.int64)
-    except ParseError:
-        # that names the first unparseable field; a negative value may come first
-        _raise_first_bad_row(path)
-        raise
-    if meta:
-        raise ParseError(f"{path}:1: time tags take no metadata lines")
-    values = rows.view(np.int64)
-    if len(values) and values.min() < 0:
-        _raise_first_bad_row(path)
+    metadata or a negative value is a ParseError at its line."""
+    _, rows = read_records(path, (TIMETAG_HEADER,), np.int64, "time tags take no metadata lines",
+                           (lambda d: d.min(initial=0) < 0, "negative run_id or arrival_ns"))
     return rows.view(TIMETAG_DTYPE)
 
 

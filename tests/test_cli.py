@@ -661,6 +661,15 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [("--fix-width", "nan"), ("--fix-shift", "inf")])
+    def test_cascade_non_finite_fixed_parameter_is_usage_error(self, tmp_path, capsys,
+                                                               power_scan, option, value):
+        out = tmp_path / "out"
+        assert run(["fit", "cascade", *power_scan, option, value, "--out", out]) == 2
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_cascade_repeated_failure_is_named_once(self, tmp_path, capsys, power_scan):
         out = tmp_path / "out"
         assert run(["fit", "cascade", *power_scan, "--fix-shift", 1e308, "--out", out]) == 5

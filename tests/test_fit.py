@@ -899,7 +899,12 @@ class TestFitCascade:
     @pytest.mark.parametrize("kwargs, orig, message", [
         (dict(scan="bogus"), 500.0, "unknown scan type 'bogus'"),
         (dict(), 0.0, "original counts must be > 0"),
-    ], ids=["unknown_scan", "zero_original"])
+        (dict(fix_width=math.nan), 500.0, "fix_width must be finite, got nan"),
+        (dict(fix_width=math.inf), 500.0, "fix_width must be finite, got inf"),
+        (dict(fix_shift=-math.inf), 500.0, "fix_shift must be finite, got -inf"),
+        (dict(fix_efficiency=math.nan), 500.0, "fix_efficiency must be finite, got nan"),
+    ], ids=["unknown_scan", "zero_original", "fix_width_nan", "fix_width_inf",
+            "fix_shift_inf", "fix_efficiency_nan"])
     def test_bad_arguments_rejected(self, kwargs, orig, message):
         x = np.linspace(0.5, 4.0, 6)
         y = np.full(6, 500.0)

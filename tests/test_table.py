@@ -26,7 +26,6 @@ def test_one_error_type_and_one_codec():
     assert cascfluor.cli.read_table is read_table
     assert cascfluor.cli.write_table is write_table
     assert cascfluor.timetag.read_records is read_records
-    assert cascfluor.timetag.write_table is write_table
     assert cascfluor.timetag.write_blocks is write_blocks
 
 
@@ -108,6 +107,12 @@ FIRST_BAD_LINE = [
     pytest.param(read_series, b"x,z\n1,\xff\n", "1: expected header", id="series_header"),
     pytest.param(read_timetags, b"run_id,arrival_ns\n0,-1\n0,\xff\n", "2: negative",
                  id="negative_timetag"),
+    pytest.param(read_series, b"x,y,yerr\n0,1,1\n1,2,0\n2,abc,1\n", "3: yerr must be > 0",
+                 id="zero_yerr_then_field"),
+    pytest.param(read_timetags, b"# a=1\nrun_id,arrival_ns\n0,abc\n",
+                 "1: time tags take no metadata lines", id="timetag_metadata_then_field"),
+    pytest.param(read_timetags, b"run_id,arrival_ns\n0,abc\n0,-1\n", "2: not an int64",
+                 id="timetag_field_then_negative"),
     pytest.param(read_report_csv, b"name,value,sigma\na,1,-1\nb,\xff,1\n", "2: out of range",
                  id="negative_sigma"),
     pytest.param(read_table, b"x,y\r1,2\r1,\xff3\r", "3: not UTF-8", id="cr_table"),
