@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (Drives, SpectrumStack, _as_drives, _first_bad_count, _quadrature, _sample,
-                       _sampling_grid)
+from .spectrum import (Drives, SpectrumStack, _as_drives, _quadrature, _sample, _sampling_grid,
+                       _weights)
 
 # Off-resonance cascaded/original count ratio; folds fiber loss and
 # imperfect mirror reflection into one number.
@@ -25,8 +25,7 @@ DEFAULT_PATH_EFFICIENCY = 0.9
 # linewidth wide to 16 rows of the 801-point grid of filters narrower than
 # about 1.8 MHz. A call allocates three flat buffers of at most (rows, grid +
 # 1) values and reuses them for every stack: 101,520 bytes each at 45 x 282
-# and 102,656 at 16 x 802 (T's is one row when every drive shares one
-# detuning), under glibc's initial 128 KiB mmap threshold. Larger arrays are
+# and 102,656 at 16 x 802, under glibc's initial 128 KiB mmap threshold. Larger arrays are
 # mapped and faulted in afresh while a process has not raised it: when each
 # stack allocated its arrays, a 121-point detuning scan on the 801-point
 # grid in a fresh process took 0 minor faults at 16 rows, 1032 at 40 and
@@ -67,30 +66,52 @@ class AbsorptionProfile:
             )
 
 
-def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
-                    gradient: bool = False):
-    """Cascaded count of each row of a spectrum stack, all rows at once.
+def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile):
+    """Cascaded count of each row of a spectrum stack, all rows at once, and
+    the (n, 4) closed-form derivatives of the counts with respect to
+    (width, alpha, shift, path_efficiency).
 
-    stack (from sample_spectrum) holds the shared offsets, the (n, grid)
-    densities and the (n,) elastic weights of n spectra; row i is
-    filtered as seen by a drive detuned by detunings[i], which must be
-    finite. The Lorentzian L = 1 / (1 + 4 u^2) of
-    u = (omega - shift + detuning) / width and the transmission
-    T = path_efficiency * exp(-alpha L) are evaluated as (n, grid + 1)
-    arrays, the elastic line being the last column at omega = 0; when
-    every row shares one detuning, as in a power scan, they are one
-    (1, grid + 1) row that broadcasts into the row products, which
-    changes no bit. Each count is the integral of its row of density *
-    transmission, by the end-corrected trapezoid of spectrum._weights (the
-    grid's memoized spectrum._quadrature, whose last weight 1.0 is the
-    elastic line's), plus the attenuated elastic weight, so a row comes
-    out bit for bit as it would alone. _transmission and _counts, the
-    kernels cascaded_counts runs in buffers it reuses, compute them here on
-    fresh arrays. With gradient=True, also returns the (n, 4) closed-form derivatives of the
-    counts with respect to (width, alpha, shift, path_efficiency), from the
-    same arrays: dT/dalpha = -L T, dT/dwidth = -alpha T 8 u^2 L^2 / width,
-    dT/dshift = -alpha T 8 u L^2 / width and dT/dpath_efficiency =
-    T / path_efficiency.
+    stack (from sample_spectrum) holds n spectra on one grid; row i is
+    filtered as seen by a drive detuned by detunings[i]. The counts are
+    those of _filter, cascaded_counts' filter step, on fresh arrays; the
+    derivatives integrate, from its u, L and T, dT/dalpha = -L T, dT/dwidth
+    = -alpha T 8 u^2 L^2 / width, dT/dshift = -alpha T 8 u L^2 / width and
+    dT/dpath_efficiency = T / path_efficiency.
+    """
+    density, elastic = stack.density, stack.elastic
+    arrays = np.empty((3, len(elastic), len(stack.offsets) + 1))
+    counts, weights, (u, lor, trans) = _filter(stack, detunings, prof,
+                                               np.empty(density.shape), arrays)
+    # minus the integrand of d/dalpha, density (elastic weight) times L T,
+    # in T's array when it has a row per spectrum; then times u L
+    # (d/dshift) and times u again (d/dwidth)
+    tl = np.multiply(trans, lor, out=trans)
+    g = tl if len(tl) == len(elastic) else np.empty(arrays.shape[1:])
+    np.multiply(tl[:, :-1], density, out=g[:, :-1])
+    np.multiply(tl[:, -1], elastic, out=g[:, -1])
+    k = -8.0 * prof.alpha / prof.width
+    # the columns filled in place, in column_stack's order and C layout
+    jac = np.empty((len(counts), 4))
+    np.negative(g @ weights, out=jac[:, 1])
+    np.multiply(k, np.multiply(np.multiply(g, u, out=g), lor, out=g) @ weights,
+                out=jac[:, 2])
+    np.multiply(k, np.multiply(g, u, out=g) @ weights, out=jac[:, 0])
+    np.divide(counts, prof.path_efficiency, out=jac[:, 3])
+    return counts, jac
+
+
+def _filter(stack: SpectrumStack, detunings, prof: AbsorptionProfile, work, arrays):
+    """Cascaded count of each row of stack, row i filtered as seen by a
+    drive detuned by detunings[i], which must be finite: the filter step of
+    filtered_counts and cascaded_counts. _transmission evaluates u =
+    (omega - shift + detuning) / width, L = 1 / (1 + 4 u^2) and T =
+    path_efficiency * exp(-alpha L) on the filter axis (the grid, then the
+    elastic line at omega = 0), one row per spectrum, or one row for all
+    when they share one detuning (a power scan), which changes no bit;
+    _counts integrates density * T by the grid's memoized
+    spectrum._quadrature. arrays holds (at least n, grid + 1) arrays for
+    u, L and T, or one for T alone, and work is of the density's shape.
+    Returns the counts, the quadrature and the rows written of u, L and T.
     """
     offsets, density, elastic = stack
     detunings = np.asarray(detunings, dtype=float)
@@ -109,28 +130,10 @@ def filtered_counts(stack: SpectrumStack, detunings, prof: AbsorptionProfile,
             rows = detunings[:1]
     axis = np.concatenate((offsets, (0.0,)))
     weights = _quadrature(float(offsets[1] - offsets[0]), len(offsets))
-    trans = np.empty((len(rows), len(axis)))
-    u, lor = (np.empty_like(trans), np.empty_like(trans)) if gradient else (trans, trans)
+    views = [a[:len(rows)] for a in arrays]
+    u, lor, trans = views if len(views) == 3 else views * 3
     _transmission(axis, np.subtract(prof.shift, rows), prof, u, lor, trans)
-    counts = _counts(stack, trans, weights, np.empty(density.shape))
-    if not gradient:
-        return counts
-    # minus the integrand of d/dalpha, density (elastic weight) times L T,
-    # in T's array when it has a row per spectrum; then times u L
-    # (d/dshift) and times u again (d/dwidth)
-    tl = np.multiply(trans, lor, out=trans)
-    g = tl if len(tl) == len(elastic) else np.empty((len(elastic), len(axis)))
-    np.multiply(tl[:, :-1], density, out=g[:, :-1])
-    np.multiply(tl[:, -1], elastic, out=g[:, -1])
-    k = -8.0 * prof.alpha / prof.width
-    # the columns filled in place, in column_stack's order and C layout
-    jac = np.empty((len(counts), 4))
-    np.negative(g @ weights, out=jac[:, 1])
-    np.multiply(k, np.multiply(np.multiply(g, u, out=g), lor, out=g) @ weights,
-                out=jac[:, 2])
-    np.multiply(k, np.multiply(g, u, out=g) @ weights, out=jac[:, 0])
-    np.divide(counts, prof.path_efficiency, out=jac[:, 3])
-    return counts, jac
+    return _counts(stack, trans, weights, work), weights, (u, lor, trans)
 
 
 def _transmission(axis, centers, prof: AbsorptionProfile, u, lor, trans) -> None:
@@ -184,20 +187,18 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     filters at least a linewidth wide; at most 801 points), normalized to
     its original count and filtered, by the end-corrected trapezoid of
     spectrum._weights: its count is bit for bit
-    filtered_counts(sample_spectrum([drive], [count], step), [delta], prof)
+    filtered_counts(sample_spectrum([drive], [count], step), [delta], prof)[0]
     alone. The drive arrays are cut where the linewidth changes, and each
     run of one linewidth into chunks of at most STACK_VALUES grid values.
-    A run builds its grid, filter axis and quadrature once, and the counts
-    are checked once per call; each chunk is sampled (spectrum._sample) and
-    filtered (_transmission and _counts) as one stack, in place in three
-    flat buffers of at most (rows, grid + 1) values that the call reuses,
-    with the drive terms computed per chunk. The first drive whose count
-    is not finite and > 0, or whose spectrum has no weight, raises.
-    Against adaptive quadrature the largest ratio error is 2.4e-14 for
-    filters of 2 MHz or wider (README, "Model grid"), the rounding of the
-    float arithmetic rather than the quadrature's; a narrower filter is
-    sampled at gamma/40 and resolved worse (1.7e-12 at 1 MHz, 1e-7 at 0.5
-    MHz).
+    Each chunk is sampled by sample_spectrum's spectrum._sample and
+    filtered by filtered_counts' _filter, as one stack, in place in three
+    flat buffers of at most (rows, grid + 1) values that the call reuses.
+    The first drive whose count is not finite and > 0, or whose spectrum
+    has no weight, raises. Against adaptive quadrature the largest ratio
+    error is 2.4e-14 for filters of 2 MHz or wider (README, "Model grid"),
+    the rounding of the float arithmetic rather than the quadrature's; a
+    narrower filter is sampled at gamma/40 and resolved worse (1.7e-12 at
+    1 MHz, 1e-7 at 0.5 MHz).
     """
     drives = _as_drives(drives)
     counts = np.fromiter(original_counts, dtype=float)
@@ -207,35 +208,28 @@ def cascaded_counts(drives, original_counts, prof: AbsorptionProfile) -> np.ndar
     out = np.empty(n)
     if not n:
         return out
-    bad = _first_bad_count(counts)
-    gammas, deltas = drives.gamma, drives.delta
+    gammas = drives.gamma
     cuts = (np.flatnonzero(gammas[1:] != gammas[:-1]) + 1).tolist()
-    # the densities, the work of _sample and _counts, and T: flat buffers
+    # the densities, the work of _sample and _filter, and T: flat buffers
     # kept from run to run, grown when a run needs more
     buffers = [np.empty(0)] * 3
     for start, stop in zip([0, *cuts], [*cuts, n]):
         gamma = float(gammas[start])
         offsets, x2 = _sampling_grid(gamma, 10.0, _model_step(gamma, prof.width))
         grid = len(offsets)
-        axis = np.concatenate((offsets, (0.0,)))
-        weights = _quadrature(float(offsets[1] - offsets[0]), grid)
+        weights = _weights(offsets)
         rows = STACK_VALUES // grid
-        # one row of T when every drive of the run shares its detuning
-        shared = deltas[start:stop].min() == deltas[start:stop].max()
         block = min(rows, stop - start) * (grid + 1)
-        buffers = [b if len(b) >= size else np.empty(size) for b, size in
-                   zip(buffers, (block, block, grid + 1 if shared else block))]
+        buffers = [b if len(b) >= block else np.empty(block) for b in buffers]
         flat_density, work, flat_trans = buffers
         for lo in range(start, stop, rows):
             run = slice(lo, min(lo + rows, stop))
             m = run.stop - lo
             density = flat_density[:m * grid].reshape(m, grid)
-            elastic = _sample(x2, weights[:-1], drives, run, counts, bad, density, work)
-            centers = np.subtract(prof.shift, deltas[lo:lo + 1] if shared else deltas[run])
-            trans = flat_trans[:len(centers) * (grid + 1)].reshape(-1, grid + 1)
-            _transmission(axis, centers, prof, trans, trans, trans)
-            out[run] = _counts(SpectrumStack(offsets, density, elastic), trans, weights,
-                               work[:m * grid].reshape(m, grid))
+            elastic = _sample(x2, weights, drives, run, counts, density, work)
+            out[run] = _filter(SpectrumStack(offsets, density, elastic), drives.delta[run],
+                               prof, work[:m * grid].reshape(m, grid),
+                               flat_trans[:m * (grid + 1)].reshape(1, m, grid + 1))[0]
     return out
 
 

@@ -447,10 +447,15 @@ def fit_cascade(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if scan not in ("power", "detuning"):
         raise ValueError(f"unknown scan type '{scan}'")
-    for name, value in {"fix_width": fix_width, "fix_shift": fix_shift,
-                        "fix_efficiency": fix_efficiency}.items():
+    # AbsorptionProfile's rule for each fixed value, named by its argument
+    for name, value, rule, ok in (("fix_width", fix_width, "> 0", lambda v: v > 0),
+                                  ("fix_shift", fix_shift, "finite", math.isfinite),
+                                  ("fix_efficiency", fix_efficiency, "in (0, 1]",
+                                   lambda v: 0 < v <= 1)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if value is not None and not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value}")
     if len(original) != len(cascaded) or not np.allclose(original.x, cascaded.x):
         raise ValueError("original and cascaded series must share abscissae")
     if np.any(original.y <= 0):
@@ -471,7 +476,7 @@ def fit_cascade(
         step = _model_step(gamma, prof.width)
         if step not in stacks:
             stacks[step] = sample_spectrum(drives, original.y, step)
-        return filtered_counts(stacks[step], drives.delta, prof, gradient=True)
+        return filtered_counts(stacks[step], drives.delta, prof)
 
     fixed = {"width": fix_width, "shift": fix_shift, "path_efficiency": fix_efficiency}
     fixed = {k: float(v) for k, v in fixed.items() if v is not None}

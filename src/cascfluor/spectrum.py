@@ -178,11 +178,10 @@ def _weights(offsets):
     return _quadrature(float(offsets[1] - offsets[0]), len(offsets))[:-1]
 
 
-def _first_bad_count(counts) -> int:
-    """Index of the first photon count that is not finite and > 0, or
-    len(counts) when there is none."""
-    ok = np.isfinite(counts) & (counts > 0)
-    return len(ok) if ok.all() else int(np.argmin(ok))
+def _check_saturation(s) -> None:
+    """The scalar helpers' rule: finite and >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"saturation parameter must be finite and >= 0, got {s}")
 
 
 def excited_state_population(s0: float) -> float:
@@ -190,8 +189,7 @@ def excited_state_population(s0: float) -> float:
 
     Monotone in s0 and bounded by the two-level limit of one half.
     """
-    if s0 < 0:
-        raise ValueError(f"saturation parameter must be >= 0, got {s0}")
+    _check_saturation(s0)
     return s0 / (2.0 * (1.0 + s0))
 
 
@@ -219,8 +217,7 @@ def detuned_saturation(p: DriveParams) -> float:
 
 def rabi_frequency(s: float, gamma: float = DEFAULT_GAMMA_MHZ) -> float:
     """Rabi frequency gamma * sqrt(s / 2) in MHz."""
-    if s < 0:
-        raise ValueError(f"saturation parameter must be >= 0, got {s}")
+    _check_saturation(s)
     return gamma * math.sqrt(s / 2.0)
 
 
@@ -230,8 +227,7 @@ def elastic_weight(s: float) -> float:
     Vanishes both without drive and under strong saturation, where the
     inelastic triplet takes over.
     """
-    if s < 0:
-        raise ValueError(f"saturation parameter must be >= 0, got {s}")
+    _check_saturation(s)
     return _elastic(s)
 
 
@@ -315,19 +311,19 @@ def _sampling_grid(gamma: float, grid_span: float, grid_step: float | None):
     return offsets, x * x
 
 
-def _sample(x2, weights, drives: Drives, run: slice, counts, bad: int, density, work):
+def _sample(x2, weights, drives: Drives, run: slice, counts, density, work):
     """Spectra of the drives in run, which share one linewidth, written in
     place into density, an (n, grid) array: x2 is _sampling_grid's half-grid
     (omega/gamma)^2 and work a flat array of at least n * (grid + 1) floats.
     Each row is _mollow on the omega >= 0 half, mirrored onto the other half
     (the grid is symmetric to the last bit and the density depends on
-    omega only through x2). Given the counts of all the drives, with bad
-    the index of the first that is not finite and > 0 (or len(counts)),
-    each row is rescaled by one factor so that its integral (weights, the
-    grid's _weights) plus its elastic weight equals its count; the first
-    drive in drive order whose count is bad or whose spectrum has no
-    weight raises, named by its index in drives. Returns the (n,) elastic
-    weights."""
+    omega only through x2). Given the counts of all the drives, each row is
+    rescaled by one factor so that its integral (weights, the grid's
+    _weights) plus its elastic weight equals counts[run]'s entry; the
+    first row whose count is not finite and > 0, or whose spectrum has no
+    weight, raises, named by its index in drives, the count first when a
+    row has both. Called on consecutive runs in drive order, the first bad
+    drive raises. Returns the (n,) elastic weights."""
     s0, delta, gammas = (a[run] for a in drives)
     n, grid = density.shape
     half = grid // 2
@@ -341,20 +337,21 @@ def _sample(x2, weights, drives: Drives, run: slice, counts, bad: int, density, 
     density[:, half:] = half_rows
     density[:, :half] = half_rows[:, :0:-1]
     if counts is not None:
+        counts = counts[run]
         total = np.add.reduce(
             np.multiply(density, weights, out=work[:density.size].reshape(n, grid)),
             axis=-1) + elastic
-        # rows before the first bad count, in which a zero weight comes first
-        upto = min(bad - run.start, n)
-        zero = total[:upto] <= 0.0
-        if zero.any():
-            i = int(np.argmax(zero))
+        # the comparisons fail for NaN
+        bad = ~((0.0 < counts) & (counts < math.inf))
+        stop = bad | (total <= 0.0)
+        if stop.any():
+            i = int(np.argmax(stop))
+            if bad[i]:
+                raise ValueError(f"photon count must be finite and > 0, got {counts[i]}")
             raise NormalizationError(
                 f"spectrum has zero total weight at drive {run.start + i} "
                 f"(s0={float(s0[i])!r}, delta={float(delta[i])!r})")
-        if upto < n:
-            raise ValueError(f"photon count must be finite and > 0, got {counts[bad]}")
-        factor = counts[run] / total
+        factor = counts / total
         density *= factor[:, None]
         elastic *= factor
     # rescaling keeps a raw value non-finite; the left half mirrors the
@@ -382,8 +379,8 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
     original_counts, row i is rescaled by one factor so that its integral
     (_weights' end-corrected trapezoid) plus its elastic weight equals
     original_counts[i]; the first drive whose count is not finite and > 0,
-    or whose spectrum has no weight, raises. _sample writes the rows; the
-    arrays are fresh on every call.
+    or whose spectrum has no weight, raises. _sample writes the rows, as it
+    does for cascaded_counts; the arrays are fresh on every call.
     """
     drives = _as_drives(drives)
     n = len(drives.s0)
@@ -393,13 +390,13 @@ def sample_spectrum(drives, original_counts=None, grid_step: float | None = None
     if np.any(drives.gamma != gamma):
         raise ValueError("the drives of one spectrum stack must share one linewidth")
     offsets, x2 = _sampling_grid(gamma, grid_span, grid_step)
-    counts, weights, bad = None, None, n
+    counts, weights = None, None
     if original_counts is not None:
         counts = np.asarray(original_counts, dtype=float)
         if counts.shape != (n,):
             raise ValueError(f"{n} drives need as many counts, got shape {counts.shape}")
-        weights, bad = _weights(offsets), _first_bad_count(counts)
+        weights = _weights(offsets)
     density = np.empty((n, len(offsets)))
-    elastic = _sample(x2, weights, drives, slice(0, n), counts, bad, density,
+    elastic = _sample(x2, weights, drives, slice(0, n), counts, density,
                       np.empty(density.size + n))
     return SpectrumStack(offsets, density, elastic)

@@ -259,6 +259,11 @@ def peak_separation(hist: Histogram) -> float:
     it, since the cascaded peak is the attenuated copy arriving later.
     """
     counts = hist.counts.astype(float)
+    # with no negative count, each peak's segment holds its peak's count
+    negative = np.flatnonzero(counts < 0)
+    if len(negative):
+        i = int(negative[0])
+        raise ValueError(f"histogram count must be >= 0, got {hist.counts[i]} in bin {i}")
     if counts.sum() == 0:
         raise ValueError("peak separation is undefined for an empty histogram")
     n_bins = len(counts)
@@ -286,8 +291,6 @@ def peak_separation(hist: Histogram) -> float:
         length = (cut_to - cut_from) % n_bins
         idx = (cut_from + np.arange(length)) % n_bins
         mass = counts[idx].sum()
-        if mass == 0:
-            raise ValueError("empty peak region")
         pos = starts[cut_from] + np.arange(length) * hist.bin_ns
         center = float((pos * counts[idx]).sum() / mass) % period
         return center, float(mass)

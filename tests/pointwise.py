@@ -121,7 +121,8 @@ def reference_stack(drives, counts, grid_step=None):
 
 
 def reference_counts(stack, detunings, prof, gradient=False):
-    """filtered_counts(stack, detunings, prof, gradient) from fresh arrays."""
+    """filtered_counts(stack, detunings, prof) from fresh arrays: the counts,
+    and with gradient=True also their derivatives."""
     offsets, density, elastic = stack
     omega = np.concatenate((offsets, (0.0,)))
     u = (omega - np.subtract(prof.shift, detunings)[:, None]) / prof.width

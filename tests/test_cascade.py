@@ -328,7 +328,7 @@ class TestCascadedCountsSharedWork:
         counts = rng.uniform(1.0, 3000.0, len(drives))
         for prof in (FITTED, self.SHIFTED):
             alone = [filtered_counts(sample_spectrum([d], [n], model_step(d.gamma, prof)),
-                                     [d.delta], prof)[0]
+                                     [d.delta], prof)[0][0]
                      for d, n in zip(drives, counts)]
             np.testing.assert_array_equal(cascaded_counts(drives, counts, prof), alone)
             np.testing.assert_array_equal(alone, pointwise_counts(drives, counts, prof))
@@ -368,15 +368,14 @@ class TestReferenceArithmetic:
         stack = sample_spectrum(drives, counts, step)
         ref = reference_stack(drives, counts, step)
         for prof in self.PROFILES:
-            value, jac = filtered_counts(stack, deltas, prof, gradient=True)
+            value, jac = filtered_counts(stack, deltas, prof)
             ref_value, ref_jac = reference_counts(ref, deltas, prof, gradient=True)
             np.testing.assert_array_equal(value, ref_value)
             np.testing.assert_array_equal(jac, ref_jac)
-            np.testing.assert_array_equal(filtered_counts(stack, deltas, prof), ref_value)
             if (GAMMA / 40.0 if step is None else step) == model_step(GAMMA, prof):
                 np.testing.assert_array_equal(cascaded_counts(drives, counts, prof),
                                               ref_value)
-        # and the value and gradient calls leave the stack as sampled
+        # and the filter calls leave the stack as sampled
         for got, expected in zip(stack, ref):
             np.testing.assert_array_equal(got, expected)
 
@@ -399,12 +398,10 @@ class TestReferenceArithmetic:
                   for i, s0 in enumerate(rng.uniform(0.05, 8.0, rows))]
         self.check(drives, rng.uniform(1.0, 3000.0, rows), step)
 
-    @pytest.mark.parametrize("gradient", [False, True])
-    def test_zero_row_stack_gives_empty_counts(self, gradient):
+    def test_zero_row_stack_gives_empty_counts(self):
         offsets = sample_spectrum([DriveParams(1.0)]).offsets
         stack = SpectrumStack(offsets, np.empty((0, len(offsets))), np.empty(0))
-        got = filtered_counts(stack, [], FITTED, gradient=gradient)
-        counts, jac = got if gradient else (got, np.empty((0, 4)))
+        counts, jac = filtered_counts(stack, [], FITTED)
         assert counts.dtype == float and counts.shape == (0,)
         assert jac.dtype == float and jac.shape == (0, 4)
 
@@ -486,9 +483,9 @@ class TestCascadedCountsMemory:
     # cascaded_counts holds its counts and output (160 KB each at 20,000
     # drives) and one buffer of three blocks of at most STACK_VALUES + rows
     # values (about 100 KB each), and computes every other drive term per
-    # stack. Traced peaks of a 20,000-drive call (numpy 2.4): 0.79-0.80 MB
-    # for a detuning scan and 0.69-0.71 MB for a power scan, on either
-    # grid; the kernel that allocated every temporary afresh peaked at
+    # stack. Traced peaks of a 20,000-drive call (numpy 2.4): 0.77-0.78 MB
+    # for a detuning scan and 0.74-0.75 MB for a power scan, on either
+    # grid (0.64-0.66 MB while a power scan's T buffer held one row); the kernel that allocated every temporary afresh peaked at
     # 1.02-1.06 and 0.70-0.73 MB. Seven per-drive arrays kept for the whole
     # call would add 1.1 MB, and blocks sized by the drive count 135 MB.
     PEAK_BYTES = 1_000_000
@@ -651,8 +648,8 @@ class TestFilteredCounts:
                                                     columns=slice(None)):
         prof = AbsorptionProfile(theta[1], theta[0], theta[2], theta[3])
         stack = stack_of(specs)
-        counts, jac = filtered_counts(stack, deltas, prof, gradient=True)
-        np.testing.assert_array_equal(counts, filtered_counts(stack, deltas, prof))
+        counts, jac = filtered_counts(stack, deltas, prof)
+        np.testing.assert_array_equal(counts, reference_counts(stack, deltas, prof))
         unbounded = (np.full(4, -np.inf), np.full(4, np.inf))
         oracle = _jacobian(lambda _x, th: self.plain_counts(specs, deltas, th),
                            np.zeros(len(specs)), theta, unbounded, np.ones(len(specs)),
@@ -692,14 +689,13 @@ class TestFilteredCounts:
         jac = self.assert_gradient_matches_central_differences(specs, deltas, theta,
                                                                [0, 1, 3])
         _, full = filtered_counts(stack_of(specs), deltas,
-                                  AbsorptionProfile(theta[1], theta[0], theta[2], theta[3]),
-                                  gradient=True)
+                                  AbsorptionProfile(theta[1], theta[0], theta[2], theta[3]))
         assert np.all(np.abs(full[:, 2]) <= 1e-15 * np.abs(jac).max())
 
     def test_no_absorption_leaves_width_and_shift_unidentified(self):
         width, alpha, shift, eff = self.FILTERS["no_absorption"]
         _, jac = filtered_counts(stack_of(self.spectra(0.4)), self.DELTAS,
-                                 AbsorptionProfile(alpha, width, shift, eff), gradient=True)
+                                 AbsorptionProfile(alpha, width, shift, eff))
         assert np.all(jac[:, [0, 2]] == 0.0)
         assert np.all(jac[:, 1] < 0.0)
 
@@ -712,14 +708,14 @@ class TestFilteredCounts:
         prof = AbsorptionProfile(alpha, width, shift, eff)
         specs = self.spectra(s0, self.STEPS[step])
         expected = [one_point_count(s, prof, d) for s, d in zip(specs, self.DELTAS)]
-        got = filtered_counts(stack_of(specs), self.DELTAS, prof)
+        got = filtered_counts(stack_of(specs), self.DELTAS, prof)[0]
         np.testing.assert_array_equal(got, expected)
 
     def test_each_count_is_cascaded_count(self):
         specs = self.spectra(2.5)
         expected = [one_point_count(s, FITTED, d) for s, d in zip(specs, self.DELTAS)]
         np.testing.assert_array_equal(
-            filtered_counts(stack_of(specs), self.DELTAS, FITTED), expected)
+            filtered_counts(stack_of(specs), self.DELTAS, FITTED)[0], expected)
 
     def test_stack_holds_the_spectra_as_rows(self):
         specs = self.spectra(2.5)
@@ -735,15 +731,14 @@ class TestFilteredCounts:
             filtered_counts(stack_of(self.spectra(0.4)), self.DELTAS[:-1], FITTED)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("gradient", [False, True])
-    def test_non_finite_detuning_rejected(self, bad, gradient):
+    def test_non_finite_detuning_rejected(self, bad):
         # a NaN detuning gave a NaN count and an infinite one the count of
         # an absent filter (path_efficiency x count); rows that all share
         # the bad detuning are refused too
         specs = self.spectra(0.4)
         for deltas in ([0.0, bad, 3.0, math.nan, 7.0], [bad] * len(specs)):
             with pytest.raises(ValueError, match=f"detuning must be finite, got {bad}$"):
-                filtered_counts(stack_of(specs), deltas, FITTED, gradient=gradient)
+                filtered_counts(stack_of(specs), deltas, FITTED)
 
 
 def quad_ratio(s0, delta, prof, gamma=GAMMA, span=10.0):
@@ -785,7 +780,7 @@ class TestGridAccuracy:
             one_point_spectrum(DriveParams(s0, d), 1.0, grid_step=STEP_20)
             for d in deltas])
         for prof in (FITTED, AbsorptionProfile(3.0, 12.0, -4.5, 0.6)):
-            got = filtered_counts(stack, deltas, prof)
+            got = filtered_counts(stack, deltas, prof)[0]
             expected = [quad_ratio(s0, d, prof) for d in deltas]
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-8)
 
@@ -817,7 +812,7 @@ class TestGridAccuracy:
             model = ratio_curve(deltas, s0, prof, np.ones(4))
             stack = sample_spectrum([DriveParams(s0, d) for d in deltas], np.ones(4),
                                     STEP_20)
-            fixed = filtered_counts(stack, deltas, prof)
+            fixed = filtered_counts(stack, deltas, prof)[0]
             np.testing.assert_allclose(model, expected, rtol=model_bound, atol=0.0)
             np.testing.assert_allclose(fixed, expected, rtol=fixed_bound, atol=0.0)
 

@@ -670,6 +670,18 @@ class TestFitCommand:
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, rule", [("--fix-width", "-1", "> 0"),
+                                                     ("--fix-efficiency", "2", "in (0, 1]")])
+    def test_cascade_out_of_range_fixed_parameter_is_usage_error(self, tmp_path, capsys,
+                                                                 power_scan, option, value,
+                                                                 rule):
+        # refused by its argument's name before the first start
+        out = tmp_path / "out"
+        assert run(["fit", "cascade", *power_scan, option, value, "--out", out]) == 2
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr() == ("", f"error: {name} must be {rule}, got {float(value)}\n")
+        assert not out.exists()
+
     def test_cascade_repeated_failure_is_named_once(self, tmp_path, capsys, power_scan):
         out = tmp_path / "out"
         assert run(["fit", "cascade", *power_scan, "--fix-shift", 1e308, "--out", out]) == 5

@@ -74,6 +74,28 @@ def test_only_spectrum_takes_grid_parameters():
     assert takers and all(t.startswith("spectrum.py:") for t in takers), takers
 
 
+def test_the_filter_kernels_have_one_caller():
+    # filtered_counts and cascaded_counts share one filter step: a second
+    # copy of its set-up would be a second function calling the kernels
+    callers = {"_transmission": set(), "_counts": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split(':')[0]}:{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee in callers:
+                    callers[callee].add(owner)
+            visit(child, owner)
+
+    for name, tree in _parsed_sources().items():
+        visit(tree, name)
+    assert callers["_transmission"] == callers["_counts"] == {"cascade.py:_filter"}, callers
+
+
 def test_cli_import_loads_few_modules():
     # interpreter start plus this import is the set-up time of every
     # command, so the import stays as light as it is: no new module besides

@@ -74,6 +74,22 @@ class TestExcitedStatePopulation:
         assert all(v < 0.5 for v in values)
 
 
+@pytest.mark.parametrize("helper", [excited_state_population, rabi_frequency, elastic_weight],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("s", [math.nan, math.inf, -0.5])
+def test_scalar_helper_refuses_a_saturation_not_finite_and_non_negative(helper, s):
+    with pytest.raises(ValueError,
+                       match=f"^saturation parameter must be finite and >= 0, got {s}$"):
+        helper(s)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.0, 0.4, 2.5, 1e300])
+def test_scalar_helpers_keep_their_expressions(s):
+    assert excited_state_population(s) == s / (2.0 * (1.0 + s))
+    assert rabi_frequency(s, 6.0) == 6.0 * math.sqrt(s / 2.0)
+    assert elastic_weight(s) == s / ((2.0 + s) * (2.0 + s))
+
+
 class TestDetunedSaturation:
     def test_zero_detuning(self):
         assert detuned_saturation(DriveParams(2.5, 0.0)) == 2.5

@@ -326,6 +326,15 @@ class TestHistogram:
         with pytest.raises(ValueError):
             peak_separation(histogram(run0([]), 5, cfg))
 
+    def test_peak_separation_refuses_a_negative_count(self):
+        # a hand-built histogram whose negative bin cancels its first peak's
+        # segment: refused at the bin, not divided by a zero mass
+        counts = np.zeros(120, dtype=np.int64)
+        counts[[9, 10, 70]] = [-10, 10, 5]
+        hist = timetag.Histogram(np.arange(120, dtype=np.int64) * 5, counts, 5, 600)
+        with pytest.raises(ValueError, match="^histogram count must be >= 0, got -10 in bin 9$"):
+            peak_separation(hist)
+
     def test_peak_separation_needs_a_bin_between_the_peaks(self):
         # 300 ns bins fold the 600 ns period into two, with no valley
         hist = histogram(run0([0, 0, 300]), 300, RunConfig())
